@@ -28,9 +28,6 @@ def main(argv=None) -> int:
         description="Corotational harmonic-map heat flow: scenario runs, "
                     "parameter sweeps, and config validation.")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized property tests (runs are "
-                             "deterministic and ignore it)")
     parser.add_argument("--threads", type=int, default=1,
                         help="parallel workers for sweeps")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -41,7 +38,7 @@ def main(argv=None) -> int:
     p_sweep.add_argument("config")
     p_sweep.add_argument("--grid", required=True,
                          help="parameter grid file (key = v1, v2, ...)")
-    p_check = sub.add_parser("check", help="validate a config and exit")
+    p_check = sub.add_parser("check", help="validate a config and its setup")
     p_check.add_argument("config")
 
     args = parser.parse_args(argv)
@@ -66,6 +63,7 @@ def main(argv=None) -> int:
             return 0
         # check
         cfg = _load_config(args.config, args.out)
+        runner._setup(cfg)
         print(f"config ok: scenario {cfg.scenario}, m={cfg.m}, "
               f"grid ({cfg.r_min:g}, {cfg.r_max:g}, {cfg.n}), "
               f"ic {cfg.ic_family}")

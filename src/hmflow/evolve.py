@@ -31,13 +31,15 @@ STATUS_ABORTED = "Aborted"
 # accepted steps may raise the energy by at most this fraction of E(u0)
 ENERGY_INCREASE_TOL = 1e-8
 
+# dt shrink factor on a failed step or on concentration below the scale floor
+STEP_SHRINK = 0.5
+
 
 @dataclass
 class StepperConfig:
     dt: float
     scheme: str = "IMEX1"
     dt_floor: float = 1e-9
-    cfl_like_safety: float = 0.5  # shrink factor on step failure
     linear_only: bool = False     # drop F: pure e^{t Delta_m}, for oracle runs
 
     def __post_init__(self):
@@ -46,8 +48,6 @@ class StepperConfig:
         if not (self.dt > self.dt_floor > 0):
             raise ConfigurationError(
                 f"need dt > dt_floor > 0, got dt={self.dt}, dt_floor={self.dt_floor}")
-        if not (0 < self.cfl_like_safety < 1):
-            raise ConfigurationError("cfl_like_safety must be in (0, 1)")
 
 
 @dataclass
@@ -55,12 +55,7 @@ class DissipationLedger:
     """Running discrete version of E(u0) = E(u(t)) + integral ||u_t||^2."""
 
     E0: float
-    E_t: float
     dissipated: float = 0.0
-
-    @property
-    def residual(self) -> float:
-        return abs(self.E0 - self.E_t - self.dissipated)
 
 
 @dataclass
@@ -80,9 +75,6 @@ class TrajectoryRecord:
     grid: RadialGrid
     times: List[float] = dc_field(default_factory=list)
     energies: List[EnergyBreakdown] = dc_field(default_factory=list)
-    x2_norms: List[float] = dc_field(default_factory=list)
-    sup_abs: List[float] = dc_field(default_factory=list)
-    ledger_residuals: List[float] = dc_field(default_factory=list)
     dissipated: List[float] = dc_field(default_factory=list)
     l4_accum: List[float] = dc_field(default_factory=list)
     scale_estimates: List[float] = dc_field(default_factory=list)
@@ -184,26 +176,24 @@ def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
     longer resolve the bubble core (default 10 * r_min); a run pinned at the
     floor step size while concentrated below it terminates as Blowup.
     """
-    if t_end <= 0:
-        raise ContractViolation(f"t_end must be positive, got {t_end}")
+    if not 0 < t_end < np.inf:
+        raise ContractViolation(f"t_end must be positive and finite, got {t_end}")
+    if not 0 < sample_every < np.inf:
+        raise ContractViolation(
+            f"sample_every must be positive and finite, got {sample_every}")
     g = field.grid
     if scale_floor is None:
         scale_floor = 10.0 * g.r_min
 
     rec = TrajectoryRecord(m, g)
-    ledger = DissipationLedger(E0=energy(field, m).total,
-                               E_t=energy(field, m).total)
+    e_cur = energy(field, m)  # breakdown of `current`, reused by its sample
+    ledger = DissipationLedger(E0=e_cur.total)
     monitor = BlowupMonitor()
     rec.ledger, rec.monitor = ledger, monitor
 
-    def take_sample(t, fld):
-        eb = energy(fld, m)
+    def take_sample(t, fld, eb):
         rec.times.append(t)
         rec.energies.append(eb)
-        from .energy import x2_norm
-        rec.x2_norms.append(x2_norm(fld, m))
-        rec.sup_abs.append(float(np.max(np.abs(fld.values))))
-        rec.ledger_residuals.append(ledger.residual)
         rec.dissipated.append(ledger.dissipated)
         rec.l4_accum.append(monitor.l4_accum)
         rec.scale_estimates.append(monitor.min_scale_estimate)
@@ -211,11 +201,10 @@ def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
 
     current = field.copy()
     monitor.min_scale_estimate = scale_estimate(current, m)
-    take_sample(0.0, current)
+    take_sample(0.0, current, e_cur)
 
     t = 0.0
     dt = stepper.dt
-    e_prev = ledger.E0
     next_sample = sample_every
     accepted_streak = 0
     floor_failures = 0
@@ -231,8 +220,9 @@ def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
         finite = bool(np.all(np.isfinite(new_off)))
         if finite:
             trial = current.with_values(new_off + current.inner_limit)
-            e_new = energy(trial, m).total
-            ok = e_new <= e_prev + ENERGY_INCREASE_TOL * max(ledger.E0, 1e-30)
+            e_new = energy(trial, m)
+            ok = e_new.total <= (e_cur.total
+                                 + ENERGY_INCREASE_TOL * max(ledger.E0, 1e-30))
         else:
             ok = False
 
@@ -241,7 +231,7 @@ def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
                 rec.status = STATUS_ABORTED
                 break
             if dt > stepper.dt_floor:
-                dt = max(dt * stepper.cfl_like_safety, stepper.dt_floor)
+                dt = max(dt * STEP_SHRINK, stepper.dt_floor)
                 accepted_streak = 0
                 continue
             floor_failures += 1
@@ -257,10 +247,9 @@ def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
         floor_failures = 0
         du = new_off - off
         ledger.dissipated += float(np.dot(g.weights, du * du)) / dt_try
-        ledger.E_t = e_new
         monitor.l4_integral += dt_try * float(np.dot(l4_weights, new_off**4))
         current = trial
-        e_prev = e_new
+        e_cur = e_new
         t += dt_try
 
         s_est = scale_estimate(current, m)
@@ -268,7 +257,7 @@ def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
         if np.isfinite(s_est) and s_est < scale_floor:
             monitor.concentration_flag = True
             if dt > stepper.dt_floor:
-                dt = max(dt * stepper.cfl_like_safety, stepper.dt_floor)
+                dt = max(dt * STEP_SHRINK, stepper.dt_floor)
             else:
                 pinned_concentrated += 1
                 if pinned_concentrated >= 3:
@@ -283,24 +272,20 @@ def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
             accepted_streak = 0
 
         if t >= next_sample - 1e-12 or t >= t_end - 1e-12 * t_end:
-            take_sample(t, current)
+            take_sample(t, current, e_cur)
             while next_sample <= t + 1e-12:
                 next_sample += sample_every
 
-    else:
-        # loop ended by reaching t_end; final sample already recorded above
-        pass
-
-    if rec.status != STATUS_GLOBAL and (not rec.times or rec.times[-1] < t):
-        take_sample(t, current)
+    if rec.status != STATUS_GLOBAL and rec.times[-1] < t:
+        take_sample(t, current, e_cur)
     return rec
 
 
 def dissipation_audit(record: TrajectoryRecord) -> List[float]:
     """Per-sample |E(u0) - E(u(t)) - dissipated|, the discrete energy-identity
     residual."""
-    if len(record.times) < 2:
-        raise ContractViolation("audit needs at least 2 samples")
+    if not record.times:
+        raise ContractViolation("audit needs at least 1 sample")
     e0 = record.energies[0].total
     return [abs(e0 - eb.total - d)
             for eb, d in zip(record.energies, record.dissipated)]

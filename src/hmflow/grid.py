@@ -28,10 +28,11 @@ class RadialGrid:
     """
 
     def __init__(self, r_min: float, r_max: float, n: int):
-        if r_min <= 0:
+        if not r_min > 0:
             raise ConfigurationError(f"r_min must be positive, got {r_min}")
-        if r_max <= r_min:
-            raise ConfigurationError(f"need r_min < r_max, got {r_min}, {r_max}")
+        if not r_min < r_max < np.inf:
+            raise ConfigurationError(
+                f"need r_min < r_max < inf, got r_min={r_min}, r_max={r_max}")
         if n < 16:
             raise ConfigurationError(f"need at least 16 nodes, got {n}")
         self.r_min = float(r_min)
@@ -157,27 +158,25 @@ class RadialGrid:
         n = self.n
         r = self.nodes
         cm, c0, cp = self.derivative_coeffs()
-        rows, cols, vals = [], [], []
-        for i in range(1, n - 1):
-            rows += [i, i, i]
-            cols += [i - 1, i, i + 1]
-            vals += [cm[i], c0[i], cp[i]]
-        # one-sided ends
+        # one-sided second-order end rows
         h1 = r[1] - r[0]
         h2 = r[2] - r[1]
-        rows += [0, 0, 0]
-        cols += [0, 1, 2]
-        vals += [-(2 * h1 + h2) / (h1 * (h1 + h2)),
-                 (h1 + h2) / (h1 * h2),
-                 -h1 / (h2 * (h1 + h2))]
         g1 = r[-1] - r[-2]
         g2 = r[-2] - r[-3]
-        rows += [n - 1, n - 1, n - 1]
-        cols += [n - 1, n - 2, n - 3]
-        vals += [(2 * g1 + g2) / (g1 * (g1 + g2)),
-                 -(g1 + g2) / (g1 * g2),
-                 g1 / (g2 * (g1 + g2))]
-        mat = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+        # row i holds columns i-1, i, i+1 in the interior, 0..2 in row 0 and
+        # n-3..n-1 in row n-1, so the CSR arrays are three entries per row
+        indices = np.arange(-1, n - 1)[:, None] + np.arange(3)
+        indices[0] = (0, 1, 2)
+        indices[-1] = (n - 3, n - 2, n - 1)
+        data = np.column_stack((cm, c0, cp))
+        data[0] = (-(2 * h1 + h2) / (h1 * (h1 + h2)),
+                   (h1 + h2) / (h1 * h2),
+                   -h1 / (h2 * (h1 + h2)))
+        data[-1] = (g1 / (g2 * (g1 + g2)),
+                    -(g1 + g2) / (g1 * g2),
+                    (2 * g1 + g2) / (g1 * (g1 + g2)))
+        mat = sp.csr_matrix((data.ravel(), indices.ravel(),
+                             np.arange(0, 3 * n + 1, 3)), shape=(n, n))
         self._cache["dmat"] = mat
         return mat
 

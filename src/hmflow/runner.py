@@ -13,7 +13,7 @@ import csv
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field as dc_field, asdict
+from dataclasses import dataclass
 from itertools import product
 from typing import Dict, List, Optional, Tuple
 
@@ -23,7 +23,7 @@ from . import modulation
 from .bubble import BubbleProfile, eval_h, eval_Q, sample_Q
 from .energy import (classify as classify_sector, energy as energy_breakdown,
                      exterior_energy, x2_norm)
-from .errors import ConfigurationError, HmflowError, NoBubbleError
+from .errors import ConfigurationError, HmflowError
 from .evolve import (StepperConfig, TrajectoryRecord, evolve,
                      dissipation_audit, STATUS_ABORTED, STATUS_BLOWUP,
                      STATUS_GLOBAL)
@@ -130,9 +130,13 @@ def _coerce(key: str, val: str):
             raise ConfigurationError(f"key {key!r}: expected integer, got {val!r}")
     if key in _FLOAT_KEYS:
         try:
-            return float(val)
+            num = float(val)
         except ValueError:
-            raise ConfigurationError(f"key {key!r}: expected number, got {val!r}")
+            num = np.nan
+        if not np.isfinite(num):
+            raise ConfigurationError(
+                f"key {key!r}: expected a finite number, got {val!r}")
+        return num
     return val
 
 
@@ -140,7 +144,8 @@ def build_run_config(raw: Dict[str, str], out_dir: Optional[str] = None) -> RunC
     """Validate raw key/value pairs into a RunConfig.
 
     Scenario presets fill in unspecified keys; every rejection names the
-    violated invariant.
+    violated invariant.  Grid and stepper invariants are checked by
+    constructing those objects.
     """
     unknown = sorted(set(raw) - _KNOWN_KEYS)
     if unknown:
@@ -161,19 +166,16 @@ def build_run_config(raw: Dict[str, str], out_dir: Optional[str] = None) -> RunC
     return cfg
 
 
+def _stepper(cfg: RunConfig) -> StepperConfig:
+    return StepperConfig(dt=cfg.dt, scheme=cfg.scheme, dt_floor=cfg.dt_floor)
+
+
 def _validate(cfg: RunConfig) -> None:
+    # the grid and the stepper check their own invariants
+    RadialGrid(cfg.r_min, cfg.r_max, cfg.n)
+    _stepper(cfg)
     if cfg.m < 1:
         raise ConfigurationError(f"m must be a positive degree, got {cfg.m}")
-    if not 0 < cfg.r_min < cfg.r_max:
-        raise ConfigurationError(
-            f"need 0 < r_min < r_max, got r_min={cfg.r_min}, r_max={cfg.r_max}")
-    if cfg.n < 16:
-        raise ConfigurationError(f"n must be at least 16, got {cfg.n}")
-    if cfg.dt <= 0 or cfg.dt_floor <= 0 or cfg.dt_floor > cfg.dt:
-        raise ConfigurationError(
-            f"need 0 < dt_floor <= dt, got dt={cfg.dt}, dt_floor={cfg.dt_floor}")
-    if cfg.scheme not in ("IMEX1", "IMEX2"):
-        raise ConfigurationError(f"scheme must be IMEX1 or IMEX2, got {cfg.scheme!r}")
     if cfg.t_end <= 0:
         raise ConfigurationError(f"t_end must be positive, got {cfg.t_end}")
     if cfg.sample_every <= 0:
@@ -322,7 +324,7 @@ def _trajectory_rows(cfg: RunConfig, rec: TrajectoryRecord,
     n_track = 0 if track is None else len(track.times)
     for k, t in enumerate(rec.times):
         fld = rec.fields[k]
-        br = energy_breakdown(fld, cfg.m)
+        br = rec.energies[k]
         # the X^2 norm is taken on the offset so it stays finite in
         # the degree-m sector
         x2 = x2_norm(RadialField(fld.grid, fld.offset()), cfg.m)
@@ -355,20 +357,11 @@ def _scenario_checks(cfg: RunConfig, rec: TrajectoryRecord,
         checks["energy_decayed"] = rec.energies[-1].total < 0.05 * e0
     elif tag == "above_threshold_stability":
         checks["status_global"] = rec.status == STATUS_GLOBAL
-        ok_scale = ok_resid = ok_orth = False
-        if track is not None and len(track.times) == len(rec.times):
-            s_inf = track.scales[-1]
-            half = track.scales[len(track.scales) // 2:]
-            ok_scale = bool(np.max(np.abs(half - s_inf)) < 0.05 * s_inf)
-            diff = RadialField(
-                rec.grid,
-                rec.fields[-1].values
-                - eval_Q(BubbleProfile(cfg.m, s_inf), rec.grid.nodes))
-            ok_resid = energy_breakdown(diff, cfg.m).total < 0.05 * (2.0 * cfg.m)
-            ok_orth = not bool(track.flagged.any())
-        checks["scale_stabilized"] = ok_scale
-        checks["bubble_residual_small"] = ok_resid
-        checks["orthogonality_clean"] = ok_orth
+        conv = _bubble_convergence(cfg, rec, track)
+        checks["scale_stabilized"], checks["bubble_residual_small"] = (
+            conv or (False, False))
+        checks["orthogonality_clean"] = (conv is not None
+                                         and not bool(track.flagged.any()))
     elif tag == "m1_blowup":
         checks["status_blowup"] = rec.status == STATUS_BLOWUP
         ok_decades = ok_ratio = ok_rate = False
@@ -409,32 +402,41 @@ def concentration_scale_track(rec: TrajectoryRecord) -> modulation.ScaleTrack:
 
 
 def _collapse_window(track: modulation.ScaleTrack) -> modulation.ScaleTrack:
-    """Strictly-decreasing suffix, with the departure transient (scales
-    above a third of the suffix maximum) discarded."""
-    tail = _shrinking_tail(track)
-    if len(tail.scales) == 0:
-        return tail
-    keep = tail.scales <= tail.scales.max() / 3.0
-    if keep.sum() < 4:
-        return tail
-    sl = np.flatnonzero(keep)
-    lo = sl[0]
-    return modulation.ScaleTrack(tail.times[lo:], tail.scales[lo:],
-                                 tail.sdots[lo:], tail.flagged[lo:],
-                                 tail.orth_residuals[lo:],
-                                 tail.truncated_reason)
-
-
-def _shrinking_tail(track: modulation.ScaleTrack) -> modulation.ScaleTrack:
-    """Longest strictly-decreasing suffix of a scale track."""
+    """Longest strictly-decreasing suffix of a non-empty scale track, with
+    the departure transient (scales above a third of the suffix maximum)
+    discarded when at least 4 samples remain."""
     s = track.scales
     k = len(s) - 1
     while k > 0 and s[k - 1] > s[k]:
         k -= 1
+    # the suffix decreases, so s[k] is its maximum and the kept scales are
+    # a suffix of it
+    n_keep = int(np.count_nonzero(s[k:] <= s[k] / 3.0))
+    if n_keep >= 4:
+        k = len(s) - n_keep
     sl = slice(k, len(s))
     return modulation.ScaleTrack(track.times[sl], s[sl], track.sdots[sl],
                                  track.flagged[sl], track.orth_residuals[sl],
                                  track.truncated_reason)
+
+
+def _bubble_convergence(cfg: RunConfig, rec: TrajectoryRecord,
+                        track: Optional[modulation.ScaleTrack]
+                        ) -> Optional[Tuple[bool, bool]]:
+    """Whether the run converged to a rescaled bubble: (the scale's final
+    half stays within 5% of its last value, the energy of the residual to
+    the bubble at that scale is below 5% of E(Q)).  None unless the scale
+    track covers every sample."""
+    if track is None or len(track.times) != len(rec.times):
+        return None
+    s_inf = track.scales[-1]
+    half = track.scales[len(track.scales) // 2:]
+    diff = RadialField(
+        rec.grid,
+        rec.fields[-1].values
+        - eval_Q(BubbleProfile(cfg.m, s_inf), rec.grid.nodes))
+    return (bool(np.max(np.abs(half - s_inf)) < 0.05 * s_inf),
+            energy_breakdown(diff, cfg.m).total < 0.05 * (2.0 * cfg.m))
 
 
 def _classify_end_state(cfg: RunConfig, rec: TrajectoryRecord,
@@ -445,24 +447,25 @@ def _classify_end_state(cfg: RunConfig, rec: TrajectoryRecord,
         return "Undetermined"
     if rec.energies[-1].total < 0.05 * rec.energies[0].total:
         return "Decayed"
-    if track is not None and len(track.times) == len(rec.times):
-        s_inf = track.scales[-1]
-        half = track.scales[len(track.scales) // 2:]
-        diff = RadialField(
-            rec.grid,
-            rec.fields[-1].values
-            - eval_Q(BubbleProfile(cfg.m, s_inf), rec.grid.nodes))
-        if (np.max(np.abs(half - s_inf)) < 0.05 * s_inf
-                and energy_breakdown(diff, cfg.m).total < 0.05 * (2.0 * cfg.m)):
-            return "ConvergedToQ"
+    conv = _bubble_convergence(cfg, rec, track)
+    if conv is not None and all(conv):
+        return "ConvergedToQ"
     return "Undetermined"
+
+
+def _setup(cfg: RunConfig) -> Tuple[RadialField, StepperConfig]:
+    """Initial condition (on its grid) and stepper of a run.
+
+    ``hmflow check`` runs this too, so every error it can raise surfaces
+    before a run starts.
+    """
+    grid = build_grid(cfg.r_min, cfg.r_max, cfg.n)
+    return build_initial_condition(cfg, grid), _stepper(cfg)
 
 
 def execute(cfg: RunConfig) -> RunResult:
     """Run the configured scenario and gather diagnostics (no file I/O)."""
-    grid = build_grid(cfg.r_min, cfg.r_max, cfg.n)
-    u0 = build_initial_condition(cfg, grid)
-    stepper = StepperConfig(dt=cfg.dt, scheme=cfg.scheme, dt_floor=cfg.dt_floor)
+    u0, stepper = _setup(cfg)
     rec = evolve(u0, cfg.m, cfg.t_end, stepper,
                  sample_every=cfg.sample_every, scale_floor=cfg.scale_floor)
     track = None

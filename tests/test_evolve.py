@@ -19,8 +19,6 @@ def test_stepper_config_validation():
         StepperConfig(dt=1e-3, scheme="RK4")
     with pytest.raises(ConfigurationError):
         StepperConfig(dt=1e-10, dt_floor=1e-9)
-    with pytest.raises(ConfigurationError):
-        StepperConfig(dt=1e-3, cfl_like_safety=1.5)
 
 
 def test_nonlinearity_zero(default_grid):
@@ -129,14 +127,41 @@ def test_dissipation_audit_first_order_in_dt(default_grid):
 
 def test_dissipation_audit_needs_samples(default_grid):
     from hmflow.evolve import TrajectoryRecord
+    rec = TrajectoryRecord(2, default_grid)
     with pytest.raises(ContractViolation):
-        dissipation_audit(TrajectoryRecord(2, default_grid))
-
-
-def test_evolve_rejects_bad_horizon(default_grid):
+        dissipation_audit(rec)
+    # a run that stops before its first accepted step holds only the
+    # initial sample, and its audit is still defined
     u0 = RadialField(default_grid, gaussian_bump(default_grid))
+    rec.times.append(0.0)
+    rec.energies.append(energy(u0, 2))
+    rec.dissipated.append(0.0)
+    assert dissipation_audit(rec) == [0.0]
+
+
+# a NaN horizon used to end the run after one sample, and a non-positive
+# sample_every used to hang the sampling clock
+@pytest.mark.parametrize("t_end,sample_every", [
+    pytest.param(0.0, 0.05, id="t_end_zero"),
+    pytest.param(-1.0, 0.05, id="t_end_negative"),
+    pytest.param(np.nan, 0.05, id="t_end_nan"),
+    pytest.param(np.inf, 0.05, id="t_end_inf"),
+    pytest.param(0.1, 0.0, id="sample_every_zero"),
+    pytest.param(0.1, -0.05, id="sample_every_negative"),
+    pytest.param(0.1, np.nan, id="sample_every_nan"),
+    pytest.param(0.1, np.inf, id="sample_every_inf"),
+])
+def test_evolve_rejects_bad_horizon(default_grid, monkeypatch, t_end,
+                                    sample_every):
+    u0 = RadialField(default_grid, gaussian_bump(default_grid))
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("evolve stepped before rejecting its horizon")
+
+    monkeypatch.setattr("hmflow.evolve._step_offset", no_step)
     with pytest.raises(ContractViolation):
-        evolve(u0, 2, t_end=0.0, stepper=StepperConfig(dt=1e-3))
+        evolve(u0, 2, t_end=t_end, stepper=StepperConfig(dt=1e-3),
+               sample_every=sample_every)
 
 
 def test_scale_estimate_bubble(default_grid):

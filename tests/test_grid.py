@@ -56,6 +56,10 @@ def test_grid_construction_validation():
     with pytest.raises(ConfigurationError):
         build_grid(1.0, 0.5, 64)
     with pytest.raises(ConfigurationError):
+        build_grid(np.nan, 1.0, 64)
+    with pytest.raises(ConfigurationError):
+        build_grid(1e-3, np.inf, 64)
+    with pytest.raises(ConfigurationError):
         build_grid(1e-3, 1.0, 8)
 
 
@@ -94,6 +98,28 @@ def test_derivative_second_order():
     e1, e2 = _derivative_error(2048), _derivative_error(4096)
     assert e1 < 5e-5
     assert e1 / e2 > 3.0
+
+
+@pytest.mark.parametrize("n", [16, 257])
+def test_derivative_matrix_matches_row_stencils(n):
+    # reference assembled row by row: centered interior rows, one-sided
+    # second-order rows at both ends; the arithmetic is the same, so the
+    # entries must agree exactly
+    g = build_grid(1e-3, 1e2, n)
+    r = g.nodes
+    cm, c0, cp = g.derivative_coeffs()
+    ref = np.zeros((n, n))
+    for i in range(1, n - 1):
+        ref[i, i - 1:i + 2] = (cm[i], c0[i], cp[i])
+    h1, h2 = r[1] - r[0], r[2] - r[1]
+    ref[0, :3] = (-(2 * h1 + h2) / (h1 * (h1 + h2)), (h1 + h2) / (h1 * h2),
+                  -h1 / (h2 * (h1 + h2)))
+    g1, g2 = r[-1] - r[-2], r[-2] - r[-3]
+    ref[-1, -3:] = (g1 / (g2 * (g1 + g2)), -(g1 + g2) / (g1 * g2),
+                    (2 * g1 + g2) / (g1 * (g1 + g2)))
+    mat = g.derivative_matrix()
+    assert mat.nnz == 3 * n
+    assert np.array_equal(mat.toarray(), ref)
 
 
 def _delta_m_error(m, n):

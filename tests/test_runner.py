@@ -2,13 +2,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hmflow.cli import main as cli_main
 from hmflow.energy import energy
 from hmflow.errors import ConfigurationError
 from hmflow.grid import build_grid
 from hmflow.runner import (CSV_COLUMNS, IC_FAMILIES, SCENARIOS,
-                           build_initial_condition, build_run_config,
+                           _setup, build_initial_condition, build_run_config,
                            execute, parse_config_text, parse_grid_file, run,
                            sweep)
 
@@ -50,6 +52,10 @@ def test_unknown_key_rejected(tmp_path):
     ("r_max", "1e-5", "r_"),
     ("n", "8", "n"),
     ("dt", "0", "dt"),
+    ("dt_floor", "2e-3", "dt_floor"),  # equal to dt
+    ("dt_floor", "nan", "dt_floor"),
+    ("r_max", "inf", "r_max"),
+    ("t_end", "nan", "t_end"),
     ("t_end", "-1", "t_end"),
     ("sample_every", "0", "sample_every"),
     ("scheme", "RK4", "scheme"),
@@ -247,11 +253,24 @@ def test_cli_check_and_run(tmp_path):
     assert (tmp_path / "fast_trajectory.csv").exists()
 
 
-def test_cli_invalid_config(tmp_path):
-    p = tmp_path / "bad.cfg"
-    p.write_text("m = 0\n")
-    assert cli_main(["check", str(p)]) == 1
-    assert cli_main(["run", str(p)]) == 1
+# each of these used to pass `check` and then fail or misbehave in `run`
+@pytest.mark.parametrize("over", [
+    pytest.param(dict(m="0"), id="m_zero"),
+    pytest.param(dict(dt_floor="2e-3"), id="dt_equals_dt_floor"),
+    pytest.param(dict(t_end="nan"), id="t_end_nan"),
+    pytest.param(dict(dt_floor="nan"), id="dt_floor_nan"),
+    pytest.param(dict(ic_family="q_exact", ic_s0="nan"), id="ic_s0_nan"),
+    pytest.param(dict(r_max="inf"), id="r_max_inf"),
+    pytest.param(dict(ic_A="50"), id="e0_energy_window"),
+    pytest.param(dict(ic_family="e1_excited", ic_s0="1", ic_sigma="3",
+                      ic_target_energy="30"), id="e1_energy_window"),
+    pytest.param(dict(scale_floor="nan"), id="scale_floor_nan"),
+])
+def test_cli_invalid_config(tmp_path, capsys, over):
+    path = _write_cfg(tmp_path, **over)
+    assert cli_main(["check", path]) == 1
+    assert cli_main(["--out", str(tmp_path), "run", path]) == 1
+    assert capsys.readouterr().err.count("invalid config") == 2
 
 
 def test_cli_sweep(tmp_path):
@@ -261,3 +280,53 @@ def test_cli_sweep(tmp_path):
     assert cli_main(["--out", str(tmp_path), "sweep", cfg,
                      "--grid", str(grid)]) == 0
     assert (tmp_path / "sweep.csv").exists()
+
+
+# valid settings for a short run, and per-key values at or past the edge of
+# what a config may hold; each example injects at most one of the latter.
+# n starts at 64 because runs have no step budget yet: on coarser grids the
+# step size can collapse and a run to t = 0.05 takes tens of seconds.
+_PROPERTY_BASE = dict(r_min="1e-3", r_max="1e2", dt="2e-3", ic_A="0.5",
+                      ic_sigma="1", ic_s0="1", label="prop")
+_EDGE_VALUES = {
+    "m": ["0", "1"],
+    "r_min": ["0", "nan", "1e-12", "1e2"],
+    "r_max": ["inf", "1e6"],
+    "n": ["8", "15"],
+    "dt": ["0", "nan", "1e-9", "1"],
+    "dt_floor": ["2e-3", "nan", "-1", "1e-300"],
+    "t_end": ["0", "nan", "inf", "1e-9"],
+    "sample_every": ["0", "nan", "1e-4", "1e3"],
+    "scale_floor": ["0", "nan", "1e3"],
+    "ic_A": ["nan", "0", "50", "-50"],
+    "ic_sigma": ["0", "inf", "1e-6", "1e6"],
+    "ic_s0": ["0", "nan", "1e-6", "1e6"],
+    "ic_target_energy": ["nan", "0", "1e-12", "30"],
+}
+
+
+@given(family=st.sampled_from(["e0_bump", "e1_excited", "q_exact"]),
+       m=st.integers(1, 4), n=st.integers(64, 256),
+       scheme=st.sampled_from(["IMEX1", "IMEX2"]),
+       t_end=st.floats(1e-3, 0.05), sample_every=st.floats(1e-3, 0.05),
+       target=st.one_of(st.none(), st.floats(0.0, 30.0)),
+       edge=st.one_of(st.none(), st.sampled_from(
+           [(k, v) for k, vals in _EDGE_VALUES.items() for v in vals])))
+@settings(max_examples=100, deadline=None)
+def test_checked_configs_execute(family, m, n, scheme, t_end, sample_every,
+                                 target, edge):
+    raw = dict(_PROPERTY_BASE, ic_family=family, m=str(m), n=str(n),
+               scheme=scheme, t_end=repr(t_end),
+               sample_every=repr(sample_every))
+    if target is not None:
+        raw["ic_target_energy"] = repr(target)
+    if edge is not None:
+        raw[edge[0]] = edge[1]
+    try:
+        # what `hmflow check` runs
+        cfg = build_run_config(raw, out_dir=".")
+        _setup(cfg)
+    except ConfigurationError:
+        return
+    result = execute(cfg)
+    assert result.status in ("Global", "Blowup", "Aborted")
