@@ -115,7 +115,9 @@ def g_functional(u, m: int):
     a = np.abs(u)
     k = np.floor(a / np.pi)
     v = a - k * np.pi
-    return np.sign(u) * m * (2.0 * k + 1.0 - np.cos(v))
+    # 1 - cos v written as 2 sin^2(v/2), which keeps full relative accuracy
+    # for small v.
+    return np.sign(u) * m * (2.0 * k + 2.0 * np.sin(0.5 * v) ** 2)
 
 
 def g_inverse(y, m: int):
@@ -124,7 +126,9 @@ def g_inverse(y, m: int):
     a = np.abs(y)
     k = np.floor(a / (2.0 * m))
     rem = a - 2.0 * m * k
-    v = np.arccos(np.clip(1.0 - rem / m, -1.0, 1.0))
+    # Invert rem = 2m sin^2(v/2) with arcsin, not arccos(1 - rem/m), so that
+    # small angles are recovered without cancellation.
+    v = 2.0 * np.arcsin(np.sqrt(np.clip(rem / (2.0 * m), 0.0, 1.0)))
     return np.sign(y) * (k * np.pi + v)
 
 
