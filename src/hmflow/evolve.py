@@ -29,8 +29,8 @@ from typing import List, Optional
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolation
-from .energy import EnergyBreakdown, energy
-from .grid import RadialField, RadialGrid, differentiate
+from .energy import EnergyBreakdown, energy, energy_density, integrate_density
+from .grid import RadialField, RadialGrid
 
 STATUS_GLOBAL = "Global"
 STATUS_BLOWUP = "Blowup"
@@ -170,18 +170,10 @@ def _half_turn_radius(g: RadialGrid, values: np.ndarray) -> float:
     return float(np.exp((1 - w) * np.log(g.nodes[i - 1]) + w * np.log(g.nodes[i])))
 
 
-def scale_estimate(field: RadialField, m: int = 1) -> float:
-    """Concentration-scale estimate.
-
-    For degree-m sector data: the radius where the angle first drops through
-    pi/2 (log-interpolated), i.e. the bubble's half-turn radius.  For
-    trivial-topology data: the radius enclosing half the energy.
-    """
-    g = field.grid
-    if field.inner_limit == np.pi:
-        return _half_turn_radius(g, field.values)
-    u_r = differentiate(field).values
-    dens = g.weights * (u_r**2 + (m * np.sin(field.values) / g.nodes) ** 2)
+def _half_energy_radius(g: RadialGrid, dens: np.ndarray) -> float:
+    """Radius enclosing half the energy of the nodal density dens,
+    log-interpolated."""
+    dens = g.weights * dens
     total = float(dens.sum())
     if total <= 0.0:
         return np.nan
@@ -193,6 +185,20 @@ def scale_estimate(field: RadialField, m: int = 1) -> float:
     return float(np.exp((1 - w) * np.log(g.nodes[i - 1]) + w * np.log(g.nodes[i])))
 
 
+def scale_estimate(field: RadialField, m: int = 1) -> float:
+    """Concentration-scale estimate.
+
+    For degree-m sector data: the radius where the angle first drops through
+    pi/2 (log-interpolated), i.e. the bubble's half-turn radius.  For
+    trivial-topology data: the radius enclosing half the energy.
+    """
+    g = field.grid
+    if field.inner_limit == np.pi:
+        return _half_turn_radius(g, field.values)
+    dir_dens, pot_dens = energy_density(g, field.values, m)
+    return _half_energy_radius(g, dir_dens + pot_dens)
+
+
 def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
            sample_every: float = 0.05,
            scale_floor: Optional[float] = None) -> TrajectoryRecord:
@@ -200,13 +206,22 @@ def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
 
     scale_floor is the concentration scale below which the grid can no
     longer resolve the bubble core (default 10 * r_min); a run pinned at the
-    floor step size while concentrated below it terminates as Blowup.
+    floor step size while concentrated below it terminates as Blowup.  An
+    m = 1 collapse on the grid bottoms out near 12-15 r_min, above the
+    default, so m = 1 runs should set the floor explicitly (the m1_blowup
+    preset uses 100 r_min).
 
     Samples are taken every sample_every in t and, for degree-m data, each
     time the half-turn radius falls SAMPLE_DECADES below the smallest
     sampled radius.  Above the floor step size a degree-m step whose
     half-turn radius falls by more than MAX_LOG_SCALE_FALL in ln is retried
     at a smaller step.
+
+    Each trial step works on plain arrays: one energy density per trial
+    serves the energy gate and, once the step is accepted, the scale
+    estimate; fields are built only for the samples.  The recorded
+    energies and scale estimates equal energy() and scale_estimate() of
+    the sampled fields exactly.
     """
     if not 0 < t_end < np.inf:
         raise ContractViolation(f"t_end must be positive and finite, got {t_end}")
@@ -216,29 +231,37 @@ def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
     g = field.grid
     if scale_floor is None:
         scale_floor = 10.0 * g.r_min
+    elif not 0 < scale_floor < np.inf:
+        raise ContractViolation(
+            f"scale_floor must be positive and finite, got {scale_floor}")
 
     rec = TrajectoryRecord(m, g)
-    e_cur = energy(field, m)  # breakdown of `current`, reused by its sample
+    e_cur = energy(field, m)  # breakdown of the current state
     ledger = DissipationLedger(E0=e_cur.total)
     monitor = BlowupMonitor()
     rec.ledger, rec.monitor = ledger, monitor
+    inner, outer = field.inner_limit, field.outer_limit
+    # the current state: its values and its offset from the inner limit;
+    # neither array is ever written in place, so samples may share them
+    vals = field.values.copy()
+    off = field.offset()
 
-    def take_sample(t, fld, eb):
+    def take_sample(t):
         rec.times.append(t)
-        rec.energies.append(eb)
+        rec.energies.append(e_cur)
         rec.dissipated.append(ledger.dissipated)
         rec.l4_accum.append(monitor.l4_accum)
         rec.scale_estimates.append(monitor.min_scale_estimate)
-        rec.fields.append(fld.copy())
+        rec.fields.append(RadialField(g, vals, inner, outer))
 
-    current = field.copy()
-    s_cur = monitor.min_scale_estimate = scale_estimate(current, m)
-    take_sample(0.0, current, e_cur)
-    degree_m = field.inner_limit == np.pi
+    s_cur = monitor.min_scale_estimate = scale_estimate(field, m)
+    take_sample(0.0)
+    degree_m = inner == np.pi
     # smallest half-turn radius sampled so far (NaN: no scale-driven samples)
     scale_mark = s_cur if degree_m else np.nan
     min_fall = np.exp(-MAX_LOG_SCALE_FALL)
     sample_fall = 10.0 ** -SAMPLE_DECADES
+    e_tol = ENERGY_INCREASE_TOL * max(ledger.E0, 1e-30)
 
     t = 0.0
     dt = stepper.dt
@@ -251,19 +274,19 @@ def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
 
     while t < t_end - 1e-12 * t_end:
         dt_try = min(dt, t_end - t)
-        off = current.offset()
         new_off = _step_offset(g, off, m, dt_try, stepper.scheme, ghost_outer,
                                stepper.linear_only)
         finite = bool(np.all(np.isfinite(new_off)))
+        ok = finite
         if finite:
-            trial = current.with_values(new_off + current.inner_limit)
-            e_new = energy(trial, m)
-            ok = e_new.total <= (e_cur.total
-                                 + ENERGY_INCREASE_TOL * max(ledger.E0, 1e-30))
-        else:
-            ok = False
-        if ok and degree_m and dt > stepper.dt_floor:
-            ok = not (_half_turn_radius(g, trial.values) < min_fall * s_cur)
+            new_vals = new_off + inner
+            dens = energy_density(g, new_vals, m)
+            e_new = integrate_density(g, *dens)
+            ok = e_new.total <= e_cur.total + e_tol
+        if ok and degree_m:
+            s_new = _half_turn_radius(g, new_vals)
+            if dt > stepper.dt_floor:
+                ok = not (s_new < min_fall * s_cur)
 
         if not ok:
             if not finite and dt <= stepper.dt_floor:
@@ -275,8 +298,8 @@ def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
                 continue
             floor_failures += 1
             if floor_failures >= 3:
-                s_est = scale_estimate(current, m)
-                concentrated = np.isfinite(s_est) and s_est < scale_floor
+                # s_cur is the scale estimate of the current state
+                concentrated = np.isfinite(s_cur) and s_cur < scale_floor
                 monitor.concentration_flag = bool(concentrated)
                 rec.status = STATUS_BLOWUP if concentrated else STATUS_ABORTED
                 break
@@ -286,13 +309,19 @@ def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
         floor_failures = 0
         du = new_off - off
         ledger.dissipated += float(np.dot(g.weights, du * du)) / dt_try
-        monitor.l4_integral += dt_try * float(np.dot(l4_weights, new_off**4))
-        current = trial
+        # squares, not new_off**4: a power of a negative base takes the
+        # slow path of pow
+        sq = new_off * new_off
+        monitor.l4_integral += dt_try * float(np.dot(l4_weights, sq * sq))
+        vals = new_vals
+        off = vals - inner
         e_cur = e_new
         t += dt_try
 
-        s_est = s_cur = monitor.min_scale_estimate = scale_estimate(current, m)
-        if np.isfinite(s_est) and s_est < scale_floor:
+        if not degree_m:
+            s_new = _half_energy_radius(g, dens[0] + dens[1])
+        s_cur = monitor.min_scale_estimate = s_new
+        if np.isfinite(s_cur) and s_cur < scale_floor:
             monitor.concentration_flag = True
             if dt > stepper.dt_floor:
                 dt = max(dt * STEP_SHRINK, stepper.dt_floor)
@@ -310,15 +339,15 @@ def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
             accepted_streak = 0
 
         if (t >= next_sample - 1e-12 or t >= t_end - 1e-12 * t_end
-                or s_est <= sample_fall * scale_mark):
-            take_sample(t, current, e_cur)
+                or s_cur <= sample_fall * scale_mark):
+            take_sample(t)
             if degree_m:
-                scale_mark = np.fmin(scale_mark, s_est)
+                scale_mark = np.fmin(scale_mark, s_cur)
             while next_sample <= t + 1e-12:
                 next_sample += sample_every
 
     if rec.status != STATUS_GLOBAL and rec.times[-1] < t:
-        take_sample(t, current, e_cur)
+        take_sample(t)
     return rec
 
 

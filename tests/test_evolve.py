@@ -139,20 +139,25 @@ def test_dissipation_audit_needs_samples(default_grid):
     assert dissipation_audit(rec) == [0.0]
 
 
-# a NaN horizon used to end the run after one sample, and a non-positive
-# sample_every used to hang the sampling clock
-@pytest.mark.parametrize("t_end,sample_every", [
-    pytest.param(0.0, 0.05, id="t_end_zero"),
-    pytest.param(-1.0, 0.05, id="t_end_negative"),
-    pytest.param(np.nan, 0.05, id="t_end_nan"),
-    pytest.param(np.inf, 0.05, id="t_end_inf"),
-    pytest.param(0.1, 0.0, id="sample_every_zero"),
-    pytest.param(0.1, -0.05, id="sample_every_negative"),
-    pytest.param(0.1, np.nan, id="sample_every_nan"),
-    pytest.param(0.1, np.inf, id="sample_every_inf"),
+# a NaN horizon used to end the run after one sample, a non-positive
+# sample_every used to hang the sampling clock, and a NaN scale floor
+# silently turned off the Blowup verdict
+@pytest.mark.parametrize("t_end,sample_every,scale_floor", [
+    pytest.param(0.0, 0.05, None, id="t_end_zero"),
+    pytest.param(-1.0, 0.05, None, id="t_end_negative"),
+    pytest.param(np.nan, 0.05, None, id="t_end_nan"),
+    pytest.param(np.inf, 0.05, None, id="t_end_inf"),
+    pytest.param(0.1, 0.0, None, id="sample_every_zero"),
+    pytest.param(0.1, -0.05, None, id="sample_every_negative"),
+    pytest.param(0.1, np.nan, None, id="sample_every_nan"),
+    pytest.param(0.1, np.inf, None, id="sample_every_inf"),
+    pytest.param(0.1, 0.05, 0.0, id="scale_floor_zero"),
+    pytest.param(0.1, 0.05, -1e-3, id="scale_floor_negative"),
+    pytest.param(0.1, 0.05, np.nan, id="scale_floor_nan"),
+    pytest.param(0.1, 0.05, np.inf, id="scale_floor_inf"),
 ])
 def test_evolve_rejects_bad_horizon(default_grid, monkeypatch, t_end,
-                                    sample_every):
+                                    sample_every, scale_floor):
     u0 = RadialField(default_grid, gaussian_bump(default_grid))
 
     def no_step(*args, **kwargs):
@@ -161,7 +166,48 @@ def test_evolve_rejects_bad_horizon(default_grid, monkeypatch, t_end,
     monkeypatch.setattr("hmflow.evolve._step_offset", no_step)
     with pytest.raises(ContractViolation):
         evolve(u0, 2, t_end=t_end, stepper=StepperConfig(dt=1e-3),
-               sample_every=sample_every)
+               sample_every=sample_every, scale_floor=scale_floor)
+
+
+def _excited_bubble(g, m):
+    """Degree-m bubble plus a small bump: relaxes without rejected steps."""
+    q = sample_Q(BubbleProfile(m), g)
+    return q.with_values(q.values + 0.2 * gaussian_bump(g, sigma=2.0, m=m))
+
+
+@pytest.mark.parametrize("sector", ["zero_degree", "degree_m"])
+def test_evolve_monitors_equal_reference_functionals(sector):
+    # the loop computes energies and scale estimates from one energy
+    # density per trial step; they must be exactly what the public
+    # functionals give on the sampled fields
+    g = build_grid(1e-3, 1e2, 512)
+    if sector == "zero_degree":
+        u0 = RadialField(g, 1.5 * gaussian_bump(g))
+    else:
+        u0 = _excited_bubble(g, 2)
+    rec = evolve(u0, 2, t_end=0.1, stepper=StepperConfig(dt=1e-3),
+                 sample_every=0.01)
+    assert len(rec.fields) == 11
+    for fld, eb, s in zip(rec.fields, rec.energies, rec.scale_estimates):
+        ref = energy(fld, 2)
+        assert (eb.total, eb.dirichlet, eb.potential) == (
+            ref.total, ref.dirichlet, ref.potential)
+        assert s == scale_estimate(fld, 2)
+
+
+def test_l4_monitor_matches_power_form():
+    # degree-m offsets u - pi are negative; the monitor squares twice where
+    # the reference takes the fourth power
+    g = build_grid(1e-3, 1e2, 512)
+    dt, t_end = 1e-3, 0.05
+    rec = evolve(_excited_bubble(g, 2), 2, t_end=t_end,
+                 stepper=StepperConfig(dt=dt), sample_every=dt)
+    # one sample per step at the full step size: no step was rejected
+    assert np.allclose(np.diff(rec.times), dt, rtol=1e-9, atol=0.0)
+    assert len(rec.times) == round(t_end / dt) + 1
+    w = g.weights / g.nodes**4
+    ref = sum(dt * np.dot(w, (f.values - np.pi) ** 4) for f in rec.fields[1:])
+    assert rec.l4_accum[-1] ** 4 == pytest.approx(ref, rel=1e-12)
 
 
 def test_scale_estimate_bubble(default_grid):
