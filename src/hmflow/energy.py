@@ -35,16 +35,18 @@ class SectorClass:
 
 
 def energy_density(grid: RadialGrid, values: np.ndarray,
-                   m: int) -> Tuple[np.ndarray, np.ndarray]:
+                   m: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Dirichlet and potential halves of the energy density at the nodes,
-    u_r^2 / 2 and m^2 sin^2(u) / (2 r^2).
+    u_r^2 / 2 and m^2 sin^2(u) / (2 r^2), and sin(u) itself.
 
     Every energy in the package (the breakdown, its windows, the exterior
     energy, the evolve gate and the half-energy radius) integrates these
-    two arrays, so they all agree to the last digit.
+    two halves, so they all agree to the last digit.  The sine is returned
+    for the next IMEX1 step, whose F'(u) is built from it.
     """
     u_r = grid.derivative_matrix() @ values
-    return 0.5 * u_r**2, 0.5 * (m * np.sin(values) / grid.nodes) ** 2
+    sin_u = np.sin(values)
+    return 0.5 * u_r**2, 0.5 * (m * sin_u / grid.nodes) ** 2, sin_u
 
 
 def integrate_density(grid: RadialGrid, dir_dens: np.ndarray,
@@ -64,7 +66,7 @@ def energy(field: RadialField, m: int,
     [r1, r2); windows built from half-open node masks add up exactly.
     """
     g = field.grid
-    dir_dens, pot_dens = energy_density(g, field.values, m)
+    dir_dens, pot_dens, _ = energy_density(g, field.values, m)
     out = integrate_density(g, dir_dens, pot_dens)
     if r1 is not None or r2 is not None:
         lo = 0.0 if r1 is None else r1
@@ -194,5 +196,5 @@ def exterior_energy(field: RadialField, m: int, R: float) -> float:
     if not (g.r_min < R < g.r_max):
         raise ContractViolation(f"R = {R} outside ({g.r_min}, {g.r_max})")
     psi = smoothstep(g.nodes / R - 1.0)
-    dir_dens, pot_dens = energy_density(g, field.values, m)
+    dir_dens, pot_dens, _ = energy_density(g, field.values, m)
     return float(np.dot(g.weights, psi * (dir_dens + pot_dens)))

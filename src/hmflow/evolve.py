@@ -29,7 +29,7 @@ from typing import List, Optional
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolation
-from .energy import EnergyBreakdown, energy, energy_density, integrate_density
+from .energy import EnergyBreakdown, energy_density, integrate_density
 from .grid import RadialField, RadialGrid
 
 STATUS_GLOBAL = "Global"
@@ -76,7 +76,7 @@ class DissipationLedger:
 @dataclass
 class BlowupMonitor:
     l4_integral: float = 0.0           # running integral of ||u/r||_L4^4 dt
-    min_scale_estimate: float = np.nan
+    last_scale_estimate: float = np.nan  # scale estimate of the final state
     concentration_flag: bool = False
 
     @property
@@ -103,9 +103,9 @@ class TrajectoryRecord:
         return self.fields[-1]
 
 
-def _f_offset(r: np.ndarray, off: np.ndarray, m: int) -> np.ndarray:
-    """(m^2/r^2)(v - sin(2v)/2) with a series near v = 0 to kill the
-    cubic-order cancellation."""
+def _f_offset(coef: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """coef * (v - sin(2v)/2), coef = m^2/r^2, with a series near v = 0 to
+    kill the cubic-order cancellation."""
     out = np.empty_like(off)
     small = np.abs(off) < 1e-4
     v = off[~small]
@@ -113,36 +113,45 @@ def _f_offset(r: np.ndarray, off: np.ndarray, m: int) -> np.ndarray:
     v = off[small]
     v2 = v * v
     out[small] = (2.0 / 3.0) * v * v2 * (1.0 - 0.2 * v2)
-    return (m * m / r**2) * out
+    return coef * out
+
+
+def _rate_coeffs(grid: RadialGrid, m: int):
+    """m^2/r^2 and 2 m^2/r^2 on the nodes, the factors of F and of F'."""
+    coef = m * m / grid.nodes**2
+    return coef, 2.0 * coef
 
 
 def nonlinearity(field: RadialField, m: int) -> RadialField:
     """F(u) = (m^2/r^2)(u - sin(2u)/2) on the true angle."""
     r = field.grid.nodes
-    out = _f_offset(r, field.offset(), m)
+    out = _f_offset(m * m / r**2, field.offset())
     if field.inner_limit != 0.0:
         out = out + m * m * field.inner_limit / r**2
     return RadialField(field.grid, out)
 
 
-def _step_offset(grid: RadialGrid, off: np.ndarray, m: int, dt: float,
-                 scheme: str, ghost_outer: float,
+def _step_offset(grid: RadialGrid, off: np.ndarray, sin_u: np.ndarray,
+                 m: int, coeffs, dt: float, scheme: str, ghost_outer: float,
                  linear_only: bool = False) -> np.ndarray:
+    """One step of the offset off; sin_u is the sine of the true angle
+    (the third array of ``energy_density``) and coeffs is
+    ``_rate_coeffs(grid, m)``."""
     msq = float(m * m)
-    r = grid.nodes
+    coef, fp_coef = coeffs
 
     def f(v):
         if linear_only:
             return 0.0
-        return _f_offset(r, v, m)
+        return _f_offset(coef, v)
 
     if scheme == "IMEX1":
         if linear_only:
             return grid.solve_shifted(off, dt, 1.0, msq, ghost_outer)
         # linearly implicit: F(u_new) ~ F(u) + F'(u)(u_new - u), with
         # F'(u) = (m^2/r^2)(1 - cos 2u) = (2 m^2/r^2) sin^2 u
-        fp = (2.0 * msq / r**2) * np.sin(off) ** 2
-        rhs = off + dt * (_f_offset(r, off, m) - fp * off)
+        fp = fp_coef * sin_u**2
+        rhs = off + dt * (_f_offset(coef, off) - fp * off)
         return grid.solve_shifted(rhs, dt, 1.0, msq, ghost_outer, potential=fp)
     # IMEX2: explicit half-step of F, Crank-Nicolson diffusion, half-step of F
     a = off + 0.5 * dt * f(off)
@@ -153,9 +162,10 @@ def _step_offset(grid: RadialGrid, off: np.ndarray, m: int, dt: float,
 
 def step(field: RadialField, m: int, config: StepperConfig) -> RadialField:
     """One IMEX step; boundary offsets held at the sector values."""
-    off = _step_offset(field.grid, field.offset(), m, config.dt,
-                       config.scheme, field.outer_ghost_offset(),
-                       config.linear_only)
+    g = field.grid
+    off = _step_offset(g, field.offset(), np.sin(field.values), m,
+                       _rate_coeffs(g, m), config.dt, config.scheme,
+                       field.outer_ghost_offset(), config.linear_only)
     return field.with_values(off + field.inner_limit)
 
 
@@ -195,7 +205,7 @@ def scale_estimate(field: RadialField, m: int = 1) -> float:
     g = field.grid
     if field.inner_limit == np.pi:
         return _half_turn_radius(g, field.values)
-    dir_dens, pot_dens = energy_density(g, field.values, m)
+    dir_dens, pot_dens, _ = energy_density(g, field.values, m)
     return _half_energy_radius(g, dir_dens + pot_dens)
 
 
@@ -218,10 +228,12 @@ def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
     at a smaller step.
 
     Each trial step works on plain arrays: one energy density per trial
-    serves the energy gate and, once the step is accepted, the scale
-    estimate; fields are built only for the samples.  The recorded
-    energies and scale estimates equal energy() and scale_estimate() of
-    the sampled fields exactly.
+    serves the energy gate, the sine in the next IMEX1 step's F' and, once
+    the step is accepted, the scale estimate; fields are built only for the
+    samples.  A zero-degree half-energy radius is computed after a step
+    only when it can lie below scale_floor, and otherwise when it is
+    recorded.  The recorded energies and scale estimates equal energy() and
+    scale_estimate() of the sampled fields exactly.
     """
     if not 0 < t_end < np.inf:
         raise ContractViolation(f"t_end must be positive and finite, got {t_end}")
@@ -236,25 +248,35 @@ def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
             f"scale_floor must be positive and finite, got {scale_floor}")
 
     rec = TrajectoryRecord(m, g)
-    e_cur = energy(field, m)  # breakdown of the current state
+    # the current state: its values, its offset from the inner limit and its
+    # energy density; no array is ever written in place, so samples may
+    # share them
+    vals = field.values.copy()
+    off = field.offset()
+    dens_cur = energy_density(g, vals, m)
+    e_cur = integrate_density(g, dens_cur[0], dens_cur[1])
     ledger = DissipationLedger(E0=e_cur.total)
     monitor = BlowupMonitor()
     rec.ledger, rec.monitor = ledger, monitor
     inner, outer = field.inner_limit, field.outer_limit
-    # the current state: its values and its offset from the inner limit;
-    # neither array is ever written in place, so samples may share them
-    vals = field.values.copy()
-    off = field.offset()
+    # scale estimate of the current state; None marks a zero-degree state
+    # whose half-energy radius is known to lie above scale_floor
+    s_cur = scale_estimate(field, m)
+
+    def current_scale():
+        nonlocal s_cur
+        if s_cur is None:
+            s_cur = _half_energy_radius(g, dens_cur[0] + dens_cur[1])
+        return s_cur
 
     def take_sample(t):
         rec.times.append(t)
         rec.energies.append(e_cur)
         rec.dissipated.append(ledger.dissipated)
         rec.l4_accum.append(monitor.l4_accum)
-        rec.scale_estimates.append(monitor.min_scale_estimate)
+        rec.scale_estimates.append(current_scale())
         rec.fields.append(RadialField(g, vals, inner, outer))
 
-    s_cur = monitor.min_scale_estimate = scale_estimate(field, m)
     take_sample(0.0)
     degree_m = inner == np.pi
     # smallest half-turn radius sampled so far (NaN: no scale-driven samples)
@@ -262,6 +284,13 @@ def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
     min_fall = np.exp(-MAX_LOG_SCALE_FALL)
     sample_fall = 10.0 ** -SAMPLE_DECADES
     e_tol = ENERGY_INCREASE_TOL * max(ledger.E0, 1e-30)
+    # the half-energy radius can lie below scale_floor only if half the
+    # energy sits on the nodes up to the second one above the floor; the
+    # prefix sum and the total are summed in another order than in
+    # _half_energy_radius, hence the relative margin
+    n_floor = int(np.searchsorted(g.nodes, scale_floor, side="right")) + 2
+    w_floor = g.weights[:n_floor]
+    half_margin = 0.5 * (1.0 - 1e-9)
 
     t = 0.0
     dt = stepper.dt
@@ -271,17 +300,18 @@ def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
     pinned_concentrated = 0
     ghost_outer = field.outer_ghost_offset()
     l4_weights = g.weights / g.nodes**4
+    coeffs = _rate_coeffs(g, m)
 
     while t < t_end - 1e-12 * t_end:
         dt_try = min(dt, t_end - t)
-        new_off = _step_offset(g, off, m, dt_try, stepper.scheme, ghost_outer,
-                               stepper.linear_only)
+        new_off = _step_offset(g, off, dens_cur[2], m, coeffs, dt_try,
+                               stepper.scheme, ghost_outer, stepper.linear_only)
         finite = bool(np.all(np.isfinite(new_off)))
         ok = finite
         if finite:
             new_vals = new_off + inner
             dens = energy_density(g, new_vals, m)
-            e_new = integrate_density(g, *dens)
+            e_new = integrate_density(g, dens[0], dens[1])
             ok = e_new.total <= e_cur.total + e_tol
         if ok and degree_m:
             s_new = _half_turn_radius(g, new_vals)
@@ -298,8 +328,8 @@ def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
                 continue
             floor_failures += 1
             if floor_failures >= 3:
-                # s_cur is the scale estimate of the current state
-                concentrated = np.isfinite(s_cur) and s_cur < scale_floor
+                s = current_scale()
+                concentrated = np.isfinite(s) and s < scale_floor
                 monitor.concentration_flag = bool(concentrated)
                 rec.status = STATUS_BLOWUP if concentrated else STATUS_ABORTED
                 break
@@ -315,13 +345,18 @@ def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
         monitor.l4_integral += dt_try * float(np.dot(l4_weights, sq * sq))
         vals = new_vals
         off = vals - inner
+        dens_cur = dens
         e_cur = e_new
         t += dt_try
 
-        if not degree_m:
-            s_new = _half_energy_radius(g, dens[0] + dens[1])
-        s_cur = monitor.min_scale_estimate = s_new
-        if np.isfinite(s_cur) and s_cur < scale_floor:
+        if degree_m:
+            s_cur = s_new
+        elif (np.dot(w_floor, dens[0][:n_floor] + dens[1][:n_floor])
+              >= half_margin * e_cur.total):
+            s_cur = _half_energy_radius(g, dens[0] + dens[1])
+        else:
+            s_cur = None
+        if s_cur is not None and s_cur < scale_floor:
             monitor.concentration_flag = True
             if dt > stepper.dt_floor:
                 dt = max(dt * STEP_SHRINK, stepper.dt_floor)
@@ -339,7 +374,7 @@ def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
             accepted_streak = 0
 
         if (t >= next_sample - 1e-12 or t >= t_end - 1e-12 * t_end
-                or s_cur <= sample_fall * scale_mark):
+                or (degree_m and s_cur <= sample_fall * scale_mark)):
             take_sample(t)
             if degree_m:
                 scale_mark = np.fmin(scale_mark, s_cur)
@@ -348,6 +383,7 @@ def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
 
     if rec.status != STATUS_GLOBAL and rec.times[-1] < t:
         take_sample(t)
+    monitor.last_scale_estimate = current_scale()
     return rec
 
 

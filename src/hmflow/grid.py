@@ -147,15 +147,25 @@ class RadialGrid:
         Without a potential and for alpha > 0 the system is strictly
         diagonally dominant (the off-diagonal operator entries are positive
         on a geometric grid with log spacing < 2), hence nonsingular.
+
+        The shifted bands of the latest (alpha, advection, inv_square) are
+        kept, one entry only: a run's step size moves only on rejections
+        and regrowth.
         """
-        sub, diag, sup = self.operator_bands(advection, inv_square)
-        d = 1.0 - alpha * diag
-        if potential is not None:
-            d -= alpha * potential
+        key = (alpha, advection, inv_square)
+        cached = self._cache.get("shifted")
+        if cached is None or cached[0] != key:
+            sub, diag, sup = self.operator_bands(advection, inv_square)
+            cached = (key, -alpha * sub[1:], 1.0 - alpha * diag,
+                      -alpha * sup[:-1], alpha * sup[-1])
+            self._cache["shifted"] = cached
+        _, dl, d, du, ghost_coeff = cached
+        # dgtsv overwrites its bands, so it gets copies of the cached ones
+        d = d.copy() if potential is None else d - alpha * potential
         b = np.array(rhs, dtype=float)
         if ghost_outer != 0.0:
-            b[-1] += alpha * sup[-1] * ghost_outer
-        *_, u, info = dgtsv(-alpha * sub[1:], d, -alpha * sup[:-1], b,
+            b[-1] += ghost_coeff * ghost_outer
+        *_, u, info = dgtsv(dl.copy(), d, du.copy(), b,
                             overwrite_dl=1, overwrite_d=1, overwrite_du=1,
                             overwrite_b=1)
         if info > 0:

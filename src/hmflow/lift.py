@@ -11,10 +11,10 @@ cannot be lifted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma
 
 from .errors import SectorError
 from .grid import RadialField, RadialGrid
@@ -69,7 +69,7 @@ def heat_step_lifted(v: LiftedField, dt: float) -> LiftedField:
 def sphere_area_constant(d: int) -> float:
     """Surface area of the unit sphere in R^d (the angular constant between
     half-line r^{d-1} dr integrals and full R^d integrals)."""
-    return float(2.0 * np.pi ** (d / 2.0) / gamma(d / 2.0))
+    return float(2.0 * np.pi ** (d / 2.0) / math.gamma(d / 2.0))
 
 
 def norm_identity_check(u: RadialField, m: int):

@@ -16,10 +16,10 @@ A h^s = 0 checked in the tests.)
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+import math
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .bubble import BubbleProfile, eval_h, eval_hhat, eval_Q
 from .energy import classify, E1_LABEL, energy, smoothstep, x2_norm
@@ -61,6 +61,67 @@ class BlowupRateFit:
 def _orth_mismatch(grid: RadialGrid, resid_values: np.ndarray, m: int, s: float) -> float:
     h = eval_h(BubbleProfile(m, s), grid.nodes)
     return grid.inner(resid_values, h)
+
+
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float,
+            maxiter: int = 100) -> float:
+    """Root of f in [xa, xb] by Brent's method: a line-for-line port of
+    scipy's brentq.c, so it returns scipy.optimize.brentq's root bit for
+    bit without importing scipy.optimize."""
+    def fx(x):
+        y = float(f(x))
+        if math.isnan(y):
+            raise ValueError(f"the function value at x={x} is NaN")
+        return y
+
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = fx(xpre), fx(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if (fpre != 0 and fcur != 0
+                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            bound = abs(spre)
+            if not bound < 3 * abs(sbis) - delta:
+                bound = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < bound:
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = fx(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations")
 
 
 def fit_scale(u: RadialField, m: int, w: Optional[RadialField] = None,
@@ -111,7 +172,7 @@ def fit_scale(u: RadialField, m: int, w: Optional[RadialField] = None,
         if bracket is None:
             raise NoBubbleError(
                 f"no orthogonality root within [{s_init / 1e3:g}, {s_init * 1e3:g}]")
-        root = brentq(mismatch, bracket[0], bracket[1], xtol=1e-14, rtol=1e-15)
+        root = _brentq(mismatch, bracket[0], bracket[1], xtol=1e-14, rtol=1e-15)
 
     s = float(np.exp(root))
     xi_vals = base - eval_Q(BubbleProfile(m, s), g.nodes)

@@ -195,6 +195,22 @@ def test_evolve_monitors_equal_reference_functionals(sector):
         assert s == scale_estimate(fld, 2)
 
 
+@pytest.mark.parametrize("scheme", ["IMEX1", "IMEX2"])
+@pytest.mark.parametrize("sector", ["zero_degree", "degree_m"])
+def test_step_equals_one_evolve_step(sector, scheme):
+    # step() and the evolve loop build F'(u) from the same sine of the
+    # true angle, so one accepted step of each gives the same field
+    g = build_grid(1e-3, 1e2, 512)
+    if sector == "zero_degree":
+        u0 = RadialField(g, 1.5 * gaussian_bump(g))
+    else:
+        u0 = _excited_bubble(g, 2)
+    cfg = StepperConfig(dt=1e-3, scheme=scheme)
+    rec = evolve(u0, 2, t_end=cfg.dt, stepper=cfg, sample_every=cfg.dt)
+    assert rec.times == [0.0, cfg.dt]
+    assert np.array_equal(rec.final_field.values, step(u0, 2, cfg).values)
+
+
 def test_l4_monitor_matches_power_form():
     # degree-m offsets u - pi are negative; the monitor squares twice where
     # the reference takes the fourth power
@@ -224,16 +240,27 @@ def test_scale_estimate_bump_tracks_width(default_grid):
         assert 0.3 * sigma < est < 3.0 * sigma
 
 
-def test_concentration_floor_terminates_as_blowup(default_grid):
-    # a bubble already below the resolvable scale floor pins the step size
-    # at its floor and the run must be declared Blowup, not ground forever
-    q = sample_Q(BubbleProfile(2, s=0.01), default_grid)
-    rec = evolve(q, 2, t_end=10.0,
+@pytest.mark.parametrize("sector", ["degree_m", "zero_degree"])
+def test_concentration_floor_terminates_as_blowup(default_grid, sector):
+    # data already below the resolvable scale floor pins the step size at
+    # its floor and the run must be declared Blowup, not ground forever; in
+    # the zero-degree sector the half-energy radius is computed only when
+    # the floor test finds half the energy near the floor
+    g = default_grid
+    if sector == "degree_m":
+        u0, scale_floor = sample_Q(BubbleProfile(2, s=0.01), g), 0.1
+    else:
+        u0, scale_floor = RadialField(g, gaussian_bump(g, sigma=0.05)), 1.0
+        assert scale_estimate(u0, 2) < 0.1 * scale_floor
+    rec = evolve(u0, 2, t_end=10.0,
                  stepper=StepperConfig(dt=1e-3, dt_floor=1e-5),
-                 sample_every=0.01, scale_floor=0.1)
+                 sample_every=0.01, scale_floor=scale_floor)
     assert rec.status == STATUS_BLOWUP
     assert rec.times[-1] < 10.0
     assert rec.monitor.concentration_flag
+    for fld, s in zip(rec.fields, rec.scale_estimates):
+        assert s == scale_estimate(fld, 2)
+    assert rec.monitor.last_scale_estimate == rec.scale_estimates[-1]
 
 
 def test_m1_bubble_near_inner_wall_is_stationary():
@@ -255,4 +282,6 @@ def test_monitor_accumulates(default_grid):
     rec = evolve(u0, 2, t_end=0.2, stepper=StepperConfig(dt=1e-3),
                  sample_every=0.05)
     assert all(b >= a for a, b in zip(rec.l4_accum, rec.l4_accum[1:]))
-    assert np.isfinite(rec.monitor.min_scale_estimate)
+    assert np.isfinite(rec.monitor.last_scale_estimate)
+    # the estimate of the final state, the last one recorded
+    assert rec.monitor.last_scale_estimate == rec.scale_estimates[-1]

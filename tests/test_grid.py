@@ -171,3 +171,26 @@ def test_origin_exponent(default_grid):
         f = RadialField(g, g.nodes**m * np.exp(-g.nodes**2))
         assert origin_exponent(f) == pytest.approx(m, abs=0.05)
     assert np.isnan(origin_exponent(RadialField(g, np.zeros(g.n))))
+
+
+def test_shifted_band_cache_matches_fresh_grid():
+    # one grid keeps the shifted bands of its latest (alpha, advection,
+    # inv_square); interleaved keys, potentials and ghost values must give
+    # exactly what a fresh grid gives
+    args = (1e-3, 1e2, 256)
+    g = build_grid(*args)
+    rhs = np.exp(-g.nodes) * np.sin(g.nodes)
+    pot = 2.0 / (1.0 + g.nodes**2)
+    dt, m, d = 1e-2, 2, 6
+    keys = [(dt, 1.0, float(m * m)), (0.5 * dt, 1.0, float(m * m)),
+            (dt, float(d - 1), 0.0)]
+    calls = [(key, p, ghost) for key in keys + keys[::-1]
+             for p in (None, pot) for ghost in (0.0, -np.pi)]
+    for (alpha, adv, inv_sq), p, ghost in calls:
+        got = g.solve_shifted(rhs, alpha, adv, inv_sq, ghost, potential=p)
+        want = build_grid(*args).solve_shifted(rhs, alpha, adv, inv_sq, ghost,
+                                               potential=p)
+        assert np.array_equal(got, want)
+    # consecutive calls share a key, so bands dgtsv had overwritten in
+    # the cache would have shown above
+    assert np.array_equal(rhs, np.exp(-g.nodes) * np.sin(g.nodes))

@@ -1,6 +1,12 @@
+import math
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import hmflow
 from conftest import gaussian_bump
 from hmflow.bubble import BubbleProfile, eval_Q, eval_Q_deriv, eval_h, sample_Q, sample_h
 from hmflow.energy import energy
@@ -8,7 +14,7 @@ from hmflow.errors import (ContractViolation, FitUnreliableError,
                            NoBubbleError)
 from hmflow.evolve import StepperConfig, evolve
 from hmflow.grid import RadialField, build_grid
-from hmflow.modulation import (ScaleTrack, apply_H, apply_L, apply_Lstar,
+from hmflow.modulation import (ScaleTrack, _brentq, _orth_mismatch, apply_H, apply_L, apply_Lstar,
                                approx_solution_residual, bubble_decompose,
                                fit_blowup_rate, fit_scale, orthogonality_ok,
                                potential_inequality_margin, track_modulation)
@@ -61,6 +67,48 @@ def test_fit_scale_no_root(default_grid):
                     inner_limit=np.pi)
     with pytest.raises(NoBubbleError):
         fit_scale(u, 1, s_init=1.0)
+
+
+def _scale_mismatch():
+    # fit_scale's root function: a perturbed bubble's orthogonality
+    # mismatch in log s
+    g = build_grid(1e-3, 1e2, 256)
+    base = (sample_Q(BubbleProfile(2, s=0.7), g).values
+            + 0.05 * gaussian_bump(g, sigma=3.0))
+
+    def mismatch(log_s):
+        s = np.exp(log_s)
+        return _orth_mismatch(g, base - eval_Q(BubbleProfile(2, s), g.nodes), 2, s)
+
+    return mismatch
+
+
+@pytest.mark.parametrize("f,a,b", [
+    (_scale_mismatch(), np.log(0.2), np.log(3.0)),
+    (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0),
+    (lambda x: math.cos(x) - x, -1.0, 2.5),
+    (lambda x: math.tanh(3.0 * x - 0.7), -4.0, 5.0),
+    (lambda x: x * math.exp(-x * x) - 0.1, 0.05, 1.0),
+    (lambda x: math.sin(5.0 * x) + 0.3, 0.5, 1.0),
+], ids=["scale_mismatch", "cubic", "cos", "tanh", "gauss", "sin"])
+def test_brentq_port_matches_scipy(f, a, b):
+    from scipy.optimize import brentq
+    for xtol, rtol in ((1e-14, 1e-15), (2e-12, 4 * np.finfo(float).eps),
+                       (1e-6, 1e-10)):
+        assert _brentq(f, a, b, xtol, rtol) == brentq(f, a, b, xtol=xtol,
+                                                      rtol=rtol)
+
+
+def test_import_leaves_scipy_optimize_and_special_unloaded():
+    # brentq and gamma have in-tree replacements; the two scipy modules
+    # add about 0.2 s to every fresh interpreter
+    src = str(Path(hmflow.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import hmflow; "
+            "print([k for k in ('scipy.optimize', 'scipy.special') "
+            "if k in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code, src], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def _kernel_residual(n):
