@@ -7,11 +7,12 @@ blow-up rate fitting, and the dimension-lift verification oracle.
 """
 
 from .errors import (ConfigurationError, ContractViolation, FitUnreliableError,
-                     HmflowError, NoBubbleError, SectorError, SolverAbort)
+                     HmflowError, NoBubbleError, SectorError)
 from .grid import (RadialField, RadialGrid, apply_delta_m, build_grid,
                    differentiate, origin_exponent, solve_helmholtz)
 from .bubble import (BubbleProfile, bogomolny_residual, energy_of_Q, eval_Q,
-                     eval_Q_deriv, eval_h, eval_hhat, sample_Q, sample_h)
+                     eval_Q_deriv, eval_Q_offset, eval_h, eval_hhat, sample_Q,
+                     sample_h)
 # The bare functions energy.energy / evolve.evolve stay in their modules so
 # the submodule names hmflow.energy and hmflow.evolve are not shadowed.
 from .energy import (EnergyBreakdown, SectorClass, classify,

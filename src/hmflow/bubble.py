@@ -42,9 +42,15 @@ def _rho_pow(profile: BubbleProfile, r, power: int):
     return np.minimum(out, _POW_CAP)
 
 
+def eval_Q_offset(profile: BubbleProfile, r):
+    """Bubble offset Q^s - pi = -2 arctan((r/s)^m), exact near the origin
+    where Q^s itself rounds to pi."""
+    return -2.0 * np.arctan(_rho_pow(profile, r, profile.m))
+
+
 def eval_Q(profile: BubbleProfile, r):
     """Bubble angle pi - 2 arctan((r/s)^m)."""
-    return np.pi - 2.0 * np.arctan(_rho_pow(profile, r, profile.m))
+    return np.pi + eval_Q_offset(profile, r)
 
 
 def eval_h(profile: BubbleProfile, r):
@@ -67,7 +73,7 @@ def eval_Q_deriv(profile: BubbleProfile, r):
 
 def sample_Q(profile: BubbleProfile, grid: RadialGrid) -> RadialField:
     """Q^s sampled on the grid, labeled with its sector limits."""
-    return RadialField(grid, eval_Q(profile, grid.nodes),
+    return RadialField(grid, eval_Q_offset(profile, grid.nodes),
                        inner_limit=np.pi, outer_limit=0.0)
 
 

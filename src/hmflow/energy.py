@@ -25,7 +25,6 @@ class EnergyBreakdown:
     dirichlet: float
     potential: float
     window: Optional[Tuple[float, float, float]] = None  # (r1, r2, windowed E)
-    exterior: Optional[Tuple[float, float]] = None       # (R, exterior E)
 
 
 @dataclass
@@ -34,19 +33,21 @@ class SectorClass:
     delta1: Optional[float] = None  # margin 2 E(Q) - E(u) for E0 data
 
 
-def energy_density(grid: RadialGrid, values: np.ndarray,
+def energy_density(grid: RadialGrid, offset: np.ndarray,
                    m: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Dirichlet and potential halves of the energy density at the nodes,
-    u_r^2 / 2 and m^2 sin^2(u) / (2 r^2), and sin(u) itself.
+    u_r^2 / 2 and m^2 sin^2(u) / (2 r^2), and the sine of the offset.
 
-    Every energy in the package (the breakdown, its windows, the exterior
-    energy, the evolve gate and the half-energy radius) integrates these
-    two halves, so they all agree to the last digit.  The sine is returned
-    for the next IMEX1 step, whose F'(u) is built from it.
+    Takes the offset u - inner_limit: it has the derivative and sin^2 of u,
+    since the two differ by 0 or pi.  Every energy in the package (the
+    breakdown, its windows, the exterior energy, the evolve gate and the
+    half-energy radius) integrates these two halves, so they all agree to
+    the last digit.  The sine of the offset is +-sin(u); it is returned for
+    the next IMEX1 step, whose F'(u) uses only its square.
     """
-    u_r = grid.derivative_matrix() @ values
-    sin_u = np.sin(values)
-    return 0.5 * u_r**2, 0.5 * (m * sin_u / grid.nodes) ** 2, sin_u
+    u_r = grid.derivative_matrix() @ offset
+    sin_off = np.sin(offset)
+    return 0.5 * u_r**2, 0.5 * (m * sin_off / grid.nodes) ** 2, sin_off
 
 
 def integrate_density(grid: RadialGrid, dir_dens: np.ndarray,
@@ -66,7 +67,7 @@ def energy(field: RadialField, m: int,
     [r1, r2); windows built from half-open node masks add up exactly.
     """
     g = field.grid
-    dir_dens, pot_dens, _ = energy_density(g, field.values, m)
+    dir_dens, pot_dens, _ = energy_density(g, field.offset, m)
     out = integrate_density(g, dir_dens, pot_dens)
     if r1 is not None or r2 is not None:
         lo = 0.0 if r1 is None else r1
@@ -196,5 +197,5 @@ def exterior_energy(field: RadialField, m: int, R: float) -> float:
     if not (g.r_min < R < g.r_max):
         raise ContractViolation(f"R = {R} outside ({g.r_min}, {g.r_max})")
     psi = smoothstep(g.nodes / R - 1.0)
-    dir_dens, pot_dens, _ = energy_density(g, field.values, m)
+    dir_dens, pot_dens, _ = energy_density(g, field.offset, m)
     return float(np.dot(g.weights, psi * (dir_dens + pot_dens)))

@@ -25,14 +25,3 @@ class NoBubbleError(HmflowError):
 
 class FitUnreliableError(HmflowError):
     """Rate fit rejected: not enough samples / dynamic range."""
-
-
-class SolverAbort(HmflowError):
-    """Time stepper hit a non-recoverable state (NaN field, singular solve).
-
-    Carries the last good trajectory record when available.
-    """
-
-    def __init__(self, message, record=None):
-        super().__init__(message)
-        self.record = record

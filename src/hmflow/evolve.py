@@ -66,14 +66,6 @@ class StepperConfig:
 
 
 @dataclass
-class DissipationLedger:
-    """Running discrete version of E(u0) = E(u(t)) + integral ||u_t||^2."""
-
-    E0: float
-    dissipated: float = 0.0
-
-
-@dataclass
 class BlowupMonitor:
     l4_integral: float = 0.0           # running integral of ||u/r||_L4^4 dt
     last_scale_estimate: float = np.nan  # scale estimate of the final state
@@ -95,7 +87,6 @@ class TrajectoryRecord:
     scale_estimates: List[float] = dc_field(default_factory=list)
     fields: List[RadialField] = dc_field(default_factory=list)
     status: str = STATUS_GLOBAL
-    ledger: Optional[DissipationLedger] = None
     monitor: Optional[BlowupMonitor] = None
 
     @property
@@ -125,18 +116,18 @@ def _rate_coeffs(grid: RadialGrid, m: int):
 def nonlinearity(field: RadialField, m: int) -> RadialField:
     """F(u) = (m^2/r^2)(u - sin(2u)/2) on the true angle."""
     r = field.grid.nodes
-    out = _f_offset(m * m / r**2, field.offset())
+    out = _f_offset(m * m / r**2, field.offset)
     if field.inner_limit != 0.0:
         out = out + m * m * field.inner_limit / r**2
     return RadialField(field.grid, out)
 
 
-def _step_offset(grid: RadialGrid, off: np.ndarray, sin_u: np.ndarray,
+def _step_offset(grid: RadialGrid, off: np.ndarray, sin_off: np.ndarray,
                  m: int, coeffs, dt: float, scheme: str, ghost_outer: float,
                  linear_only: bool = False) -> np.ndarray:
-    """One step of the offset off; sin_u is the sine of the true angle
-    (the third array of ``energy_density``) and coeffs is
-    ``_rate_coeffs(grid, m)``."""
+    """One step of the offset off; sin_off is its sine (the third array of
+    ``energy_density``), which is +-sin(u) and enters only squared, and
+    coeffs is ``_rate_coeffs(grid, m)``."""
     msq = float(m * m)
     coef, fp_coef = coeffs
 
@@ -150,7 +141,7 @@ def _step_offset(grid: RadialGrid, off: np.ndarray, sin_u: np.ndarray,
             return grid.solve_shifted(off, dt, 1.0, msq, ghost_outer)
         # linearly implicit: F(u_new) ~ F(u) + F'(u)(u_new - u), with
         # F'(u) = (m^2/r^2)(1 - cos 2u) = (2 m^2/r^2) sin^2 u
-        fp = fp_coef * sin_u**2
+        fp = fp_coef * sin_off**2
         rhs = off + dt * (_f_offset(coef, off) - fp * off)
         return grid.solve_shifted(rhs, dt, 1.0, msq, ghost_outer, potential=fp)
     # IMEX2: explicit half-step of F, Crank-Nicolson diffusion, half-step of F
@@ -163,20 +154,21 @@ def _step_offset(grid: RadialGrid, off: np.ndarray, sin_u: np.ndarray,
 def step(field: RadialField, m: int, config: StepperConfig) -> RadialField:
     """One IMEX step; boundary offsets held at the sector values."""
     g = field.grid
-    off = _step_offset(g, field.offset(), np.sin(field.values), m,
+    off = _step_offset(g, field.offset, np.sin(field.offset), m,
                        _rate_coeffs(g, m), config.dt, config.scheme,
                        field.outer_ghost_offset(), config.linear_only)
-    return field.with_values(off + field.inner_limit)
+    return RadialField(g, off, field.inner_limit, field.outer_limit)
 
 
-def _half_turn_radius(g: RadialGrid, values: np.ndarray) -> float:
-    """Radius where the angle first drops through pi/2, log-interpolated."""
-    below = values < 0.5 * np.pi
+def _half_turn_radius(g: RadialGrid, off: np.ndarray) -> float:
+    """Radius where the angle pi + off first drops through pi/2,
+    log-interpolated."""
+    below = off < -0.5 * np.pi
     if not below.any() or below[0]:
         return np.nan
     i = int(np.argmax(below))
-    u0, u1 = values[i - 1], values[i]
-    w = (u0 - 0.5 * np.pi) / (u0 - u1)
+    v0, v1 = off[i - 1], off[i]
+    w = (v0 + 0.5 * np.pi) / (v0 - v1)
     return float(np.exp((1 - w) * np.log(g.nodes[i - 1]) + w * np.log(g.nodes[i])))
 
 
@@ -204,8 +196,8 @@ def scale_estimate(field: RadialField, m: int = 1) -> float:
     """
     g = field.grid
     if field.inner_limit == np.pi:
-        return _half_turn_radius(g, field.values)
-    dir_dens, pot_dens, _ = energy_density(g, field.values, m)
+        return _half_turn_radius(g, field.offset)
+    dir_dens, pot_dens, _ = energy_density(g, field.offset, m)
     return _half_energy_radius(g, dir_dens + pot_dens)
 
 
@@ -248,16 +240,16 @@ def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
             f"scale_floor must be positive and finite, got {scale_floor}")
 
     rec = TrajectoryRecord(m, g)
-    # the current state: its values, its offset from the inner limit and its
-    # energy density; no array is ever written in place, so samples may
-    # share them
-    vals = field.values.copy()
-    off = field.offset()
-    dens_cur = energy_density(g, vals, m)
+    # the current state: its offset from the inner limit and its energy
+    # density; no array is ever written in place, so samples may share them
+    off = field.offset.copy()
+    dens_cur = energy_density(g, off, m)
     e_cur = integrate_density(g, dens_cur[0], dens_cur[1])
-    ledger = DissipationLedger(E0=e_cur.total)
+    e_tol = ENERGY_INCREASE_TOL * max(e_cur.total, 1e-30)
+    # the sum of the discrete identity E(u0) = E(u(t)) + dissipated
+    dissipated = 0.0
     monitor = BlowupMonitor()
-    rec.ledger, rec.monitor = ledger, monitor
+    rec.monitor = monitor
     inner, outer = field.inner_limit, field.outer_limit
     # scale estimate of the current state; None marks a zero-degree state
     # whose half-energy radius is known to lie above scale_floor
@@ -272,10 +264,10 @@ def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
     def take_sample(t):
         rec.times.append(t)
         rec.energies.append(e_cur)
-        rec.dissipated.append(ledger.dissipated)
+        rec.dissipated.append(dissipated)
         rec.l4_accum.append(monitor.l4_accum)
         rec.scale_estimates.append(current_scale())
-        rec.fields.append(RadialField(g, vals, inner, outer))
+        rec.fields.append(RadialField(g, off, inner, outer))
 
     take_sample(0.0)
     degree_m = inner == np.pi
@@ -283,7 +275,6 @@ def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
     scale_mark = s_cur if degree_m else np.nan
     min_fall = np.exp(-MAX_LOG_SCALE_FALL)
     sample_fall = 10.0 ** -SAMPLE_DECADES
-    e_tol = ENERGY_INCREASE_TOL * max(ledger.E0, 1e-30)
     # the half-energy radius can lie below scale_floor only if half the
     # energy sits on the nodes up to the second one above the floor; the
     # prefix sum and the total are summed in another order than in
@@ -306,15 +297,14 @@ def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
         dt_try = min(dt, t_end - t)
         new_off = _step_offset(g, off, dens_cur[2], m, coeffs, dt_try,
                                stepper.scheme, ghost_outer, stepper.linear_only)
-        finite = bool(np.all(np.isfinite(new_off)))
+        finite = bool(np.isfinite(new_off).all())
         ok = finite
         if finite:
-            new_vals = new_off + inner
-            dens = energy_density(g, new_vals, m)
+            dens = energy_density(g, new_off, m)
             e_new = integrate_density(g, dens[0], dens[1])
             ok = e_new.total <= e_cur.total + e_tol
         if ok and degree_m:
-            s_new = _half_turn_radius(g, new_vals)
+            s_new = _half_turn_radius(g, new_off)
             if dt > stepper.dt_floor:
                 ok = not (s_new < min_fall * s_cur)
 
@@ -338,13 +328,12 @@ def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
         # accepted
         floor_failures = 0
         du = new_off - off
-        ledger.dissipated += float(np.dot(g.weights, du * du)) / dt_try
+        dissipated += float(np.dot(g.weights, du * du)) / dt_try
         # squares, not new_off**4: a power of a negative base takes the
         # slow path of pow
         sq = new_off * new_off
         monitor.l4_integral += dt_try * float(np.dot(l4_weights, sq * sq))
-        vals = new_vals
-        off = vals - inner
+        off = new_off
         dens_cur = dens
         e_cur = e_new
         t += dt_try

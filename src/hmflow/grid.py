@@ -13,7 +13,7 @@ is zero for operators without an inverse-square term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -211,47 +211,39 @@ class RadialGrid:
 
 @dataclass
 class RadialField:
-    """Sampled angle u(r_i) with its boundary-sector labels.
+    """Sampled angle u(r_i) with its boundary-sector labels, stored as the
+    offset u - inner_limit.
 
     inner_limit is the value of u at the origin (0 or pi); outer_limit is
-    fixed to 0 for all fields this toolkit produces.  Linear operators act
-    on the offset u - inner_limit, which vanishes like r^m at the origin;
-    the inner ghost node carries that power law (see
-    ``RadialGrid.operator_bands``).
+    fixed to 0 for all fields this toolkit produces.  The offset vanishes
+    like r^m at the origin, so storing it (and not u) keeps it exact where
+    it is far below ulp(pi); linear operators act on it, and the inner
+    ghost node carries that power law (see ``RadialGrid.operator_bands``).
     """
 
     grid: RadialGrid
-    values: np.ndarray
+    offset: np.ndarray
     inner_limit: float = 0.0
     outer_limit: float = 0.0
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.grid.n,):
+        self.offset = np.asarray(self.offset, dtype=float)
+        if self.offset.shape != (self.grid.n,):
             raise ContractViolation(
-                f"values shape {self.values.shape} does not match grid n={self.grid.n}")
-        if not np.all(np.isfinite(self.values)):
+                f"offset shape {self.offset.shape} does not match grid n={self.grid.n}")
+        if not np.isfinite(self.offset).all():
             raise ContractViolation("field values must be finite")
         if self.inner_limit not in (0.0, np.pi):
             raise ContractViolation(
                 f"inner_limit must be 0 or pi, got {self.inner_limit}")
 
-    def offset(self) -> np.ndarray:
-        """Values measured from the inner limit (the operator variable)."""
-        return self.values - self.inner_limit
+    @property
+    def values(self) -> np.ndarray:
+        """The angle u = offset + inner_limit (a new array on each access)."""
+        return self.offset + self.inner_limit
 
     def outer_ghost_offset(self) -> float:
         return self.outer_limit - self.inner_limit
-
-    def with_values(self, values, inner_limit=None, outer_limit=None) -> "RadialField":
-        return RadialField(
-            self.grid, values,
-            self.inner_limit if inner_limit is None else inner_limit,
-            self.outer_limit if outer_limit is None else outer_limit)
-
-    def copy(self) -> "RadialField":
-        return RadialField(self.grid, self.values.copy(),
-                           self.inner_limit, self.outer_limit)
 
 
 def build_grid(r_min: float, r_max: float, n: int) -> RadialGrid:
@@ -270,7 +262,7 @@ def differentiate(field: RadialField) -> RadialField:
     """d/dr of the samples: centered interior, one-sided at the ends."""
     if field.grid.n < 3:
         raise ContractViolation("differentiate needs at least 3 nodes")
-    du = field.grid.derivative_matrix() @ field.values
+    du = field.grid.derivative_matrix() @ field.offset
     return RadialField(field.grid, du)
 
 
@@ -286,7 +278,7 @@ def apply_delta_m(field: RadialField, m: int) -> RadialField:
     if m < 1 or m != int(m):
         raise ContractViolation(f"degree m must be a positive integer, got {m}")
     g = field.grid
-    out = g.apply_operator(field.offset(), 1.0, float(m * m),
+    out = g.apply_operator(field.offset, 1.0, float(m * m),
                            ghost_outer=field.outer_ghost_offset())
     if field.inner_limit != 0.0:
         out = out - m * m * field.inner_limit / g.nodes**2
@@ -307,7 +299,7 @@ def solve_helmholtz(rhs: RadialField, m: int, alpha: float) -> RadialField:
 def origin_exponent(field: RadialField) -> float:
     """Leading exponent p of u - inner_limit ~ r^p near r_min, by log-log fit
     over the first decade of nodes with non-negligible offset."""
-    off = np.abs(field.offset())
+    off = np.abs(field.offset)
     scale = np.max(off)
     if scale == 0.0:
         return np.nan

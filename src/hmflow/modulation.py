@@ -21,8 +21,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .bubble import BubbleProfile, eval_h, eval_hhat, eval_Q
-from .energy import classify, E1_LABEL, energy, smoothstep, x2_norm
+from .bubble import BubbleProfile, eval_h, eval_hhat, eval_Q, eval_Q_offset
+from .energy import classify, E1_LABEL, energy, smoothstep
 from .errors import ContractViolation, FitUnreliableError, NoBubbleError
 from .grid import RadialField, RadialGrid
 
@@ -33,9 +33,7 @@ ORTH_TOL = 1e-8  # |(xi, h^s)| <= ORTH_TOL * ||xi|| * ||h^s|| after a fit
 class ModulationState:
     s: float
     xi: RadialField
-    w: Optional[RadialField]
     orth_residual: float
-    xi_x2: float
 
 
 @dataclass
@@ -135,11 +133,15 @@ def fit_scale(u: RadialField, m: int, w: Optional[RadialField] = None,
     g = u.grid
     if not (g.r_min * 10 <= s_init <= g.r_max / 10):
         raise ContractViolation(f"s_init {s_init} outside the resolvable range")
-    base = u.values if w is None else u.values - w.values
+    # u - Q^s is formed from the offsets u - inner_limit and Q^s - pi,
+    # which are exact near the origin where u and Q^s round to pi
+    base = u.offset + (u.inner_limit - np.pi)
+    if w is not None:
+        base = base - w.values
 
     def mismatch(log_s):
         s = np.exp(log_s)
-        resid = base - eval_Q(BubbleProfile(m, s), g.nodes)
+        resid = base - eval_Q_offset(BubbleProfile(m, s), g.nodes)
         return _orth_mismatch(g, resid, m, s)
 
     x0 = np.log(s_init)
@@ -175,12 +177,10 @@ def fit_scale(u: RadialField, m: int, w: Optional[RadialField] = None,
         root = _brentq(mismatch, bracket[0], bracket[1], xtol=1e-14, rtol=1e-15)
 
     s = float(np.exp(root))
-    xi_vals = base - eval_Q(BubbleProfile(m, s), g.nodes)
-    xi = RadialField(g, xi_vals)
+    xi_vals = base - eval_Q_offset(BubbleProfile(m, s), g.nodes)
     h = eval_h(BubbleProfile(m, s), g.nodes)
     orth = abs(g.inner(xi_vals, h))
-    return ModulationState(s=s, xi=xi, w=w, orth_residual=orth,
-                           xi_x2=x2_norm(xi, m))
+    return ModulationState(s=s, xi=RadialField(g, xi_vals), orth_residual=orth)
 
 
 def orthogonality_ok(state: ModulationState, grid: RadialGrid, m: int) -> bool:
@@ -380,7 +380,8 @@ def bubble_decompose(u: RadialField, m: int,
                                 f"got {sector.label}")
     st = fit_scale(u, m, w=reference_w, s_init=s_init)
     g = u.grid
-    resid = u.values - eval_Q(BubbleProfile(m, st.s), g.nodes)
+    # the E1 label fixes inner_limit = pi, so u - Q^s is the offset difference
+    resid = u.offset - eval_Q_offset(BubbleProfile(m, st.s), g.nodes)
     if reference_w is not None:
         resid = resid - reference_w.values
     r_split = np.sqrt(st.s * 1.0)

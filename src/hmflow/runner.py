@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import modulation
-from .bubble import BubbleProfile, eval_h, eval_Q, sample_Q
+from .bubble import BubbleProfile, eval_h, eval_Q_offset, sample_Q
 from .energy import (classify as classify_sector, energy as energy_breakdown,
                      exterior_energy, x2_norm)
 from .errors import ConfigurationError, HmflowError
@@ -262,7 +262,7 @@ def build_initial_condition(cfg: RunConfig, grid: RadialGrid) -> RadialField:
             raise ConfigurationError(
                 f"e0_bump energy {e_tot:g} not below the 2E(Q) = {4.0 * m:g} window")
     elif cfg.ic_family == "e1_excited":
-        base = eval_Q(BubbleProfile(m, cfg.ic_s0), grid.nodes)
+        base = eval_Q_offset(BubbleProfile(m, cfg.ic_s0), grid.nodes)
         shape = eval_h(BubbleProfile(m, cfg.ic_sigma), grid.nodes)
         if cfg.ic_target_energy is not None:
             sign = 1.0 if cfg.ic_A >= 0 else -1.0
@@ -293,7 +293,7 @@ def build_initial_condition(cfg: RunConfig, grid: RadialGrid) -> RadialField:
                 "custom_samples radii must be positive and strictly increasing")
         vals = np.interp(np.log(grid.nodes), np.log(r_in), u_in)
         inner = np.pi if abs(u_in[0] - np.pi) < abs(u_in[0]) else 0.0
-        fld = RadialField(grid, vals, inner_limit=inner)
+        fld = RadialField(grid, vals - inner, inner_limit=inner)
         sector = classify_sector(fld, m)
         if sector.label not in ("E0", "E1"):
             raise ConfigurationError(
@@ -327,7 +327,7 @@ def _trajectory_rows(cfg: RunConfig, rec: TrajectoryRecord,
         br = rec.energies[k]
         # the X^2 norm is taken on the offset so it stays finite in
         # the degree-m sector
-        x2 = x2_norm(RadialField(fld.grid, fld.offset()), cfg.m)
+        x2 = x2_norm(RadialField(fld.grid, fld.offset), cfg.m)
         in_track = track is not None and k < n_track
         row = [t, br.total, br.dirichlet, br.potential, x2,
                float(np.max(np.abs(fld.values))),
@@ -348,8 +348,8 @@ def _scenario_checks(cfg: RunConfig, rec: TrajectoryRecord,
     tag = cfg.scenario
     if tag == "q_stationarity":
         drift = max(
-            x2_norm(RadialField(rec.grid, f.values - rec.fields[0].values),
-                           cfg.m)
+            x2_norm(RadialField(rec.grid, f.offset - rec.fields[0].offset),
+                    cfg.m)
             for f in rec.fields)
         checks["x2_drift_small"] = drift <= 1e-3 * np.sqrt(2 * e0)
     elif tag == "below_threshold_decay":
@@ -433,8 +433,8 @@ def _bubble_convergence(cfg: RunConfig, rec: TrajectoryRecord,
     half = track.scales[len(track.scales) // 2:]
     diff = RadialField(
         rec.grid,
-        rec.fields[-1].values
-        - eval_Q(BubbleProfile(cfg.m, s_inf), rec.grid.nodes))
+        rec.fields[-1].offset
+        - eval_Q_offset(BubbleProfile(cfg.m, s_inf), rec.grid.nodes))
     return (bool(np.max(np.abs(half - s_inf)) < 0.05 * s_inf),
             energy_breakdown(diff, cfg.m).total < 0.05 * (2.0 * cfg.m))
 

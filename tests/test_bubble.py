@@ -67,6 +67,12 @@ def test_sample_Q_boundary_labels(default_grid):
     assert f.outer_limit == 0.0
     # sampled values decrease monotonically from near pi to near 0
     assert np.all(np.diff(f.values) < 0)
+    # the stored offset Q - pi is exact at every node, also where Q itself
+    # rounds to pi (m = 4 at r_min: -2e-16)
+    r = default_grid.nodes
+    for m in (1, 2, 3, 4):
+        off = sample_Q(BubbleProfile(m), default_grid).offset
+        assert np.max(np.abs(off / (-2.0 * np.arctan(r**m)) - 1.0)) <= 1e-14
 
 
 def test_Q_deriv_matches_stencil(default_grid):

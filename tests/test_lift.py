@@ -23,7 +23,7 @@ def test_lift_unlift_roundtrip(default_grid):
 
 
 def test_lift_rejects_degree_sector(default_grid):
-    u = RadialField(default_grid, np.full(default_grid.n, np.pi / 2),
+    u = RadialField(default_grid, np.full(default_grid.n, -np.pi / 2),
                     inner_limit=np.pi)
     with pytest.raises(SectorError):
         lift(u, 2)

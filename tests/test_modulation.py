@@ -8,7 +8,8 @@ import pytest
 
 import hmflow
 from conftest import gaussian_bump
-from hmflow.bubble import BubbleProfile, eval_Q, eval_Q_deriv, eval_h, sample_Q, sample_h
+from hmflow.bubble import (BubbleProfile, eval_Q, eval_Q_deriv, eval_Q_offset,
+                           eval_h, sample_Q, sample_h)
 from hmflow.energy import energy
 from hmflow.errors import (ContractViolation, FitUnreliableError,
                            NoBubbleError)
@@ -30,7 +31,7 @@ def test_fit_scale_recovers_exact_bubble(default_grid):
 
 def test_fit_scale_with_perturbation(default_grid):
     g = default_grid
-    u = RadialField(g, sample_Q(BubbleProfile(2, s=0.8), g).values
+    u = RadialField(g, sample_Q(BubbleProfile(2, s=0.8), g).offset
                     + 0.02 * gaussian_bump(g, sigma=5.0),
                     inner_limit=np.pi)
     st = fit_scale(u, 2, s_init=1.0)
@@ -43,7 +44,7 @@ def test_fit_scale_with_perturbation(default_grid):
 def test_fit_scale_with_body_reference(default_grid):
     g = default_grid
     w = RadialField(g, 0.05 * gaussian_bump(g, sigma=8.0))
-    u = RadialField(g, sample_Q(BubbleProfile(2, s=0.5), g).values + w.values,
+    u = RadialField(g, sample_Q(BubbleProfile(2, s=0.5), g).offset + w.values,
                     inner_limit=np.pi)
     st = fit_scale(u, 2, w=w, s_init=1.0)
     assert st.s == pytest.approx(0.5, rel=1e-4)
@@ -62,7 +63,7 @@ def test_fit_scale_no_root(default_grid):
     # strong negative far-field perturbation keeps the mismatch one-signed,
     # so no orthogonality root exists in any nearby decade
     g = default_grid
-    u = RadialField(g, eval_Q(BubbleProfile(1), g.nodes)
+    u = RadialField(g, eval_Q_offset(BubbleProfile(1), g.nodes)
                     - 1.5 * eval_h(BubbleProfile(1, s=4.0), g.nodes),
                     inner_limit=np.pi)
     with pytest.raises(NoBubbleError):
@@ -248,7 +249,7 @@ def test_rate_fit_refuses_track_outside_law_domain():
 
 def test_bubble_decompose(default_grid):
     g = default_grid
-    u = RadialField(g, sample_Q(BubbleProfile(2, s=0.3), g).values
+    u = RadialField(g, sample_Q(BubbleProfile(2, s=0.3), g).offset
                     + 0.1 * gaussian_bump(g, sigma=10.0),
                     inner_limit=np.pi)
     profile, body, xi, report = bubble_decompose(u, 2, s_init=1.0)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -129,6 +130,12 @@ def test_custom_samples_roundtrip(tmp_path):
     mid = np.abs(np.log(g.nodes)).argmin()
     assert u0.values[mid] == pytest.approx(0.5 * g.nodes[mid]
                                            / (1 + g.nodes[mid] ** 2), rel=1e-3)
+    # degree-m samples are stored as their offset from pi
+    np.savetxt(path, np.column_stack([r, np.pi - 2.0 * np.arctan(r**2)]))
+    q0 = build_initial_condition(cfg, g)
+    assert q0.inner_limit == np.pi
+    assert q0.offset[mid] == pytest.approx(-2.0 * np.arctan(g.nodes[mid] ** 2),
+                                           rel=1e-3)
 
 
 def test_custom_samples_missing_file(tmp_path):
@@ -175,6 +182,30 @@ def test_trajectory_rows_consistent(tmp_path):
     e = data[:, 1]
     assert np.all(np.diff(e) <= 1e-8 * e[0])  # dissipation
     assert np.allclose(e, data[:, 2] + data[:, 3], rtol=1e-12)
+
+
+def test_zero_degree_artifacts_have_no_signed_zero(tmp_path):
+    # a zero-degree field is its own offset, with no "+ 0.0" pass between
+    # steps to turn -0.0 into +0.0, so no artifact may print a signed zero
+    cfg = _cfg(tmp_path, n=256, t_end=0.05, sample_every=0.01, label="sz")
+    assert run(cfg) == 0
+    rows = (tmp_path / "sz_trajectory.csv").read_text().splitlines()[1:]
+    cells = [c for row in rows for c in row.split(",")]
+    assert len(cells) == 6 * len(CSV_COLUMNS)
+    assert not [c for c in cells if c.startswith("-") and float(c) == 0.0]
+
+    def numbers(obj):
+        if isinstance(obj, dict):
+            obj = list(obj.values())
+        if isinstance(obj, list):
+            for item in obj:
+                yield from numbers(item)
+        elif isinstance(obj, float):
+            yield obj
+
+    summary = json.loads((tmp_path / "sz_summary.json").read_text())
+    assert not [x for x in numbers(summary)
+                if x == 0.0 and math.copysign(1.0, x) < 0]
 
 
 def test_scenario_failure_exit_code(tmp_path):
