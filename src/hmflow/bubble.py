@@ -72,9 +72,9 @@ def eval_Q_deriv(profile: BubbleProfile, r):
 
 
 def sample_Q(profile: BubbleProfile, grid: RadialGrid) -> RadialField:
-    """Q^s sampled on the grid, labeled with its sector limits."""
+    """Q^s sampled on the grid, as a degree-m field (inner limit pi)."""
     return RadialField(grid, eval_Q_offset(profile, grid.nodes),
-                       inner_limit=np.pi, outer_limit=0.0)
+                       inner_limit=np.pi)
 
 
 def sample_h(profile: BubbleProfile, grid: RadialGrid) -> RadialField:

@@ -108,17 +108,17 @@ def rlp_norm(field: RadialField, p: float) -> float:
 
 
 def classify(field: RadialField, m: int) -> SectorClass:
-    """Sector of the field from its boundary labels and energy.
+    """Sector of the field from its inner limit and energy.
 
     Thresholds use the exact bubble energy 2m: the below-threshold sector
-    requires E < 4m with zero boundary limits; the degree-m sector requires
+    requires E < 4m with inner limit 0; the degree-m sector requires
     2m <= E <= 6m with inner limit pi.
     """
     e = energy(field, m).total
     eq = 2.0 * m
-    if field.inner_limit == 0.0 and field.outer_limit == 0.0 and e < 2 * eq:
+    if field.inner_limit == 0.0 and e < 2 * eq:
         return SectorClass(E0_LABEL, delta1=2 * eq - e)
-    if field.inner_limit == np.pi and field.outer_limit == 0.0 and eq * (1 - 1e-9) <= e <= 3 * eq:
+    if field.inner_limit == np.pi and eq * (1 - 1e-9) <= e <= 3 * eq:
         return SectorClass(E1_LABEL)
     return SectorClass(OTHER_LABEL)
 
@@ -169,16 +169,14 @@ def pointwise_bound_check(field: RadialField, m: int, delta1: float):
 def topological_bound_gap(field: RadialField, m: int) -> float:
     """E(u) - 2 |degree|, the gap in the topological energy lower bound.
 
-    The degree m (cos u(inf) - cos u(0)) / 2 is computed from the boundary
-    labels, which must be multiples of pi.  Equals the Bogomolny integral
-    (1/2) integral (u_r +/- (m/r) sin u)^2 r dr up to quadrature error.
+    The degree m (cos u(inf) - cos u(0)) / 2 is m for inner limit pi and 0
+    for inner limit 0, since u tends to 0 at infinity.  Equals the
+    Bogomolny integral (1/2) integral (u_r +/- (m/r) sin u)^2 r dr up to
+    quadrature error.
     """
-    for lim in (field.inner_limit, field.outer_limit):
-        if abs(lim / np.pi - round(lim / np.pi)) > 1e-12:
-            raise ContractViolation(f"boundary limit {lim} is not a multiple of pi")
-    degree = m * (np.cos(field.outer_limit) - np.cos(field.inner_limit)) / 2.0
+    degree = m if field.inner_limit == np.pi else 0
     e_tot = energy(field, m).total
-    gap = e_tot - 2.0 * abs(degree)
+    gap = e_tot - 2.0 * degree
     if gap < -1e-6 * max(e_tot, 1.0):
         raise ContractViolation(f"topological bound violated: gap = {gap}")
     return gap

@@ -66,17 +66,6 @@ class StepperConfig:
 
 
 @dataclass
-class BlowupMonitor:
-    l4_integral: float = 0.0           # running integral of ||u/r||_L4^4 dt
-    last_scale_estimate: float = np.nan  # scale estimate of the final state
-    concentration_flag: bool = False
-
-    @property
-    def l4_accum(self) -> float:
-        return self.l4_integral ** 0.25
-
-
-@dataclass
 class TrajectoryRecord:
     m: int
     grid: RadialGrid
@@ -87,7 +76,6 @@ class TrajectoryRecord:
     scale_estimates: List[float] = dc_field(default_factory=list)
     fields: List[RadialField] = dc_field(default_factory=list)
     status: str = STATUS_GLOBAL
-    monitor: Optional[BlowupMonitor] = None
 
     @property
     def final_field(self) -> RadialField:
@@ -157,7 +145,7 @@ def step(field: RadialField, m: int, config: StepperConfig) -> RadialField:
     off = _step_offset(g, field.offset, np.sin(field.offset), m,
                        _rate_coeffs(g, m), config.dt, config.scheme,
                        field.outer_ghost_offset(), config.linear_only)
-    return RadialField(g, off, field.inner_limit, field.outer_limit)
+    return RadialField(g, off, field.inner_limit)
 
 
 def _half_turn_radius(g: RadialGrid, off: np.ndarray) -> float:
@@ -187,7 +175,7 @@ def _half_energy_radius(g: RadialGrid, dens: np.ndarray) -> float:
     return float(np.exp((1 - w) * np.log(g.nodes[i - 1]) + w * np.log(g.nodes[i])))
 
 
-def scale_estimate(field: RadialField, m: int = 1) -> float:
+def scale_estimate(field: RadialField, m: int) -> float:
     """Concentration-scale estimate.
 
     For degree-m sector data: the radius where the angle first drops through
@@ -248,9 +236,9 @@ def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
     e_tol = ENERGY_INCREASE_TOL * max(e_cur.total, 1e-30)
     # the sum of the discrete identity E(u0) = E(u(t)) + dissipated
     dissipated = 0.0
-    monitor = BlowupMonitor()
-    rec.monitor = monitor
-    inner, outer = field.inner_limit, field.outer_limit
+    # running integral of ||u/r||_L4^4 dt; samples record its fourth root
+    l4_integral = 0.0
+    inner = field.inner_limit
     # scale estimate of the current state; None marks a zero-degree state
     # whose half-energy radius is known to lie above scale_floor
     s_cur = scale_estimate(field, m)
@@ -265,9 +253,9 @@ def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
         rec.times.append(t)
         rec.energies.append(e_cur)
         rec.dissipated.append(dissipated)
-        rec.l4_accum.append(monitor.l4_accum)
+        rec.l4_accum.append(l4_integral ** 0.25)
         rec.scale_estimates.append(current_scale())
-        rec.fields.append(RadialField(g, off, inner, outer))
+        rec.fields.append(RadialField(g, off, inner))
 
     take_sample(0.0)
     degree_m = inner == np.pi
@@ -320,7 +308,6 @@ def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
             if floor_failures >= 3:
                 s = current_scale()
                 concentrated = np.isfinite(s) and s < scale_floor
-                monitor.concentration_flag = bool(concentrated)
                 rec.status = STATUS_BLOWUP if concentrated else STATUS_ABORTED
                 break
             continue
@@ -332,7 +319,7 @@ def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
         # squares, not new_off**4: a power of a negative base takes the
         # slow path of pow
         sq = new_off * new_off
-        monitor.l4_integral += dt_try * float(np.dot(l4_weights, sq * sq))
+        l4_integral += dt_try * float(np.dot(l4_weights, sq * sq))
         off = new_off
         dens_cur = dens
         e_cur = e_new
@@ -346,7 +333,6 @@ def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
         else:
             s_cur = None
         if s_cur is not None and s_cur < scale_floor:
-            monitor.concentration_flag = True
             if dt > stepper.dt_floor:
                 dt = max(dt * STEP_SHRINK, stepper.dt_floor)
             else:
@@ -372,7 +358,6 @@ def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
 
     if rec.status != STATUS_GLOBAL and rec.times[-1] < t:
         take_sample(t)
-    monitor.last_scale_estimate = current_scale()
     return rec
 
 

@@ -211,20 +211,19 @@ class RadialGrid:
 
 @dataclass
 class RadialField:
-    """Sampled angle u(r_i) with its boundary-sector labels, stored as the
-    offset u - inner_limit.
+    """Sampled angle u(r_i), stored as the offset u - inner_limit.
 
-    inner_limit is the value of u at the origin (0 or pi); outer_limit is
-    fixed to 0 for all fields this toolkit produces.  The offset vanishes
-    like r^m at the origin, so storing it (and not u) keeps it exact where
-    it is far below ulp(pi); linear operators act on it, and the inner
-    ghost node carries that power law (see ``RadialGrid.operator_bands``).
+    inner_limit is the value of u at the origin: 0 for zero-degree maps, pi
+    for degree-m maps; in both sectors u tends to 0 at infinity.  The
+    offset vanishes like r^m at the origin, so storing it (and not u) keeps
+    it exact where it is far below ulp(pi); linear operators act on it, and
+    the inner ghost node carries that power law (see
+    ``RadialGrid.operator_bands``).
     """
 
     grid: RadialGrid
     offset: np.ndarray
     inner_limit: float = 0.0
-    outer_limit: float = 0.0
 
     def __post_init__(self):
         self.offset = np.asarray(self.offset, dtype=float)
@@ -243,7 +242,9 @@ class RadialField:
         return self.offset + self.inner_limit
 
     def outer_ghost_offset(self) -> float:
-        return self.outer_limit - self.inner_limit
+        """The offset of u = 0 at infinity, the outer Dirichlet ghost
+        value; 0 - inner_limit is +0.0, not -0.0, for zero-degree data."""
+        return 0.0 - self.inner_limit
 
 
 def build_grid(r_min: float, r_max: float, n: int) -> RadialGrid:
@@ -251,17 +252,8 @@ def build_grid(r_min: float, r_max: float, n: int) -> RadialGrid:
     return RadialGrid(r_min, r_max, n)
 
 
-def same_grid(a: RadialField, b: RadialField) -> None:
-    if a.grid is not b.grid and (a.grid.n != b.grid.n
-                                 or a.grid.r_min != b.grid.r_min
-                                 or a.grid.r_max != b.grid.r_max):
-        raise ContractViolation("fields live on different grids")
-
-
 def differentiate(field: RadialField) -> RadialField:
     """d/dr of the samples: centered interior, one-sided at the ends."""
-    if field.grid.n < 3:
-        raise ContractViolation("differentiate needs at least 3 nodes")
     du = field.grid.derivative_matrix() @ field.offset
     return RadialField(field.grid, du)
 
@@ -270,7 +262,7 @@ def apply_delta_m(field: RadialField, m: int) -> RadialField:
     """The singular operator (d^2/dr^2 + (1/r) d/dr - m^2/r^2) u.
 
     The stencil acts on the offset u - inner_limit, closed by the r^m law
-    inside and by the Dirichlet value outer_limit - inner_limit outside;
+    inside and by the Dirichlet value -inner_limit (u = 0) outside;
     the exact -m^2 * inner_limit / r^2 contribution of the constant is
     restored afterwards, so the returned samples are the true operator
     values.

@@ -15,9 +15,9 @@ A h^s = 0 checked in the tests.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 import math
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -42,7 +42,7 @@ class ScaleTrack:
     scales: np.ndarray
     sdots: np.ndarray
     flagged: np.ndarray          # samples whose orthogonality residual exceeded tol
-    orth_residuals: np.ndarray = dc_field(default_factory=lambda: np.zeros(0))
+    orth_residuals: np.ndarray
     truncated_reason: Optional[str] = None
 
 
@@ -50,7 +50,6 @@ class ScaleTrack:
 class BlowupRateFit:
     T_est: float
     L_fit: int
-    c_fit: float
     rms: float
     rms_by_exponent: dict
     reliable: bool
@@ -251,8 +250,7 @@ def approx_solution_residual(profile: BubbleProfile, w: RadialField
 # ---- trajectory-level tracking -------------------------------------------
 
 
-def track_modulation(record, w_traj: Optional[List[RadialField]] = None,
-                     s_init: float = 1.0) -> ScaleTrack:
+def track_modulation(record, s_init: float = 1.0) -> ScaleTrack:
     """Fit s at every trajectory sample, warm-starting from the previous one.
 
     A NoBubbleError at any sample truncates the track there with the cause
@@ -262,9 +260,8 @@ def track_modulation(record, w_traj: Optional[List[RadialField]] = None,
     reason = None
     s_prev = s_init
     for k, fld in enumerate(record.fields):
-        w = w_traj[k] if w_traj is not None else None
         try:
-            st = fit_scale(fld, record.m, w=w, s_init=s_prev)
+            st = fit_scale(fld, record.m, s_init=s_prev)
         except (NoBubbleError, ContractViolation) as exc:
             reason = f"sample {k} (t={record.times[k]:g}): {exc}"
             break
@@ -294,34 +291,33 @@ def _enough_samples(log_s: np.ndarray) -> bool:
             and np.ptp(log_s) >= _MIN_DECADES * np.log(10.0))
 
 
-def _rate_model_rms(t: np.ndarray, log_s: np.ndarray, T: float, L: int):
+def _rate_model_rms(t: np.ndarray, log_s: np.ndarray, T: float, L: int) -> float:
     """Best rms of log s against L log(T-t) - (2L/(2L-1)) log|log(T-t)| with
     a free intercept, over the samples in the law's asymptotic domain
     T - t <= 1/e (log|log(T-t)| is singular at T - t = 1).  Infinite unless
     at least _MIN_SAMPLES samples over _MIN_DECADES decades of s lie there."""
     tau = T - t
     if np.any(tau <= 0):
-        return np.inf, 0.0
+        return np.inf
     log_tau = np.log(tau)
     ok = log_tau <= _MAX_LOG_TAU
     if not _enough_samples(log_s[ok]):
-        return np.inf, 0.0
+        return np.inf
     x = L * log_tau[ok] - (2.0 * L / (2.0 * L - 1.0)) * np.log(-log_tau[ok])
     c = float(np.mean(log_s[ok] - x))
-    rms = float(np.sqrt(np.mean((log_s[ok] - x - c) ** 2)))
-    return rms, c
+    return float(np.sqrt(np.mean((log_s[ok] - x - c) ** 2)))
 
 
-def fit_blowup_rate(track: ScaleTrack) -> BlowupRateFit:
-    """Joint fit of (T, rate exponent, prefactor) to a shrinking scale track.
+def fit_blowup_rate(t: np.ndarray, s: np.ndarray) -> BlowupRateFit:
+    """Joint fit of the blow-up time T and the rate exponent, with a free
+    prefactor, to shrinking scale samples s at times t.
 
     The exponent is restricted to {1, 2, 3}; the fit is a diagnostic, not
     asserted ground truth, and is flagged unreliable when even the best
     exponent leaves a large residual.  FitUnreliableError is raised when
-    the track is too short or flat, or when no candidate T leaves enough
+    the samples are too few or flat, or when no candidate T leaves enough
     samples in the domain T - t <= 1/e.
     """
-    t, s = track.times, track.scales
     shrinking = np.all(np.diff(s) < 0)
     decades = np.log10(s.max() / s.min()) if len(s) else 0.0
     if not (shrinking and _enough_samples(np.log(s))):
@@ -334,29 +330,28 @@ def fit_blowup_rate(track: ScaleTrack) -> BlowupRateFit:
     span = t_last - t[0]
     results = {}
     for L in _FIT_EXPONENTS:
-        best = (np.inf, 0.0, np.nan)
+        best = (np.inf, np.nan)
         # golden-free scan + refine: T on a geometric ladder past t_last
         offsets = np.geomspace(1e-6 * span, 2.0 * span, 200)
         for dT in offsets:
-            rms, c = _rate_model_rms(t, log_s, t_last + dT, L)
+            rms = _rate_model_rms(t, log_s, t_last + dT, L)
             if rms < best[0]:
-                best = (rms, c, t_last + dT)
+                best = (rms, t_last + dT)
         if not np.isfinite(best[0]):
             raise FitUnreliableError(
                 f"no blow-up time T leaves >= {_MIN_SAMPLES} samples over "
                 f">= {_MIN_DECADES} decades with T - t <= 1/e")
         # local refinement around the scan winner
-        dT0 = best[2] - t_last
+        dT0 = best[1] - t_last
         for dT in np.geomspace(dT0 / 1.5, dT0 * 1.5, 60):
-            rms, c = _rate_model_rms(t, log_s, t_last + dT, L)
+            rms = _rate_model_rms(t, log_s, t_last + dT, L)
             if rms < best[0]:
-                best = (rms, c, t_last + dT)
+                best = (rms, t_last + dT)
         results[L] = best
     L_best = min(results, key=lambda L: results[L][0])
-    rms, c, T = results[L_best]
+    rms, T = results[L_best]
     return BlowupRateFit(
-        T_est=float(T), L_fit=int(L_best), c_fit=float(np.exp(c)),
-        rms=float(rms),
+        T_est=float(T), L_fit=int(L_best), rms=float(rms),
         rms_by_exponent={L: float(results[L][0]) for L in _FIT_EXPONENTS},
         reliable=bool(rms <= _RELIABLE_RMS))
 
@@ -364,9 +359,7 @@ def fit_blowup_rate(track: ScaleTrack) -> BlowupRateFit:
 # ---- single-time bubble decomposition ------------------------------------
 
 
-def bubble_decompose(u: RadialField, m: int,
-                     reference_w: Optional[RadialField] = None,
-                     s_init: float = 1.0):
+def bubble_decompose(u: RadialField, m: int, s_init: float = 1.0):
     """Split a degree-m field into bubble + far-field body + remainder.
 
     The scale comes from fit_scale; the body estimate is the part of
@@ -378,16 +371,14 @@ def bubble_decompose(u: RadialField, m: int,
     if sector.label != E1_LABEL:
         raise ContractViolation(f"bubble decomposition needs {E1_LABEL} data, "
                                 f"got {sector.label}")
-    st = fit_scale(u, m, w=reference_w, s_init=s_init)
+    st = fit_scale(u, m, s_init=s_init)
     g = u.grid
     # the E1 label fixes inner_limit = pi, so u - Q^s is the offset difference
     resid = u.offset - eval_Q_offset(BubbleProfile(m, st.s), g.nodes)
-    if reference_w is not None:
-        resid = resid - reference_w.values
     r_split = np.sqrt(st.s * 1.0)
     mask = smoothstep((np.log(g.nodes) - np.log(r_split / 2.0))
                       / np.log(4.0))
-    w0 = RadialField(g, mask * resid + (reference_w.values if reference_w is not None else 0.0))
+    w0 = RadialField(g, mask * resid)
     xi = RadialField(g, (1.0 - mask) * resid)
     profile = BubbleProfile(m, st.s)
     report = {

@@ -95,7 +95,6 @@ class RunConfig:
 
 @dataclass
 class RunResult:
-    config: RunConfig
     status: str
     checks: Dict[str, bool]
     classification: str
@@ -368,12 +367,12 @@ def _scenario_checks(cfg: RunConfig, rec: TrajectoryRecord,
         # the m=1 orthogonality pairing is tail-dominated (sin Q decays like
         # 1/r, borderline square-integrable), so the concentration-scale
         # history drives the rate analysis here
-        mon = concentration_scale_track(rec)
-        if len(mon.times) >= 4:
-            s, t = mon.scales, mon.times
+        t, s = concentration_scale_track(rec)
+        if len(t) >= 4:
             ok_decades = bool(np.log10(np.max(s) / s[-1]) >= 1.5)
             try:
-                fit = modulation.fit_blowup_rate(_collapse_window(mon))
+                k = _collapse_start(s)
+                fit = modulation.fit_blowup_rate(t[k:], s[k:])
                 ok_rate = fit.L_fit == 1
                 tau = fit.T_est - t
                 if np.all(tau > 0):
@@ -390,22 +389,19 @@ def _scenario_checks(cfg: RunConfig, rec: TrajectoryRecord,
     return checks
 
 
-def concentration_scale_track(rec: TrajectoryRecord) -> modulation.ScaleTrack:
-    """ScaleTrack built from the blow-up monitor's concentration estimates."""
+def concentration_scale_track(rec: TrajectoryRecord
+                              ) -> Tuple[np.ndarray, np.ndarray]:
+    """Times and finite concentration-scale estimates of a run's samples."""
     t = np.asarray(rec.times)
     s = np.asarray(rec.scale_estimates)
     ok = np.isfinite(s)
-    t, s = t[ok], s[ok]
-    sdot = np.gradient(s, t) if len(t) >= 2 else np.zeros_like(s)
-    return modulation.ScaleTrack(t, s, sdot, np.zeros(len(t), dtype=bool),
-                                 np.full(len(t), np.nan))
+    return t[ok], s[ok]
 
 
-def _collapse_window(track: modulation.ScaleTrack) -> modulation.ScaleTrack:
-    """Longest strictly-decreasing suffix of a non-empty scale track, with
-    the departure transient (scales above a third of the suffix maximum)
-    discarded when at least 4 samples remain."""
-    s = track.scales
+def _collapse_start(s: np.ndarray) -> int:
+    """Start of the longest strictly-decreasing suffix of the non-empty
+    scales s, past the departure transient (scales above a third of the
+    suffix maximum) when at least 4 samples remain."""
     k = len(s) - 1
     while k > 0 and s[k - 1] > s[k]:
         k -= 1
@@ -414,10 +410,7 @@ def _collapse_window(track: modulation.ScaleTrack) -> modulation.ScaleTrack:
     n_keep = int(np.count_nonzero(s[k:] <= s[k] / 3.0))
     if n_keep >= 4:
         k = len(s) - n_keep
-    sl = slice(k, len(s))
-    return modulation.ScaleTrack(track.times[sl], s[sl], track.sdots[sl],
-                                 track.flagged[sl], track.orth_residuals[sl],
-                                 track.truncated_reason)
+    return k
 
 
 def _bubble_convergence(cfg: RunConfig, rec: TrajectoryRecord,
@@ -504,7 +497,7 @@ def execute(cfg: RunConfig) -> RunResult:
     }
     if track is not None and track.truncated_reason:
         summary["scale_track_truncated"] = track.truncated_reason
-    return RunResult(cfg, rec.status, checks, classification, summary, rec, track)
+    return RunResult(rec.status, checks, classification, summary, rec, track)
 
 
 def run(cfg: RunConfig) -> int:
@@ -537,25 +530,15 @@ def run(cfg: RunConfig) -> int:
 # ---- sweeps --------------------------------------------------------------
 
 def parse_grid_file(text: str) -> List[Tuple[str, List[str]]]:
-    """Parameter grid: ``key = v1, v2, ...`` lines, Cartesian product."""
+    """Parameter grid: ``key = v1, v2, ...`` lines in the config syntax,
+    expanded as a Cartesian product."""
     axes: List[Tuple[str, List[str]]] = []
-    seen = set()
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigurationError(
-                f"grid line {ln}: expected 'key = v1, v2, ...', got {raw!r}")
-        key, vals = (part.strip() for part in line.split("=", 1))
-        if key in seen:
-            raise ConfigurationError(f"grid line {ln}: duplicate key {key!r}")
+    for key, vals in parse_config_text(text).items():
         if key not in _KNOWN_KEYS:
-            raise ConfigurationError(f"grid line {ln}: unknown config key {key!r}")
-        values = [v.strip() for v in vals.replace(",", " ").split()]
+            raise ConfigurationError(f"grid: unknown config key {key!r}")
+        values = vals.replace(",", " ").split()
         if not values:
-            raise ConfigurationError(f"grid line {ln}: no values for {key!r}")
-        seen.add(key)
+            raise ConfigurationError(f"grid: no values for {key!r}")
         axes.append((key, values))
     return axes
 

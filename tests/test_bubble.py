@@ -64,7 +64,6 @@ def test_derivative_identities():
 def test_sample_Q_boundary_labels(default_grid):
     f = sample_Q(BubbleProfile(2), default_grid)
     assert f.inner_limit == np.pi
-    assert f.outer_limit == 0.0
     # sampled values decrease monotonically from near pi to near 0
     assert np.all(np.diff(f.values) < 0)
     # the stored offset Q - pi is exact at every node, also where Q itself

@@ -109,8 +109,6 @@ def test_topological_bound_gap(default_grid):
     # zero-degree data: gap equals the full energy
     f = RadialField(g, gaussian_bump(g))
     assert topological_bound_gap(f, 2) == pytest.approx(energy(f, 2).total)
-    with pytest.raises(ContractViolation):
-        topological_bound_gap(RadialField(g, np.zeros(g.n), outer_limit=1.0), 2)
 
 
 def test_smoothstep_shape():

@@ -7,9 +7,9 @@ from conftest import gaussian_bump
 from hmflow.bubble import BubbleProfile, sample_Q
 from hmflow.energy import energy
 from hmflow.errors import ConfigurationError, ContractViolation
-from hmflow.evolve import (STATUS_BLOWUP, STATUS_GLOBAL, StepperConfig,
-                           dissipation_audit, evolve, nonlinearity,
-                           scale_estimate, step)
+from hmflow.evolve import (STATUS_ABORTED, STATUS_BLOWUP, STATUS_GLOBAL,
+                           StepperConfig, dissipation_audit, evolve,
+                           nonlinearity, scale_estimate, step)
 from hmflow.grid import RadialField, apply_delta_m, build_grid
 
 
@@ -110,7 +110,6 @@ def test_evolve_preserves_boundary_labels(default_grid):
                  sample_every=0.05)
     for f in rec.fields:
         assert f.inner_limit == np.pi
-        assert f.outer_limit == 0.0
 
 
 def test_dissipation_audit_first_order_in_dt(default_grid):
@@ -258,10 +257,41 @@ def test_concentration_floor_terminates_as_blowup(default_grid, sector):
                  sample_every=0.01, scale_floor=scale_floor)
     assert rec.status == STATUS_BLOWUP
     assert rec.times[-1] < 10.0
-    assert rec.monitor.concentration_flag
+    # the final state is always sampled, so its concentration is on record
+    assert rec.scale_estimates[-1] < scale_floor
     for fld, s in zip(rec.fields, rec.scale_estimates):
         assert s == scale_estimate(fld, 2)
-    assert rec.monitor.last_scale_estimate == rec.scale_estimates[-1]
+
+
+# a step that fails at every dt: shrinking from dt = 1e-3 by halves takes
+# 7 attempts to reach dt_floor = 1e-5; there a non-finite step aborts at
+# once, and a third energy rise ends the run as Blowup if the state sits
+# below the scale floor and as Aborted otherwise
+@pytest.mark.parametrize("bad,sigma,scale_floor,status,attempts", [
+    pytest.param(lambda off: 1.1 * off, 1.0, 1e-3, STATUS_ABORTED, 7 + 3,
+                 id="energy_rise_unconcentrated"),
+    pytest.param(lambda off: 1.1 * off, 0.05, 1.0, STATUS_BLOWUP, 7 + 3,
+                 id="energy_rise_concentrated"),
+    pytest.param(lambda off: np.full_like(off, np.nan), 1.0, 1e-3,
+                 STATUS_ABORTED, 7 + 1, id="non_finite"),
+])
+def test_failures_at_the_floor_step_end_the_run(default_grid, monkeypatch, bad,
+                                                sigma, scale_floor, status,
+                                                attempts):
+    calls = []
+
+    def failing_step(grid, off, *args):
+        calls.append(1)
+        return bad(off)
+
+    monkeypatch.setattr("hmflow.evolve._step_offset", failing_step)
+    u0 = RadialField(default_grid, gaussian_bump(default_grid, sigma=sigma))
+    rec = evolve(u0, 2, t_end=1.0,
+                 stepper=StepperConfig(dt=1e-3, dt_floor=1e-5),
+                 sample_every=0.1, scale_floor=scale_floor)
+    assert rec.status == status
+    assert rec.times == [0.0]
+    assert len(calls) == attempts
 
 
 def test_m1_bubble_near_inner_wall_is_stationary():
@@ -283,6 +313,5 @@ def test_monitor_accumulates(default_grid):
     rec = evolve(u0, 2, t_end=0.2, stepper=StepperConfig(dt=1e-3),
                  sample_every=0.05)
     assert all(b >= a for a, b in zip(rec.l4_accum, rec.l4_accum[1:]))
-    assert np.isfinite(rec.monitor.last_scale_estimate)
-    # the estimate of the final state, the last one recorded
-    assert rec.monitor.last_scale_estimate == rec.scale_estimates[-1]
+    # the estimate of the final state, the last one recorded, is finite
+    assert np.isfinite(rec.scale_estimates[-1])

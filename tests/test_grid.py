@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from hmflow.errors import ConfigurationError, ContractViolation
 from hmflow.grid import (RadialField, apply_delta_m, build_grid, differentiate,
-                         origin_exponent, same_grid, solve_helmholtz)
+                         origin_exponent, solve_helmholtz)
 
 
 def test_quadrature_gaussian(default_grid):
@@ -74,15 +74,6 @@ def test_field_contract(default_grid):
     f = RadialField(g, np.full(g.n, 2.0 - np.pi), inner_limit=np.pi)
     assert f.values[0] == pytest.approx(2.0)
     assert f.outer_ghost_offset() == pytest.approx(-np.pi)
-
-
-def test_same_grid_mismatch():
-    a = RadialField(build_grid(1e-3, 10, 64), np.zeros(64))
-    b = RadialField(build_grid(1e-3, 10, 128), np.zeros(128))
-    with pytest.raises(ContractViolation):
-        same_grid(a, b)
-    # compatible fields pass silently
-    same_grid(a, RadialField(build_grid(1e-3, 10, 64), np.ones(64)))
 
 
 def _derivative_error(n):

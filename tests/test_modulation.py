@@ -15,7 +15,7 @@ from hmflow.errors import (ContractViolation, FitUnreliableError,
                            NoBubbleError)
 from hmflow.evolve import StepperConfig, evolve
 from hmflow.grid import RadialField, build_grid
-from hmflow.modulation import (ScaleTrack, _brentq, _orth_mismatch, apply_H, apply_L, apply_Lstar,
+from hmflow.modulation import (_brentq, _orth_mismatch, apply_H, apply_L, apply_Lstar,
                                approx_solution_residual, bubble_decompose,
                                fit_blowup_rate, fit_scale, orthogonality_ok,
                                potential_inequality_margin, track_modulation)
@@ -191,13 +191,12 @@ def _synthetic_track(L, T=2.0, n=60):
     t = T - tau
     corr = 2.0 * L / (2.0 * L - 1.0)
     s = 0.3 * tau**L / np.abs(np.log(tau)) ** corr
-    return ScaleTrack(t, s, np.gradient(s, t),
-                      np.zeros(n, dtype=bool), np.zeros(n))
+    return t, s
 
 
 @pytest.mark.parametrize("L", [1, 2, 3])
 def test_rate_fit_recovers_exponent(L):
-    fit = fit_blowup_rate(_synthetic_track(L))
+    fit = fit_blowup_rate(*_synthetic_track(L))
     assert fit.L_fit == L
     assert fit.reliable
     assert fit.T_est == pytest.approx(2.0, abs=1e-3)
@@ -208,19 +207,16 @@ def test_rate_fit_recovers_exponent(L):
 def test_rate_fit_rejects_thin_or_flat_tracks():
     short = _synthetic_track(1, n=10)
     with pytest.raises(FitUnreliableError):
-        fit_blowup_rate(short)
+        fit_blowup_rate(*short)
     n = 60
-    flat = ScaleTrack(np.linspace(0, 1, n), np.full(n, 0.5),
-                      np.zeros(n), np.zeros(n, dtype=bool), np.zeros(n))
     with pytest.raises(FitUnreliableError):
-        fit_blowup_rate(flat)
+        fit_blowup_rate(np.linspace(0, 1, n), np.full(n, 0.5))
 
 
 def _exponential_track(t_span, n=60):
     t = np.linspace(0.0, t_span, n)
     s = 0.5 * np.exp(-6.0 * t / t_span)
-    return ScaleTrack(t, s, np.gradient(s, t),
-                      np.zeros(n, dtype=bool), np.zeros(n))
+    return t, s
 
 
 def test_rate_fit_flags_wrong_model():
@@ -229,8 +225,8 @@ def test_rate_fit_flags_wrong_model():
     # the fit is refused; the same history over [0, 0.25] lies in the law's
     # domain, and the fit is made and flagged by its residual
     with pytest.raises(FitUnreliableError):
-        fit_blowup_rate(_exponential_track(5.0))
-    fit = fit_blowup_rate(_exponential_track(0.25))
+        fit_blowup_rate(*_exponential_track(5.0))
+    fit = fit_blowup_rate(*_exponential_track(0.25))
     assert not fit.reliable
 
 
@@ -241,10 +237,8 @@ def test_rate_fit_refuses_track_outside_law_domain():
     n = 60
     t = np.linspace(0.0, 5.0, n)
     s = (5.1 - t) ** 2
-    track = ScaleTrack(t, s, np.gradient(s, t),
-                       np.zeros(n, dtype=bool), np.zeros(n))
     with pytest.raises(FitUnreliableError, match="1/e"):
-        fit_blowup_rate(track)
+        fit_blowup_rate(t, s)
 
 
 def test_bubble_decompose(default_grid):

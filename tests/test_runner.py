@@ -63,6 +63,11 @@ def test_unknown_key_rejected(tmp_path):
     ("scheme", "RK4", "scheme"),
     ("scenario", "nope", "scenario"),
     ("ic_family", "nope", "ic_family"),
+    ("scale_floor", "0", "scale_floor"),
+    ("ic_sigma", "0", "ic_sigma"),
+    ("ic_family", "e1_excited", "ic_s0"),
+    ("ic_family", "q_exact", "ic_s0"),
+    ("ic_family", "custom_samples", "ic_file"),
 ])
 def test_validation_messages(tmp_path, key, val, fragment):
     with pytest.raises(ConfigurationError, match=fragment):
@@ -266,6 +271,18 @@ def test_sweep_records_failures(tmp_path):
     assert table[0]["status"] == "Global"
     assert table[1]["status"] == "Failed"
     assert table[1]["error"] != ""
+
+
+def test_sweep_process_pool_matches_serial(tmp_path):
+    base = dict(FAST, t_end="0.05")
+    # the huge amplitude exceeds the E0 window, so half the rows are Failed
+    axes = [("m", ["2", "3"]), ("ic_A", ["0.2", "50.0"])]
+    serial = sweep(base, axes, str(tmp_path / "serial"), threads=1)
+    pooled = sweep(base, axes, str(tmp_path / "pool"), threads=2)
+    assert [row["status"] for row in serial] == ["Global", "Failed"] * 2
+    assert pooled == serial
+    assert ((tmp_path / "pool" / "sweep.csv").read_bytes()
+            == (tmp_path / "serial" / "sweep.csv").read_bytes())
 
 
 # ---- CLI -----------------------------------------------------------------
