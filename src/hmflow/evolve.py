@@ -55,7 +55,6 @@ class StepperConfig:
     dt: float
     scheme: str = "IMEX1"
     dt_floor: float = 1e-9
-    linear_only: bool = False     # drop F: pure e^{t Delta_m}, for oracle runs
 
     def __post_init__(self):
         if self.scheme not in ("IMEX1", "IMEX2"):
@@ -111,32 +110,24 @@ def nonlinearity(field: RadialField, m: int) -> RadialField:
 
 
 def _step_offset(grid: RadialGrid, off: np.ndarray, sin_off: np.ndarray,
-                 m: int, coeffs, dt: float, scheme: str, ghost_outer: float,
-                 linear_only: bool = False) -> np.ndarray:
+                 m: int, coeffs, dt: float, scheme: str,
+                 ghost_outer: float) -> np.ndarray:
     """One step of the offset off; sin_off is its sine (the third array of
     ``energy_density``), which is +-sin(u) and enters only squared, and
     coeffs is ``_rate_coeffs(grid, m)``."""
     msq = float(m * m)
     coef, fp_coef = coeffs
-
-    def f(v):
-        if linear_only:
-            return 0.0
-        return _f_offset(coef, v)
-
     if scheme == "IMEX1":
-        if linear_only:
-            return grid.solve_shifted(off, dt, 1.0, msq, ghost_outer)
         # linearly implicit: F(u_new) ~ F(u) + F'(u)(u_new - u), with
         # F'(u) = (m^2/r^2)(1 - cos 2u) = (2 m^2/r^2) sin^2 u
         fp = fp_coef * sin_off**2
         rhs = off + dt * (_f_offset(coef, off) - fp * off)
         return grid.solve_shifted(rhs, dt, 1.0, msq, ghost_outer, potential=fp)
     # IMEX2: explicit half-step of F, Crank-Nicolson diffusion, half-step of F
-    a = off + 0.5 * dt * f(off)
+    a = off + 0.5 * dt * _f_offset(coef, off)
     rhs = a + 0.5 * dt * grid.apply_operator(a, 1.0, msq, ghost_outer)
     b = grid.solve_shifted(rhs, 0.5 * dt, 1.0, msq, ghost_outer)
-    return b + 0.5 * dt * f(b)
+    return b + 0.5 * dt * _f_offset(coef, b)
 
 
 def step(field: RadialField, m: int, config: StepperConfig) -> RadialField:
@@ -144,7 +135,7 @@ def step(field: RadialField, m: int, config: StepperConfig) -> RadialField:
     g = field.grid
     off = _step_offset(g, field.offset, np.sin(field.offset), m,
                        _rate_coeffs(g, m), config.dt, config.scheme,
-                       field.outer_ghost_offset(), config.linear_only)
+                       field.outer_ghost_offset())
     return RadialField(g, off, field.inner_limit)
 
 
@@ -284,7 +275,7 @@ def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
     while t < t_end - 1e-12 * t_end:
         dt_try = min(dt, t_end - t)
         new_off = _step_offset(g, off, dens_cur[2], m, coeffs, dt_try,
-                               stepper.scheme, ghost_outer, stepper.linear_only)
+                               stepper.scheme, ghost_outer)
         finite = bool(np.isfinite(new_off).all())
         ok = finite
         if finite:

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg.lapack import dgtsv
 
 from .errors import ConfigurationError, ContractViolation
@@ -25,8 +24,8 @@ from .errors import ConfigurationError, ContractViolation
 class RadialGrid:
     """Immutable geometric node set with r dr quadrature weights.
 
-    Operator bands and matrices are built lazily and cached; the instance
-    is safe to share across threads after construction.
+    Stencil coefficients and operator bands are built lazily and cached;
+    the instance is safe to share across threads after construction.
     """
 
     def __init__(self, r_min: float, r_max: float, n: int):
@@ -172,37 +171,61 @@ class RadialGrid:
             raise np.linalg.LinAlgError("singular shifted operator")
         return u
 
-    def derivative_matrix(self) -> sp.csr_matrix:
-        """Sparse first-derivative matrix: centered interior rows, one-sided
-        second-order rows at both ends (no ghost data)."""
+    def _derivative_rows(self):
+        """The first-derivative stencil in the form ``derivative`` applies
+        fastest: contiguous (c_minus, c_0, c_plus) of rows 1..n-2, and the
+        one-sided second-order rows 0 and n-1 (no ghost data) as tuples of
+        Python floats."""
         try:
-            return self._cache["dmat"]
+            return self._cache["drows"]
         except KeyError:
             pass
-        n = self.n
-        r = self.nodes
         cm, c0, cp = self.derivative_coeffs()
-        # one-sided second-order end rows
-        h1 = r[1] - r[0]
-        h2 = r[2] - r[1]
-        g1 = r[-1] - r[-2]
-        g2 = r[-2] - r[-3]
-        # row i holds columns i-1, i, i+1 in the interior, 0..2 in row 0 and
-        # n-3..n-1 in row n-1, so the CSR arrays are three entries per row
-        indices = np.arange(-1, n - 1)[:, None] + np.arange(3)
-        indices[0] = (0, 1, 2)
-        indices[-1] = (n - 3, n - 2, n - 1)
-        data = np.column_stack((cm, c0, cp))
-        data[0] = (-(2 * h1 + h2) / (h1 * (h1 + h2)),
-                   (h1 + h2) / (h1 * h2),
-                   -h1 / (h2 * (h1 + h2)))
-        data[-1] = (g1 / (g2 * (g1 + g2)),
-                    -(g1 + g2) / (g1 * g2),
-                    (2 * g1 + g2) / (g1 * (g1 + g2)))
-        mat = sp.csr_matrix((data.ravel(), indices.ravel(),
-                             np.arange(0, 3 * n + 1, 3)), shape=(n, n))
-        self._cache["dmat"] = mat
-        return mat
+        h1, h2 = np.diff(self.nodes[:3]).tolist()
+        g2, g1 = np.diff(self.nodes[-3:]).tolist()
+        first = (-(2 * h1 + h2) / (h1 * (h1 + h2)),
+                 (h1 + h2) / (h1 * h2),
+                 -h1 / (h2 * (h1 + h2)))
+        last = (g1 / (g2 * (g1 + g2)),
+                -(g1 + g2) / (g1 * g2),
+                (2 * g1 + g2) / (g1 * (g1 + g2)))
+        rows = (cm[1:-1].copy(), c0[1:-1].copy(), cp[1:-1].copy(), first, last)
+        self._cache["drows"] = rows
+        return rows
+
+    def derivative(self, values: np.ndarray) -> np.ndarray:
+        """First derivative of nodal samples: centered 3-point interior
+        rows, one-sided second-order rows at both ends.
+
+        Each row is summed left to right, the end rows from 0.0: the
+        order of a row-by-row sparse matvec of the same stencil, so both
+        give the same bits.
+        """
+        cm, c0, cp, first, last = self._derivative_rows()
+        out = np.empty(self.n)
+        mid = out[1:-1]
+        np.multiply(cm, values[:-2], out=mid)
+        mid += c0 * values[1:-1]
+        mid += cp * values[2:]
+        a, b, c = values[:3].tolist()
+        out[0] = 0.0 + first[0] * a + first[1] * b + first[2] * c
+        a, b, c = values[-3:].tolist()
+        out[-1] = 0.0 + last[0] * a + last[1] * b + last[2] * c
+        return out
+
+    def derivative_adjoint(self, values: np.ndarray) -> np.ndarray:
+        """The transpose of ``derivative`` applied to nodal samples."""
+        cm, c0, cp, first, last = self._derivative_rows()
+        inner = values[1:-1]
+        out = np.zeros(self.n)
+        out[:-2] = cm * inner
+        out[1:-1] += c0 * inner
+        out[2:] += cp * inner
+        a = float(values[0])
+        out[:3] += (first[0] * a, first[1] * a, first[2] * a)
+        a = float(values[-1])
+        out[-3:] += (last[0] * a, last[1] * a, last[2] * a)
+        return out
 
     def __repr__(self):
         return (f"RadialGrid(r_min={self.r_min:g}, r_max={self.r_max:g}, "
@@ -254,8 +277,7 @@ def build_grid(r_min: float, r_max: float, n: int) -> RadialGrid:
 
 def differentiate(field: RadialField) -> RadialField:
     """d/dr of the samples: centered interior, one-sided at the ends."""
-    du = field.grid.derivative_matrix() @ field.offset
-    return RadialField(field.grid, du)
+    return RadialField(field.grid, field.grid.derivative(field.offset))
 
 
 def apply_delta_m(field: RadialField, m: int) -> RadialField:

@@ -198,7 +198,7 @@ def apply_L(field: RadialField, profile: BubbleProfile,
     Pass field_r to use an analytic derivative instead of the stencil.
     """
     g = field.grid
-    dr = g.derivative_matrix() @ field.values if field_r is None else field_r
+    dr = g.derivative(field.values) if field_r is None else field_r
     hhat = eval_hhat(profile, g.nodes)
     return RadialField(g, dr + (profile.m / g.nodes) * hhat * field.values)
 
@@ -207,7 +207,7 @@ def apply_Lstar(field: RadialField, profile: BubbleProfile) -> RadialField:
     """Exact discrete adjoint of apply_L in the weighted inner product:
     W^{-1} D^T W eta + (m/r) cos(Q^s) eta."""
     g = field.grid
-    dt_part = (g.derivative_matrix().T @ (g.weights * field.values)) / g.weights
+    dt_part = g.derivative_adjoint(g.weights * field.values) / g.weights
     hhat = eval_hhat(profile, g.nodes)
     return RadialField(g, dt_part + (profile.m / g.nodes) * hhat * field.values)
 
@@ -242,7 +242,7 @@ def approx_solution_residual(profile: BubbleProfile, w: RadialField
         np.sin(2 * q) * (1.0 - np.cos(2 * w.values))
         + np.sin(2 * w.values) * (1.0 - np.cos(2 * q)))
     resid = RadialField(g, vals)
-    dr = g.derivative_matrix() @ vals
+    dr = g.derivative(vals)
     x1 = g.integrate(np.abs(dr)) + m * g.integrate(np.abs(vals / g.nodes))
     return resid, float(x1)
 

@@ -23,7 +23,7 @@ from . import modulation
 from .bubble import BubbleProfile, eval_h, eval_Q_offset, sample_Q
 from .energy import (classify as classify_sector, energy as energy_breakdown,
                      exterior_energy, x2_norm)
-from .errors import ConfigurationError, HmflowError
+from .errors import ConfigurationError, ContractViolation, HmflowError
 from .evolve import (StepperConfig, TrajectoryRecord, evolve,
                      dissipation_audit, STATUS_ABORTED, STATUS_BLOWUP,
                      STATUS_GLOBAL)
@@ -316,6 +316,14 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj).__name__}")
 
 
+def _exterior_energy_cell(fld: RadialField, m: int, R: float) -> float:
+    """``exterior_energy`` at R, or NaN when R lies outside the grid."""
+    try:
+        return exterior_energy(fld, m, R)
+    except ContractViolation:
+        return float("nan")
+
+
 def _trajectory_rows(cfg: RunConfig, rec: TrajectoryRecord,
                      track: Optional[modulation.ScaleTrack],
                      diss_resid: List[float]) -> List[List[str]]:
@@ -334,8 +342,8 @@ def _trajectory_rows(cfg: RunConfig, rec: TrajectoryRecord,
                track.sdots[k] if in_track else float("nan"),
                track.orth_residuals[k] if in_track else float("nan"),
                diss_resid[k], rec.l4_accum[k],
-               exterior_energy(fld, cfg.m, 1.0),
-               exterior_energy(fld, cfg.m, 10.0)]
+               _exterior_energy_cell(fld, cfg.m, 1.0),
+               _exterior_energy_cell(fld, cfg.m, 10.0)]
         rows.append([_fmt(v) for v in row])
     return rows
 

@@ -93,10 +93,11 @@ def test_derivative_second_order():
 
 
 @pytest.mark.parametrize("n", [16, 257])
-def test_derivative_matrix_matches_row_stencils(n):
+def test_derivative_matches_row_stencils(n):
     # reference assembled row by row: centered interior rows, one-sided
     # second-order rows at both ends; the arithmetic is the same, so the
-    # entries must agree exactly
+    # columns of derivative and the rows of derivative_adjoint (one unit
+    # vector each) must agree with it exactly
     g = build_grid(1e-3, 1e2, n)
     r = g.nodes
     cm, c0, cp = g.derivative_coeffs()
@@ -109,9 +110,11 @@ def test_derivative_matrix_matches_row_stencils(n):
     g1, g2 = r[-1] - r[-2], r[-2] - r[-3]
     ref[-1, -3:] = (g1 / (g2 * (g1 + g2)), -(g1 + g2) / (g1 * g2),
                     (2 * g1 + g2) / (g1 * (g1 + g2)))
-    mat = g.derivative_matrix()
-    assert mat.nnz == 3 * n
-    assert np.array_equal(mat.toarray(), ref)
+    unit = np.eye(n)
+    cols = np.column_stack([g.derivative(e) for e in unit])
+    assert np.array_equal(cols, ref)
+    rows = np.column_stack([g.derivative_adjoint(e) for e in unit])
+    assert np.array_equal(rows, ref.T)
 
 
 def _delta_m_error(m, n):

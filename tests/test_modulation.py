@@ -100,13 +100,14 @@ def test_brentq_port_matches_scipy(f, a, b):
                                                       rtol=rtol)
 
 
-def test_import_leaves_scipy_optimize_and_special_unloaded():
-    # brentq and gamma have in-tree replacements; the two scipy modules
-    # add about 0.2 s to every fresh interpreter
+def test_import_leaves_unused_scipy_subpackages_unloaded():
+    # brentq, gamma and the derivative stencil are in-tree; scipy.optimize
+    # and scipy.special add about 0.2 s to every fresh interpreter, and
+    # scipy.sparse 34 modules
     src = str(Path(hmflow.__file__).resolve().parents[1])
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import hmflow; "
-            "print([k for k in ('scipy.optimize', 'scipy.special') "
-            "if k in sys.modules])")
+            "print([k for k in ('scipy.optimize', 'scipy.special', "
+            "'scipy.sparse') if k in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code, src], check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"

@@ -213,15 +213,28 @@ def test_zero_degree_artifacts_have_no_signed_zero(tmp_path):
                 if x == 0.0 and math.copysign(1.0, x) < 0]
 
 
-def test_scenario_failure_exit_code(tmp_path):
+def test_scenario_failure_exit_code(tmp_path, capsys):
     # an over-strict stationarity check: evolving a wide bump under the
     # stationarity scenario cannot keep the drift small
-    cfg = build_run_config(
-        {"scenario": "q_stationarity", "ic_family": "e0_bump", "ic_A": "1",
-         "ic_sigma": "1", "n": "512", "r_min": "1e-3", "r_max": "1e2",
-         "t_end": "0.5", "label": "drifty"},
-        out_dir=str(tmp_path))
-    assert run(cfg) == 3
+    raw = {"scenario": "q_stationarity", "ic_family": "e0_bump", "ic_A": "1",
+           "ic_sigma": "1", "n": "512", "r_min": "1e-3", "r_max": "1e2",
+           "t_end": "0.5", "label": "drifty"}
+    path = tmp_path / "drifty.cfg"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in raw.items()))
+    assert cli_main(["--out", str(tmp_path), "run", str(path)]) == 3
+    assert "scenario checks failed" in capsys.readouterr().err
+
+
+def test_solver_abort_exit_code(tmp_path, capsys, monkeypatch):
+    # every step is non-finite, so the run aborts once dt reaches its floor
+    monkeypatch.setattr("hmflow.evolve._step_offset",
+                        lambda grid, off, *args: np.full_like(off, np.nan))
+    path = _write_cfg(tmp_path)
+    assert cli_main(["--out", str(tmp_path), "run", path]) == 2
+    assert "run aborted by the solver" in capsys.readouterr().err
+    summary = json.loads((tmp_path / "fast_summary.json").read_text())
+    assert summary["status"] == "Aborted"
+    assert summary["classification"] == "Undetermined"
 
 
 def test_execute_classifies_decay(tmp_path):
@@ -320,6 +333,27 @@ def test_cli_invalid_config(tmp_path, capsys, over):
     assert cli_main(["check", path]) == 1
     assert cli_main(["--out", str(tmp_path), "run", path]) == 1
     assert capsys.readouterr().err.count("invalid config") == 2
+
+
+# exterior_energy needs R inside the grid; the CSV cell of an R outside
+# it is NaN, as the scale-track cells are without a track
+@pytest.mark.parametrize("over,nan_col,finite_col", [
+    pytest.param(dict(r_max="5"), "exterior_energy_R10",
+                 "exterior_energy_R1", id="R10_beyond_r_max"),
+    pytest.param(dict(r_min="2", r_max="1e3", ic_sigma="10", scale_floor="3"),
+                 "exterior_energy_R1", "exterior_energy_R10",
+                 id="R1_below_r_min"),
+])
+def test_cli_run_exterior_energy_outside_grid(tmp_path, over, nan_col,
+                                              finite_col):
+    path = _write_cfg(tmp_path, **over)
+    assert cli_main(["check", path]) == 0
+    assert cli_main(["--out", str(tmp_path), "run", path]) == 0
+    lines = (tmp_path / "fast_trajectory.csv").read_text().splitlines()
+    rows = [dict(zip(CSV_COLUMNS, line.split(","))) for line in lines[1:]]
+    assert rows
+    assert all(math.isnan(float(row[nan_col])) for row in rows)
+    assert all(math.isfinite(float(row[finite_col])) for row in rows)
 
 
 def test_cli_sweep(tmp_path):
