@@ -60,8 +60,8 @@ def _orth_mismatch(grid: RadialGrid, resid_values: np.ndarray, m: int, s: float)
     return grid.inner(resid_values, h)
 
 
-def _brentq(f, xa: float, xb: float, xtol: float, rtol: float,
-            maxiter: int = 100) -> float:
+def brentq(f, xa: float, xb: float, xtol: float, rtol: float,
+           maxiter: int = 100) -> float:
     """Root of f in [xa, xb] by Brent's method: a line-for-line port of
     scipy's brentq.c, so it returns scipy.optimize.brentq's root bit for
     bit without importing scipy.optimize."""
@@ -173,7 +173,7 @@ def fit_scale(u: RadialField, m: int, w: Optional[RadialField] = None,
         if bracket is None:
             raise NoBubbleError(
                 f"no orthogonality root within [{s_init / 1e3:g}, {s_init * 1e3:g}]")
-        root = _brentq(mismatch, bracket[0], bracket[1], xtol=1e-14, rtol=1e-15)
+        root = brentq(mismatch, bracket[0], bracket[1], xtol=1e-14, rtol=1e-15)
 
     s = float(np.exp(root))
     xi_vals = base - eval_Q_offset(BubbleProfile(m, s), g.nodes)

@@ -21,8 +21,8 @@ import numpy as np
 
 from . import modulation
 from .bubble import BubbleProfile, eval_h, eval_Q_offset, sample_Q
-from .energy import (classify as classify_sector, energy as energy_breakdown,
-                     exterior_energy, x2_norm)
+from .energy import (OTHER_LABEL, classify as classify_sector,
+                     energy as energy_breakdown, exterior_energy, x2_norm)
 from .errors import ConfigurationError, ContractViolation, HmflowError
 from .evolve import (StepperConfig, TrajectoryRecord, evolve,
                      dissipation_audit, STATUS_ABORTED, STATUS_BLOWUP,
@@ -175,6 +175,10 @@ def _validate(cfg: RunConfig) -> None:
     _stepper(cfg)
     if cfg.m < 1:
         raise ConfigurationError(f"m must be a positive degree, got {cfg.m}")
+    if "/" in cfg.label or os.sep in cfg.label:
+        raise ConfigurationError(
+            f"label names files in out_dir and must not hold a path "
+            f"separator, got {cfg.label!r}")
     if cfg.t_end <= 0:
         raise ConfigurationError(f"t_end must be positive, got {cfg.t_end}")
     if cfg.sample_every <= 0:
@@ -207,77 +211,45 @@ def _validate(cfg: RunConfig) -> None:
 
 
 def _solve_amplitude(grid: RadialGrid, m: int, shape: np.ndarray,
-                     base: np.ndarray, inner: float, target: float,
-                     sign: float) -> float:
-    """Bisect |A| so that E(base + A*shape) hits the target energy.
+                     base, inner: float, target: float, sign: float) -> float:
+    """The amplitude A, of the given sign, with E(base + A*shape) = target.
 
-    The energy is evaluated by quadrature at every trial; the bracket is
-    grown geometrically first, so non-monotone saturation past the bracket
-    cannot mislead the bisection.
+    The energy is evaluated by quadrature at every trial; the bracket
+    [0, hi] is grown geometrically first, so non-monotone saturation past
+    it cannot mislead Brent's method inside it.
     """
     def e_of(a):
         fld = RadialField(grid, base + sign * a * shape, inner_limit=inner)
         return energy_breakdown(fld, m).total
 
-    lo, hi = 0.0, 1.0
-    e_lo = e_of(lo)
+    e_lo = e_of(0.0)
     if e_lo > target:
         raise ConfigurationError(
             f"target energy {target:g} below the A=0 energy {e_lo:g}")
-    e_hi = e_of(hi)
-    grows = 0
-    while e_hi < target:
+    hi, grows = 1.0, 0
+    while e_of(hi) < target:
         hi *= 1.5
-        e_hi = e_of(hi)
         grows += 1
         if grows > 60:
             raise ConfigurationError(
                 f"target energy {target:g} unreachable by amplitude growth")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if e_of(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-13 * max(1.0, hi):
-            break
-    return sign * 0.5 * (lo + hi)
+    return sign * modulation.brentq(lambda a: e_of(a) - target, 0.0, hi,
+                                    xtol=1e-13, rtol=1e-13)
 
 
 def build_initial_condition(cfg: RunConfig, grid: RadialGrid) -> RadialField:
-    """Construct the configured initial data and enforce its sector window."""
+    """Construct the configured initial data and enforce its sector window.
+
+    ``e0_bump`` is A h^sigma and ``e1_excited`` is Q^{s0} + A h^sigma; every
+    family but ``q_exact`` must classify into sector E0 or E1.
+    """
     m = cfg.m
-    if cfg.ic_family == "e0_bump":
-        shape = eval_h(BubbleProfile(m, cfg.ic_sigma), grid.nodes)
-        if cfg.ic_target_energy is not None:
-            sign = 1.0 if cfg.ic_A is None or cfg.ic_A >= 0 else -1.0
-            A = _solve_amplitude(grid, m, shape, np.zeros_like(shape), 0.0,
-                                 cfg.ic_target_energy, sign)
-        else:
-            A = cfg.ic_A
-        fld = RadialField(grid, A * shape, inner_limit=0.0)
-        e_tot = energy_breakdown(fld, m).total
-        if not e_tot < 2 * (2.0 * m):
-            raise ConfigurationError(
-                f"e0_bump energy {e_tot:g} not below the 2E(Q) = {4.0 * m:g} window")
-    elif cfg.ic_family == "e1_excited":
-        base = eval_Q_offset(BubbleProfile(m, cfg.ic_s0), grid.nodes)
-        shape = eval_h(BubbleProfile(m, cfg.ic_sigma), grid.nodes)
-        if cfg.ic_target_energy is not None:
-            sign = 1.0 if cfg.ic_A >= 0 else -1.0
-            A = _solve_amplitude(grid, m, shape, base, np.pi,
-                                 cfg.ic_target_energy, sign)
-        else:
-            A = cfg.ic_A
-        fld = RadialField(grid, base + A * shape, inner_limit=np.pi)
-        e_tot = energy_breakdown(fld, m).total
-        if not (2.0 * m) * (1 - 1e-9) <= e_tot <= 3 * (2.0 * m):
-            raise ConfigurationError(
-                f"e1_excited energy {e_tot:g} outside the "
-                f"[E(Q), 3E(Q)] = [{2.0 * m:g}, {6.0 * m:g}] window")
-    elif cfg.ic_family == "q_exact":
-        fld = sample_Q(BubbleProfile(m, cfg.ic_s0), grid)
-    else:  # custom_samples
+    if cfg.ic_family == "q_exact":
+        # left unchecked: on a truncated grid the quadrature energy of an
+        # exact bubble falls just below 2m (1.99982 for m = 1 on
+        # [1e-6, 1e2]), outside the E1 window
+        return sample_Q(BubbleProfile(m, cfg.ic_s0), grid)
+    if cfg.ic_family == "custom_samples":
         try:
             data = np.loadtxt(cfg.ic_file)
         except (OSError, ValueError) as exc:
@@ -286,6 +258,9 @@ def build_initial_condition(cfg: RunConfig, grid: RadialGrid) -> RadialField:
         if data.ndim != 2 or data.shape[1] != 2:
             raise ConfigurationError(
                 f"custom_samples file {cfg.ic_file!r} must have two columns (r, u)")
+        if not np.isfinite(data).all():
+            raise ConfigurationError(
+                f"custom_samples file {cfg.ic_file!r} holds non-finite values")
         r_in, u_in = data[:, 0], data[:, 1]
         if np.any(r_in <= 0) or np.any(np.diff(r_in) <= 0):
             raise ConfigurationError(
@@ -293,10 +268,24 @@ def build_initial_condition(cfg: RunConfig, grid: RadialGrid) -> RadialField:
         vals = np.interp(np.log(grid.nodes), np.log(r_in), u_in)
         inner = np.pi if abs(u_in[0] - np.pi) < abs(u_in[0]) else 0.0
         fld = RadialField(grid, vals - inner, inner_limit=inner)
-        sector = classify_sector(fld, m)
-        if sector.label not in ("E0", "E1"):
-            raise ConfigurationError(
-                "custom_samples data does not classify into sector E0 or E1")
+    else:  # e0_bump or e1_excited
+        excited = cfg.ic_family == "e1_excited"
+        inner = np.pi if excited else 0.0
+        base = (eval_Q_offset(BubbleProfile(m, cfg.ic_s0), grid.nodes)
+                if excited else 0.0)
+        shape = eval_h(BubbleProfile(m, cfg.ic_sigma), grid.nodes)
+        A = cfg.ic_A
+        if cfg.ic_target_energy is not None:
+            sign = -1.0 if cfg.ic_A is not None and cfg.ic_A < 0 else 1.0
+            A = _solve_amplitude(grid, m, shape, base, inner,
+                                 cfg.ic_target_energy, sign)
+        fld = RadialField(grid, base + A * shape, inner_limit=inner)
+    if classify_sector(fld, m).label == OTHER_LABEL:
+        e_tot, eq = energy_breakdown(fld, m).total, 2.0 * m
+        window = (f"not below the 2E(Q) = {2 * eq:g} window"
+                  if fld.inner_limit == 0.0 else
+                  f"outside the [E(Q), 3E(Q)] = [{eq:g}, {3 * eq:g}] window")
+        raise ConfigurationError(f"{cfg.ic_family} energy {e_tot:g} {window}")
     return fld
 
 
@@ -304,16 +293,6 @@ def build_initial_condition(cfg: RunConfig, grid: RadialGrid) -> RadialField:
 
 def _fmt(x: float) -> str:
     return "%.12g" % x
-
-
-def _json_default(obj):
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
 
 
 def _exterior_energy_cell(fld: RadialField, m: int, R: float) -> float:
@@ -368,7 +347,7 @@ def _scenario_checks(cfg: RunConfig, rec: TrajectoryRecord,
         checks["scale_stabilized"], checks["bubble_residual_small"] = (
             conv or (False, False))
         checks["orthogonality_clean"] = (conv is not None
-                                         and not bool(track.flagged.any()))
+                                         and not track.flagged.any())
     elif tag == "m1_blowup":
         checks["status_blowup"] = rec.status == STATUS_BLOWUP
         ok_decades = ok_ratio = ok_rate = False
@@ -377,7 +356,7 @@ def _scenario_checks(cfg: RunConfig, rec: TrajectoryRecord,
         # history drives the rate analysis here
         t, s = concentration_scale_track(rec)
         if len(t) >= 4:
-            ok_decades = bool(np.log10(np.max(s) / s[-1]) >= 1.5)
+            ok_decades = np.log10(np.max(s) / s[-1]) >= 1.5
             try:
                 k = _collapse_start(s)
                 fit = modulation.fit_blowup_rate(t[k:], s[k:])
@@ -387,14 +366,15 @@ def _scenario_checks(cfg: RunConfig, rec: TrajectoryRecord,
                     ratio = s / np.sqrt(tau)
                     in_last = s <= 10 * s[-1]
                     last_dec = ratio[in_last]
-                    ok_ratio = bool(len(last_dec) >= 2
-                                    and last_dec[-1] < last_dec[0])
+                    ok_ratio = (len(last_dec) >= 2
+                                and last_dec[-1] < last_dec[0])
             except HmflowError:
                 pass
         checks["scale_fell_1p5_decades"] = ok_decades
         checks["ratio_to_sqrt_decreasing"] = ok_ratio
         checks["rate_exponent_is_1"] = ok_rate
-    return checks
+    # numpy booleans become the bools that json writes
+    return {name: bool(ok) for name, ok in checks.items()}
 
 
 def concentration_scale_track(rec: TrajectoryRecord
@@ -525,8 +505,7 @@ def run(cfg: RunConfig) -> int:
         writer.writerows(rows)
     json_path = os.path.join(cfg.out_dir, f"{cfg.label}_summary.json")
     with open(json_path, "w") as fh:
-        json.dump(result.summary, fh, indent=2, sort_keys=True,
-                  default=_json_default)
+        json.dump(result.summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     if result.status == STATUS_ABORTED:
         return 2

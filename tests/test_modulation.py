@@ -15,10 +15,11 @@ from hmflow.errors import (ContractViolation, FitUnreliableError,
                            NoBubbleError)
 from hmflow.evolve import StepperConfig, evolve
 from hmflow.grid import RadialField, build_grid
-from hmflow.modulation import (_brentq, _orth_mismatch, apply_H, apply_L, apply_Lstar,
-                               approx_solution_residual, bubble_decompose,
-                               fit_blowup_rate, fit_scale, orthogonality_ok,
-                               potential_inequality_margin, track_modulation)
+from hmflow.modulation import (_orth_mismatch, apply_H, apply_L, apply_Lstar,
+                               approx_solution_residual, brentq,
+                               bubble_decompose, fit_blowup_rate, fit_scale,
+                               orthogonality_ok, potential_inequality_margin,
+                               track_modulation)
 
 
 def test_fit_scale_recovers_exact_bubble(default_grid):
@@ -93,11 +94,12 @@ def _scale_mismatch():
     (lambda x: math.sin(5.0 * x) + 0.3, 0.5, 1.0),
 ], ids=["scale_mismatch", "cubic", "cos", "tanh", "gauss", "sin"])
 def test_brentq_port_matches_scipy(f, a, b):
-    from scipy.optimize import brentq
+    from scipy import optimize
     for xtol, rtol in ((1e-14, 1e-15), (2e-12, 4 * np.finfo(float).eps),
                        (1e-6, 1e-10)):
-        assert _brentq(f, a, b, xtol, rtol) == brentq(f, a, b, xtol=xtol,
-                                                      rtol=rtol)
+        assert brentq(f, a, b, xtol, rtol) == optimize.brentq(f, a, b,
+                                                              xtol=xtol,
+                                                              rtol=rtol)
 
 
 def test_import_leaves_unused_scipy_subpackages_unloaded():

@@ -1,5 +1,6 @@
 import json
 import math
+import tempfile
 
 import numpy as np
 import pytest
@@ -23,7 +24,8 @@ FAST = dict(m="2", r_min="1e-3", r_max="1e2", n="512", dt="2e-3",
 
 
 def _cfg(tmp_path, **over):
-    raw = dict(FAST, **{k: str(v) for k, v in over.items()})
+    # an override of None drops the key
+    raw = {k: str(v) for k, v in dict(FAST, **over).items() if v is not None}
     return build_run_config(raw, out_dir=str(tmp_path))
 
 
@@ -68,10 +70,21 @@ def test_unknown_key_rejected(tmp_path):
     ("ic_family", "e1_excited", "ic_s0"),
     ("ic_family", "q_exact", "ic_s0"),
     ("ic_family", "custom_samples", "ic_file"),
+    ("dt", "abc", "dt"),
+    pytest.param("label", "sub/run", "label", id="label-separator"),
+    pytest.param("ic_A", None, "e0_bump requires ic_A or ic_target_energy",
+                 id="e0_bump-no_amplitude"),
+    # rows that set several keys give them as a dict of overrides
+    pytest.param("ic_sigma", dict(ic_family="e1_excited", ic_s0="1",
+                                  ic_sigma="0"),
+                 "e1_excited requires ic_sigma > 0", id="e1_excited-sigma_0"),
+    pytest.param("ic_A", dict(ic_family="e1_excited", ic_s0="1", ic_A=None),
+                 "e1_excited requires ic_A", id="e1_excited-no_amplitude"),
 ])
 def test_validation_messages(tmp_path, key, val, fragment):
+    over = val if isinstance(val, dict) else {key: val}
     with pytest.raises(ConfigurationError, match=fragment):
-        _cfg(tmp_path, **{key: val})
+        _cfg(tmp_path, **over)
 
 
 def test_scenario_presets_known(tmp_path):
@@ -315,7 +328,18 @@ def test_cli_check_and_run(tmp_path):
     assert (tmp_path / "fast_trajectory.csv").exists()
 
 
-# each of these used to pass `check` and then fail or misbehave in `run`
+def _nan_samples(tmp_path):
+    """A custom_samples file with one NaN in its u column."""
+    r = np.geomspace(1e-3, 1e2, 50)
+    u = 0.5 * r / (1 + r**2)
+    u[10] = np.nan
+    path = tmp_path / "nan_ic.txt"
+    np.savetxt(path, np.column_stack([r, u]))
+    return str(path)
+
+
+# each of these used to pass `check` and then fail or misbehave in `run`;
+# a callable value is called with tmp_path to make the file it names
 @pytest.mark.parametrize("over", [
     pytest.param(dict(m="0"), id="m_zero"),
     pytest.param(dict(dt_floor="2e-3"), id="dt_equals_dt_floor"),
@@ -327,8 +351,12 @@ def test_cli_check_and_run(tmp_path):
     pytest.param(dict(ic_family="e1_excited", ic_s0="1", ic_sigma="3",
                       ic_target_energy="30"), id="e1_energy_window"),
     pytest.param(dict(scale_floor="nan"), id="scale_floor_nan"),
+    pytest.param(dict(label="sub/run"), id="label_separator"),
+    pytest.param(dict(ic_family="custom_samples", ic_file=_nan_samples),
+                 id="custom_samples_nan"),
 ])
 def test_cli_invalid_config(tmp_path, capsys, over):
+    over = {k: v(tmp_path) if callable(v) else v for k, v in over.items()}
     path = _write_cfg(tmp_path, **over)
     assert cli_main(["check", path]) == 1
     assert cli_main(["--out", str(tmp_path), "run", path]) == 1
@@ -385,6 +413,7 @@ _EDGE_VALUES = {
     "ic_sigma": ["0", "inf", "1e-6", "1e6"],
     "ic_s0": ["0", "nan", "1e-6", "1e6"],
     "ic_target_energy": ["nan", "0", "1e-12", "30"],
+    "label": ["a/b"],
 }
 
 
@@ -405,14 +434,19 @@ def test_checked_configs_execute(family, m, n, scheme, t_end, sample_every,
         raw["ic_target_energy"] = repr(target)
     if edge is not None:
         raw[edge[0]] = edge[1]
-    try:
-        # what `hmflow check` runs
-        cfg = build_run_config(raw, out_dir=".")
-        _setup(cfg)
-    except ConfigurationError:
-        return
-    result = execute(cfg)
-    assert result.status in ("Global", "Blowup", "Aborted")
+    # a function-scoped tmp_path is shared by every example of @given
+    with tempfile.TemporaryDirectory() as out:
+        try:
+            # what `hmflow check` runs
+            cfg = build_run_config(raw, out_dir=out)
+            _setup(cfg)
+        except ConfigurationError:
+            return
+        # what `hmflow run` runs, artifacts included
+        assert run(cfg) in (0, 2, 3)
+        with open(f"{out}/{cfg.label}_summary.json") as fh:
+            summary = json.load(fh)
+        assert summary["status"] in ("Global", "Blowup", "Aborted")
 
 
 def test_m1_blowup_collapse_time_converges_in_dt():
