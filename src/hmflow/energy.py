@@ -110,15 +110,17 @@ def rlp_norm(field: RadialField, p: float) -> float:
 def classify(field: RadialField, m: int) -> SectorClass:
     """Sector of the field from its inner limit and energy.
 
-    Thresholds use the exact bubble energy 2m: the below-threshold sector
-    requires E < 4m with inner limit 0; the degree-m sector requires
-    2m <= E <= 6m with inner limit pi.
+    Thresholds use the exact bubble energy E(Q) = 2m: the below-threshold
+    sector requires E < 4m with inner limit 0; the degree-m sector requires
+    E <= 6m with inner limit pi.  Every degree-m map has E >= 2m (the
+    Bogomolny bound), so the sector has no lower edge: one would reject
+    only quadrature error, which puts an exact bubble just below 2m.
     """
     e = energy(field, m).total
     eq = 2.0 * m
     if field.inner_limit == 0.0 and e < 2 * eq:
         return SectorClass(E0_LABEL, delta1=2 * eq - e)
-    if field.inner_limit == np.pi and eq * (1 - 1e-9) <= e <= 3 * eq:
+    if field.inner_limit == np.pi and e <= 3 * eq:
         return SectorClass(E1_LABEL)
     return SectorClass(OTHER_LABEL)
 

@@ -3,12 +3,14 @@ finite-difference operators built on it.
 
 The grid is log-uniform: r_i = r_min * (r_max/r_min)^(i/(n-1)).  Quadrature
 against the measure r dr (or r^p dr) is trapezoid rule in the log variable,
-which is second order in the log spacing.  Derivative and operator stencils
-are exact 3-point formulas on the non-uniform nodes (not uniform-grid
-formulas applied in log space), closed with geometric ghost nodes at both
-ends.  The outer ghost carries Dirichlet data.  The inner ghost follows the
-regular power law r^p at the origin (p = m for the degree-m operator), or
-is zero for operators without an inverse-square term.
+which is second order in the log spacing.  Every stencil is written in
+x = ln r, where the nodes are uniform and the node ratio q = e^h is one
+constant: the operators are centered 3-point formulas in x, the first
+derivative is the exact 3-point formula on the r nodes in closed form.
+Operators are closed with geometric ghost nodes at both ends.  The outer
+ghost carries Dirichlet data.  The inner ghost follows the regular power
+law r^p at the origin (p = m for the degree-m operator), or is zero for
+operators without an inverse-square term.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ class RadialGrid:
         self._trapz_log = tw
         # weights for  integral f(r) r dr  =  integral f e^{2x} dx
         self.weights = tw * self.nodes**2
-        self.ratio = self.nodes[1] / self.nodes[0]
         self._cache: dict = {}
 
     def integrate(self, samples: np.ndarray, power: int = 1) -> float:
@@ -69,63 +70,40 @@ class RadialGrid:
             return float(np.max(np.abs(samples)))
         return self.integrate(np.abs(samples) ** p) ** (1.0 / p)
 
-    # ---- stencil machinery -------------------------------------------
-
-    def _spacings(self):
-        """Node spacings including the geometric ghost nodes."""
-        try:
-            return self._cache["spacings"]
-        except KeyError:
-            pass
-        r = self.nodes
-        r_ghost_in = r[0] / self.ratio
-        r_ghost_out = r[-1] * self.ratio
-        rm = np.concatenate(([r_ghost_in], r[:-1]))
-        rp = np.concatenate((r[1:], [r_ghost_out]))
-        hm = r - rm
-        hp = rp - r
-        self._cache["spacings"] = (hm, hp)
-        return hm, hp
-
-    def derivative_coeffs(self):
-        """Interior 3-point first-derivative coefficients (c_minus, c_0, c_plus)."""
-        hm, hp = self._spacings()
-        cm = -hp / (hm * (hm + hp))
-        c0 = (hp - hm) / (hm * hp)
-        cp = hm / (hp * (hm + hp))
-        return cm, c0, cp
+    # ---- stencils in x = ln r ------------------------------------------
 
     def operator_bands(self, advection: float, inv_square: float):
         """Bands (sub, diag, sup) of  d^2/dr^2 + (advection/r) d/dr - inv_square/r^2.
 
+        In x = ln r the operator is r^-2 (d_x^2 + (advection - 1) d_x -
+        inv_square), and row i is its centered 3-point form:
+        r_i^-2 [(v_{i+1} - 2 v_i + v_{i-1})/h^2
+                + (advection - 1)(v_{i+1} - v_{i-1})/(2h) - inv_square v_i].
         advection = 1, inv_square = m^2 gives the singular radial operator
-        of degree m; advection = d-1, inv_square = 0 gives the radial
-        Laplacian in d dimensions.  Row n-1's sup entry multiplies the
-        outer ghost value.  The inner closure is folded into row 0's
-        diagonal: for inv_square > 0 the regular solution vanishes like r^p
-        at the origin, p > 0 the root of p^2 + (advection - 1) p =
-        inv_square (p = m for degree m), so the ghost value at r_0/ratio is
-        ratio^(-p) v_0; for inv_square = 0 the ghost value is 0.  Row 0's
-        sub entry is the ghost coefficient and is not used by the operator.
+        of degree m, whose interior is symmetric in the r dr weights;
+        advection = d-1, inv_square = 0 gives the radial Laplacian in d
+        dimensions.  Row n-1's sup entry multiplies the outer ghost value.
+        The inner closure is folded into row 0's diagonal: for
+        inv_square > 0 the regular solution vanishes like r^p at the
+        origin, p > 0 the root of p^2 + (advection - 1) p = inv_square
+        (p = m for degree m), so the ghost value at r_0/q is q^(-p) v_0;
+        for inv_square = 0 the ghost value is 0.  Row 0's sub entry is the
+        ghost coefficient and is not used by the operator.
         """
         key = ("bands", advection, inv_square)
         try:
             return self._cache[key]
         except KeyError:
             pass
-        hm, hp = self._spacings()
-        r = self.nodes
-        dm = 2.0 / (hm * (hm + hp))
-        d0 = -2.0 / (hm * hp)
-        dp = 2.0 / (hp * (hm + hp))
-        cm, c0, cp = self.derivative_coeffs()
-        sub = dm + advection * cm / r
-        diag = d0 + advection * c0 / r - inv_square / r**2
-        sup = dp + advection * cp / r
+        h = self.log_step
+        a1 = advection - 1.0
+        inv_r2 = 1.0 / self.nodes**2
+        sub = (1.0 / h**2 - 0.5 * a1 / h) * inv_r2
+        diag = (-2.0 / h**2 - inv_square) * inv_r2
+        sup = (1.0 / h**2 + 0.5 * a1 / h) * inv_r2
         if inv_square > 0:
-            a1 = advection - 1.0
             p = 0.5 * (np.sqrt(a1 * a1 + 4.0 * inv_square) - a1)
-            diag[0] += sub[0] * self.ratio ** (-p)
+            diag[0] += sub[0] * np.exp(-p * h)
         self._cache[key] = (sub, diag, sup)
         return sub, diag, sup
 
@@ -143,9 +121,11 @@ class RadialGrid:
         of ``operator_bands`` and the outer Dirichlet ghost value; the
         optional potential is a nodal array added to the diagonal of Op.
 
-        Without a potential and for alpha > 0 the system is strictly
-        diagonally dominant (the off-diagonal operator entries are positive
-        on a geometric grid with log spacing < 2), hence nonsingular.
+        For the degree-m operator without a potential and for alpha > 0
+        the system is strictly diagonally dominant, hence nonsingular: its
+        off-diagonal entries are positive for any log step.  For the
+        Laplacian in d dimensions the sub-diagonal is positive only for
+        log step < 2/(d - 2).
 
         The shifted bands of the latest (alpha, advection, inv_square) are
         kept, one entry only: a run's step size moves only on rejections
@@ -172,55 +152,50 @@ class RadialGrid:
         return u
 
     def _derivative_rows(self):
-        """The first-derivative stencil in the form ``derivative`` applies
-        fastest: contiguous (c_minus, c_0, c_plus) of rows 1..n-2, and the
-        one-sided second-order rows 0 and n-1 (no ghost data) as tuples of
-        Python floats."""
+        """The 3-point first-derivative stencil on the r nodes, in closed
+        form: the interior scale 1/((q^2 - 1) r_i) of rows 1..n-2, q^2,
+        and the one-sided second-order rows 0 and n-1 (no ghost data) as
+        tuples of Python floats.  q - 1 and q^2 - 1 are taken by expm1,
+        free of the cancellation in node differences."""
         try:
             return self._cache["drows"]
         except KeyError:
             pass
-        cm, c0, cp = self.derivative_coeffs()
-        h1, h2 = np.diff(self.nodes[:3]).tolist()
-        g2, g1 = np.diff(self.nodes[-3:]).tolist()
-        first = (-(2 * h1 + h2) / (h1 * (h1 + h2)),
-                 (h1 + h2) / (h1 * h2),
-                 -h1 / (h2 * (h1 + h2)))
-        last = (g1 / (g2 * (g1 + g2)),
-                -(g1 + g2) / (g1 * g2),
-                (2 * g1 + g2) / (g1 * (g1 + g2)))
-        rows = (cm[1:-1].copy(), c0[1:-1].copy(), cp[1:-1].copy(), first, last)
+        h, r = self.log_step, self.nodes
+        q = np.exp(h)
+        first = np.array([-(q + 2) / (q + 1), (q + 1) / q, -1 / (q * (q + 1))])
+        last = np.array([q**3 / (q + 1), -q * (q + 1), q * (2 * q + 1) / (q + 1)])
+        rows = (1.0 / (np.expm1(2 * h) * r[1:-1]), q * q,
+                tuple((first / (np.expm1(h) * r[0])).tolist()),
+                tuple((last / (np.expm1(h) * r[-1])).tolist()))
         self._cache["drows"] = rows
         return rows
 
     def derivative(self, values: np.ndarray) -> np.ndarray:
         """First derivative of nodal samples: centered 3-point interior
-        rows, one-sided second-order rows at both ends.
-
-        Each row is summed left to right, the end rows from 0.0: the
-        order of a row-by-row sparse matvec of the same stencil, so both
-        give the same bits.
-        """
-        cm, c0, cp, first, last = self._derivative_rows()
+        rows (d_{i+1/2} + q^2 d_{i-1/2}) / ((q^2 - 1) r_i) with d the node
+        differences, one-sided second-order rows at both ends."""
+        scale, q2, first, last = self._derivative_rows()
+        d = np.diff(values)
         out = np.empty(self.n)
         mid = out[1:-1]
-        np.multiply(cm, values[:-2], out=mid)
-        mid += c0 * values[1:-1]
-        mid += cp * values[2:]
+        np.multiply(d[:-1], q2, out=mid)
+        mid += d[1:]
+        mid *= scale
         a, b, c = values[:3].tolist()
-        out[0] = 0.0 + first[0] * a + first[1] * b + first[2] * c
+        out[0] = first[0] * a + first[1] * b + first[2] * c
         a, b, c = values[-3:].tolist()
-        out[-1] = 0.0 + last[0] * a + last[1] * b + last[2] * c
+        out[-1] = last[0] * a + last[1] * b + last[2] * c
         return out
 
     def derivative_adjoint(self, values: np.ndarray) -> np.ndarray:
         """The transpose of ``derivative`` applied to nodal samples."""
-        cm, c0, cp, first, last = self._derivative_rows()
-        inner = values[1:-1]
+        scale, q2, first, last = self._derivative_rows()
+        z = scale * values[1:-1]
         out = np.zeros(self.n)
-        out[:-2] = cm * inner
-        out[1:-1] += c0 * inner
-        out[2:] += cp * inner
+        out[:-2] = -q2 * z
+        out[1:-1] += (q2 - 1.0) * z
+        out[2:] += z
         a = float(values[0])
         out[:3] += (first[0] * a, first[1] * a, first[2] * a)
         a = float(values[-1])

@@ -241,15 +241,12 @@ def build_initial_condition(cfg: RunConfig, grid: RadialGrid) -> RadialField:
     """Construct the configured initial data and enforce its sector window.
 
     ``e0_bump`` is A h^sigma and ``e1_excited`` is Q^{s0} + A h^sigma; every
-    family but ``q_exact`` must classify into sector E0 or E1.
+    family must classify into sector E0 or E1.
     """
     m = cfg.m
     if cfg.ic_family == "q_exact":
-        # left unchecked: on a truncated grid the quadrature energy of an
-        # exact bubble falls just below 2m (1.99982 for m = 1 on
-        # [1e-6, 1e2]), outside the E1 window
-        return sample_Q(BubbleProfile(m, cfg.ic_s0), grid)
-    if cfg.ic_family == "custom_samples":
+        fld = sample_Q(BubbleProfile(m, cfg.ic_s0), grid)
+    elif cfg.ic_family == "custom_samples":
         try:
             data = np.loadtxt(cfg.ic_file)
         except (OSError, ValueError) as exc:
@@ -284,7 +281,7 @@ def build_initial_condition(cfg: RunConfig, grid: RadialGrid) -> RadialField:
         e_tot, eq = energy_breakdown(fld, m).total, 2.0 * m
         window = (f"not below the 2E(Q) = {2 * eq:g} window"
                   if fld.inner_limit == 0.0 else
-                  f"outside the [E(Q), 3E(Q)] = [{eq:g}, {3 * eq:g}] window")
+                  f"above the E1 window bound 3E(Q) = {3 * eq:g}")
         raise ConfigurationError(f"{cfg.ic_family} energy {e_tot:g} {window}")
     return fld
 

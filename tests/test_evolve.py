@@ -308,6 +308,20 @@ def test_m1_bubble_near_inner_wall_is_stationary():
     assert scale_estimate(rec.final_field, 1) == pytest.approx(s, rel=1e-3)
 
 
+@pytest.mark.parametrize("m", [1, 2, 4])
+def test_exact_bubble_does_not_drift(m):
+    # Q^s is stationary, so s s' (half the slope of s^2 against t) is set
+    # by the discretization alone; a Delta_m that is not symmetric in the
+    # r dr weights drifts at O(h^2), -5e-6 to -1.6e-5 on this grid
+    s = 1e-2
+    g = build_grid(1e-6, 1e2, 3072)
+    rec = evolve(sample_Q(BubbleProfile(m, s=s), g), m, t_end=50 * s**2,
+                 stepper=StepperConfig(dt=s**2 / 20), sample_every=5 * s**2)
+    assert rec.status == STATUS_GLOBAL
+    slope = np.polyfit(rec.times, np.square(rec.scale_estimates), 1)[0]
+    assert abs(0.5 * slope) <= 1e-7
+
+
 def test_monitor_accumulates(default_grid):
     u0 = RadialField(default_grid, 1.5 * gaussian_bump(default_grid))
     rec = evolve(u0, 2, t_end=0.2, stepper=StepperConfig(dt=1e-3),

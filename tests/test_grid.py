@@ -94,27 +94,60 @@ def test_derivative_second_order():
 
 @pytest.mark.parametrize("n", [16, 257])
 def test_derivative_matches_row_stencils(n):
-    # reference assembled row by row: centered interior rows, one-sided
-    # second-order rows at both ends; the arithmetic is the same, so the
-    # columns of derivative and the rows of derivative_adjoint (one unit
-    # vector each) must agree with it exactly
+    # reference assembled row by row from the closed forms in q = e^h:
+    # centered interior rows (d_{i+1/2} + q^2 d_{i-1/2}) / ((q^2 - 1) r_i),
+    # one-sided second-order rows at both ends; the arithmetic is the same,
+    # so the columns of derivative and the rows of derivative_adjoint (one
+    # unit vector each) must agree with it exactly
     g = build_grid(1e-3, 1e2, n)
-    r = g.nodes
-    cm, c0, cp = g.derivative_coeffs()
+    r, h = g.nodes, g.log_step
+    q = np.exp(h)
+    q2 = q * q
     ref = np.zeros((n, n))
     for i in range(1, n - 1):
-        ref[i, i - 1:i + 2] = (cm[i], c0[i], cp[i])
-    h1, h2 = r[1] - r[0], r[2] - r[1]
-    ref[0, :3] = (-(2 * h1 + h2) / (h1 * (h1 + h2)), (h1 + h2) / (h1 * h2),
-                  -h1 / (h2 * (h1 + h2)))
-    g1, g2 = r[-1] - r[-2], r[-2] - r[-3]
-    ref[-1, -3:] = (g1 / (g2 * (g1 + g2)), -(g1 + g2) / (g1 * g2),
-                    (2 * g1 + g2) / (g1 * (g1 + g2)))
+        c = 1.0 / (np.expm1(2 * h) * r[i])
+        ref[i, i - 1:i + 2] = (-q2 * c, (q2 - 1.0) * c, c)
+    ref[0, :3] = np.array([-(q + 2) / (q + 1), (q + 1) / q,
+                           -1 / (q * (q + 1))]) / (np.expm1(h) * r[0])
+    ref[-1, -3:] = np.array([q**3 / (q + 1), -q * (q + 1),
+                             q * (2 * q + 1) / (q + 1)]) / (np.expm1(h) * r[-1])
     unit = np.eye(n)
     cols = np.column_stack([g.derivative(e) for e in unit])
     assert np.array_equal(cols, ref)
     rows = np.column_stack([g.derivative_adjoint(e) for e in unit])
     assert np.array_equal(rows, ref.T)
+    # in exact arithmetic these are the 3-point formulas on the nodes,
+    # built from node differences h_- = r_i - r_{i-1}, h_+ = r_{i+1} - r_i
+    hm, hp = np.diff(r)[:-1], np.diff(r)[1:]
+    nodal = np.zeros((n, n))
+    for i in range(1, n - 1):
+        a, b = hm[i - 1], hp[i - 1]
+        nodal[i, i - 1:i + 2] = (-b / (a * (a + b)), (b - a) / (a * b),
+                                 a / (b * (a + b)))
+    h1, h2 = r[1] - r[0], r[2] - r[1]
+    nodal[0, :3] = (-(2 * h1 + h2) / (h1 * (h1 + h2)), (h1 + h2) / (h1 * h2),
+                    -h1 / (h2 * (h1 + h2)))
+    g1, g2 = r[-1] - r[-2], r[-2] - r[-3]
+    nodal[-1, -3:] = (g1 / (g2 * (g1 + g2)), -(g1 + g2) / (g1 * g2),
+                      (2 * g1 + g2) / (g1 * (g1 + g2)))
+    band = nodal != 0.0
+    assert np.array_equal(band, ref != 0.0)
+    assert np.max(np.abs(ref[band] / nodal[band] - 1.0)) <= 1e-11
+
+
+@pytest.mark.parametrize("m", [1, 4])
+@pytest.mark.parametrize("r_min,r_max,n", [(1e-3, 1e2, 16),
+                                           (1e-4, 1e3, 2048),
+                                           (1e-6, 1e2, 3072)])
+def test_delta_m_interior_symmetric_in_weights(m, r_min, r_max, n):
+    # w_i (Delta_m)_{i,i+1} = w_{i+1} (Delta_m)_{i+1,i} between interior
+    # rows: the operator is symmetric in the r dr inner product there
+    g = build_grid(r_min, r_max, n)
+    sub, _, sup = g.operator_bands(1.0, float(m * m))
+    w = g.weights
+    upper = w[1:n - 2] * sup[1:n - 2]
+    lower = w[2:n - 1] * sub[2:n - 1]
+    assert np.max(np.abs(upper / lower - 1.0)) <= 1e-13
 
 
 def _delta_m_error(m, n):

@@ -328,6 +328,15 @@ def test_cli_check_and_run(tmp_path):
     assert (tmp_path / "fast_trajectory.csv").exists()
 
 
+def test_cli_check_accepts_near_bubble_data(tmp_path):
+    # Q + 0.001 h^3 for m = 4 on the default grid: its quadrature energy,
+    # 7.99973, is below E(Q) = 8 by quadrature error only
+    path = tmp_path / "near_bubble.cfg"
+    path.write_text("m = 4\nic_family = e1_excited\nic_s0 = 1\n"
+                    "ic_sigma = 3\nic_A = 0.001\n")
+    assert cli_main(["check", str(path)]) == 0
+
+
 def _nan_samples(tmp_path):
     """A custom_samples file with one NaN in its u column."""
     r = np.geomspace(1e-3, 1e2, 50)
