@@ -11,16 +11,70 @@ Operators are closed with geometric ghost nodes at both ends.  The outer
 ghost carries Dirichlet data.  The inner ghost follows the regular power
 law r^p at the origin (p = m for the degree-m operator), or is zero for
 operators without an inverse-square term.
+
+Shifted systems are solved by LAPACK ``dgtsv``.  The routine is taken from
+the OpenBLAS that numpy (>= 2) wheels bundle, found as the symbol
+``scipy_dgtsv_64_`` through ``numpy.linalg._umath_linalg``'s shared library,
+so ``import hmflow`` loads numpy and no scipy module.  Where that module or
+symbol is missing (numpy 1.x wheels, numpy built on a system LAPACK) the
+backend is ``scipy.linalg.lapack.dgtsv``, imported once when this module is.
+Both give the same bits.
 """
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .errors import ConfigurationError, ContractViolation
+
+
+def _openblas_gtsv():
+    """The ``dgtsv`` backend on numpy's bundled OpenBLAS (64-bit integers),
+    or None when numpy carries no such library."""
+    try:
+        from numpy.linalg import _umath_linalg
+        fn = ctypes.CDLL(_umath_linalg.__file__).scipy_dgtsv_64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    fn.argtypes = [ctypes.c_void_p] * 8
+    fn.restype = None
+    sizes = {}  # n -> (n, nrhs, ldb); dgtsv only reads them
+
+    def gtsv(buf, n):
+        try:
+            size = sizes[n]
+        except KeyError:
+            size = sizes.setdefault(n, (ctypes.c_int64 * 3)(n, 1, n))
+        s = ctypes.addressof(size)
+        a = ctypes.addressof(ctypes.c_char.from_buffer(buf))
+        info = ctypes.c_int64()
+        fn(s, s + 8, a, a + 8 * (n - 1), a + 8 * (2 * n - 1),
+           a + 8 * (3 * n - 2), s + 16, ctypes.addressof(info))
+        return buf[3 * n - 2:], info.value
+
+    return gtsv
+
+
+def _scipy_gtsv():
+    """The ``dgtsv`` backend on ``scipy.linalg.lapack``."""
+    from scipy.linalg.lapack import dgtsv
+
+    def gtsv(buf, n):
+        *_, u, info = dgtsv(buf[:n - 1], buf[n - 1:2 * n - 1],
+                            buf[2 * n - 1:3 * n - 2], buf[3 * n - 2:],
+                            overwrite_dl=1, overwrite_d=1, overwrite_du=1,
+                            overwrite_b=1)
+        return u, info
+
+    return gtsv
+
+
+# _gtsv(buf, n) solves the system packed in buf as dl | d | du | b and
+# returns (solution, info); dgtsv overwrites all of buf
+_gtsv = _openblas_gtsv() or _scipy_gtsv()
 
 
 class RadialGrid:
@@ -129,7 +183,12 @@ class RadialGrid:
 
         The shifted bands of the latest (alpha, advection, inv_square) are
         kept, one entry only: a run's step size moves only on rejections
-        and regrowth.
+        and regrowth.  Each call packs the bands and the right side into
+        one new buffer for LAPACK ``dgtsv``, which overwrites it, so the
+        cached bands are never written; the routine comes from numpy's
+        bundled OpenBLAS, or from ``scipy.linalg.lapack`` where numpy has
+        none (see the module docstring).  Raises ``numpy.linalg.LinAlgError``
+        when the system is singular.
         """
         key = (alpha, advection, inv_square)
         cached = self._cache.get("shifted")
@@ -139,17 +198,21 @@ class RadialGrid:
                       -alpha * sup[:-1], alpha * sup[-1])
             self._cache["shifted"] = cached
         _, dl, d, du, ghost_coeff = cached
-        # dgtsv overwrites its bands, so it gets copies of the cached ones
-        d = d.copy() if potential is None else d - alpha * potential
-        b = np.array(rhs, dtype=float)
+        d = d if potential is None else d - alpha * potential
+        n = self.n
+        buf = np.concatenate((dl, d, du, rhs), dtype=float)
+        if buf.shape != (4 * n - 2,):
+            # dgtsv is handed addresses into buf
+            raise ContractViolation(
+                "rhs and potential need one value per node")
         if ghost_outer != 0.0:
-            b[-1] += ghost_coeff * ghost_outer
-        *_, u, info = dgtsv(dl.copy(), d, du.copy(), b,
-                            overwrite_dl=1, overwrite_d=1, overwrite_du=1,
-                            overwrite_b=1)
+            buf[-1] += ghost_coeff * ghost_outer
+        u, info = _gtsv(buf, n)
         if info > 0:
             raise np.linalg.LinAlgError("singular shifted operator")
-        return u
+        # u is a view of buf; a copy keeps a stored solution from holding
+        # the bands too
+        return u.copy()
 
     def _derivative_rows(self):
         """The 3-point first-derivative stencil on the r nodes, in closed

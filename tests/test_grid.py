@@ -1,8 +1,15 @@
+import json
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hmflow
+from hmflow import grid as grid_module
 from hmflow.errors import ConfigurationError, ContractViolation
 from hmflow.grid import (RadialField, apply_delta_m, build_grid, differentiate,
                          origin_exponent, solve_helmholtz)
@@ -222,3 +229,83 @@ def test_shifted_band_cache_matches_fresh_grid():
     # consecutive calls share a key, so bands dgtsv had overwritten in
     # the cache would have shown above
     assert np.array_equal(rhs, np.exp(-g.nodes) * np.sin(g.nodes))
+
+
+def _dgtsv_backend(name):
+    """A fresh dgtsv backend; the OpenBLAS one only where numpy bundles it."""
+    backend = getattr(grid_module, f"_{name}_gtsv")()
+    if backend is None:
+        pytest.skip("numpy bundles no OpenBLAS with scipy_dgtsv_64_")
+    return backend
+
+
+@pytest.mark.parametrize("n", [16, 512, 2048, 8192])
+def test_dgtsv_backends_give_the_same_bits(n, monkeypatch):
+    g = build_grid(1e-4, 1e3, n)
+    rhs = np.exp(-g.nodes) * np.sin(g.nodes)
+    pot = 2.0 / (1.0 + g.nodes**2)
+    solutions = {}
+    for name in ("openblas", "scipy"):
+        monkeypatch.setattr(grid_module, "_gtsv", _dgtsv_backend(name))
+        solutions[name] = [g.solve_shifted(rhs, 1e-2, 1.0, 4.0, ghost,
+                                           potential=p)
+                           for p in (None, pot) for ghost in (0.0, -np.pi)]
+    for a, b in zip(solutions["openblas"], solutions["scipy"]):
+        assert np.isfinite(a).all()
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("backend", ["openblas", "scipy"])
+def test_singular_shifted_system_raises_on_each_backend(backend, monkeypatch):
+    monkeypatch.setattr(grid_module, "_gtsv", _dgtsv_backend(backend))
+    # alpha = 1 and potential = 1 - diag zero the diagonal exactly; a
+    # tridiagonal matrix with zero diagonal and odd order is singular
+    g = build_grid(1e-3, 1e2, 17)
+    _, diag, _ = g.operator_bands(1.0, 4.0)
+    with pytest.raises(np.linalg.LinAlgError):
+        g.solve_shifted(np.ones(17), 1.0, 1.0, 4.0, potential=1.0 - diag)
+
+
+def test_solve_shifted_rejects_rhs_of_wrong_length():
+    # dgtsv gets addresses into one buffer sized from the grid
+    g = build_grid(1e-3, 1e2, 32)
+    for rhs in (np.ones(31), np.ones(33)):
+        with pytest.raises(ContractViolation):
+            g.solve_shifted(rhs, 1e-2, 1.0, 4.0)
+
+
+_IMPORT_PROBE = """
+import ctypes, json, sys
+sys.path.insert(0, sys.argv[1])
+if sys.argv[2] == "no-symbol":
+    # a numpy whose linalg library lacks scipy_dgtsv_64_ (numpy 1.x wheels)
+    ctypes.CDLL = lambda path: object()
+import hmflow
+print(json.dumps([hmflow.grid._gtsv.__qualname__.split(".")[0],
+                  sorted(k for k in sys.modules if k.split(".")[0] == "scipy")]))
+"""
+
+
+def _import_in_fresh_interpreter(mode):
+    src = str(Path(hmflow.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, src, mode],
+                         check=True, capture_output=True, text=True).stdout
+    return json.loads(out)
+
+
+def _public_scipy_subpackages(modules):
+    return {k.split(".")[1] for k in modules
+            if "." in k and not k.split(".")[1].startswith("_")}
+
+
+@pytest.mark.parametrize("mode", ["default", "no-symbol"])
+def test_import_loads_scipy_only_for_the_fallback_backend(mode):
+    backend, scipy_modules = _import_in_fresh_interpreter(mode)
+    if mode == "no-symbol":
+        assert backend == "_scipy_gtsv"
+    if backend == "_openblas_gtsv":
+        assert scipy_modules == []
+    else:
+        assert "scipy.linalg" in scipy_modules
+        assert _public_scipy_subpackages(scipy_modules) <= {"linalg",
+                                                            "version"}

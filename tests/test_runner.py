@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import tempfile
@@ -309,6 +310,34 @@ def test_sweep_process_pool_matches_serial(tmp_path):
     assert pooled == serial
     assert ((tmp_path / "pool" / "sweep.csv").read_bytes()
             == (tmp_path / "serial" / "sweep.csv").read_bytes())
+
+
+def test_sweep_pool_starts_no_more_workers_than_points(tmp_path, monkeypatch):
+    # a stand-in executor records the pool size and runs the points in
+    # this process, so no worker is started
+    sizes = []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingExecutor)
+    base = dict(FAST, t_end="0.01")
+    rows = sweep(base, [("m", ["2", "3"])], str(tmp_path), threads=8)
+    assert sizes == [2]
+    assert [row["status"] for row in rows] == ["Global", "Global"]
+    sweep(base, [("m", ["2", "3", "4"])], str(tmp_path), threads=2)
+    assert sizes == [2, 2]
 
 
 # ---- CLI -----------------------------------------------------------------
