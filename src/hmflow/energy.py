@@ -1,7 +1,9 @@
 """Energies, norms, sector classification and concentration monitors.
 
-All integrals are against the measure r dr on the half-line.  The degree m
-enters every functional and is passed explicitly (fields do not carry it).
+Every energy is the discrete E_h of ``node_energies``, whose exact gradient
+in the r dr weights is the discrete Delta_m + F that the flow steps; norms
+integrate against r dr.  The degree m enters every functional and is passed
+explicitly (fields do not carry it).
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from .bubble import BubbleProfile, sample_Q
 from .errors import ContractViolation, SectorError
 from .grid import RadialField, RadialGrid, differentiate
 
@@ -33,49 +36,62 @@ class SectorClass:
     delta1: Optional[float] = None  # margin 2 E(Q) - E(u) for E0 data
 
 
-def energy_density(grid: RadialGrid, offset: np.ndarray,
-                   m: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dirichlet and potential halves of the energy density at the nodes,
-    u_r^2 / 2 and m^2 sin^2(u) / (2 r^2), and the sine of the offset.
-
-    Takes the offset u - inner_limit: it has the derivative and sin^2 of u,
-    since the two differ by 0 or pi.  Every energy in the package (the
-    breakdown, its windows, the exterior energy, the evolve gate and the
-    half-energy radius) integrates these two halves, so they all agree to
-    the last digit.  The sine of the offset is +-sin(u); it is returned for
-    the next IMEX1 step, whose F'(u) uses only its square.
+def node_energies(grid: RadialGrid, offset: np.ndarray, m: int,
+                  inner: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dirichlet and potential halves of E_h at the nodes, and the sine of
+    the offset v = u - inner.  With h the log step and tw the trapezoid
+    weights in x = ln r,
+        E_h = sum_i (v_{i+1} - v_i)^2 / (2h) + (m/2) v_0^2
+              + (m/2) (v_{n-1} + inner)^2 + sum_i tw_i m^2 sin^2(v_i) / 2.
+    Each edge gives half its energy to each end; the tails (r^m law inside
+    r_0, r^-m law outside r_{n-1}) are split evenly between the halves, as
+    in the continuum.  Every energy in the package sums these node energies,
+    so all agree to the last digit.  The sine, +-sin(u), is for the next
+    IMEX1 step's F'(u).  Operations are in place: this runs every trial.
     """
-    u_r = grid.derivative(offset)
+    edge = np.diff(offset)
+    edge *= edge
+    edge *= 0.25 / grid.log_step
+    dir_e = np.empty(grid.n)
+    dir_e[:-1] = edge
+    dir_e[-1] = 0.0
+    dir_e[1:] += edge
     sin_off = np.sin(offset)
-    return 0.5 * u_r**2, 0.5 * (m * sin_off / grid.nodes) ** 2, sin_off
+    pot_e = sin_off * sin_off
+    pot_e *= grid._trapz_log
+    pot_e *= 0.5 * m * m
+    tail0 = 0.25 * m * offset[0].item() ** 2
+    tail1 = 0.25 * m * (offset[-1].item() + inner) ** 2
+    for e in (dir_e, pot_e):
+        e[0] += tail0
+        e[-1] += tail1
+    return dir_e, pot_e, sin_off
 
 
-def integrate_density(grid: RadialGrid, dir_dens: np.ndarray,
-                      pot_dens: np.ndarray) -> EnergyBreakdown:
-    """Breakdown of the two density halves of ``energy_density`` against
-    the r dr weights."""
-    dirichlet = float(np.dot(grid.weights, dir_dens))
-    potential = float(np.dot(grid.weights, pot_dens))
+def integrate_density(dir_e: np.ndarray, pot_e: np.ndarray) -> EnergyBreakdown:
+    """Breakdown of the two halves of ``node_energies``."""
+    dirichlet, potential = float(dir_e.sum()), float(pot_e.sum())
     return EnergyBreakdown(dirichlet + potential, dirichlet, potential)
 
 
 def energy(field: RadialField, m: int,
            r1: Optional[float] = None, r2: Optional[float] = None) -> EnergyBreakdown:
-    """Energy (u_r^2 + m^2 sin^2 u / r^2)/2 integrated over r dr.
+    """The discrete energy E_h of ``node_energies``, which approximates
+    (u_r^2 + m^2 sin^2 u / r^2)/2 integrated over r dr.
 
-    With r1/r2 given, additionally reports the energy restricted to nodes in
+    With r1/r2 given, additionally reports the energy of the nodes in
     [r1, r2); windows built from half-open node masks add up exactly.
     """
     g = field.grid
-    dir_dens, pot_dens, _ = energy_density(g, field.offset, m)
-    out = integrate_density(g, dir_dens, pot_dens)
+    dir_e, pot_e, _ = node_energies(g, field.offset, m, field.inner_limit)
+    out = integrate_density(dir_e, pot_e)
     if r1 is not None or r2 is not None:
         lo = 0.0 if r1 is None else r1
         hi = np.inf if r2 is None else r2
         if not lo < hi:
             raise ContractViolation(f"need r1 < r2, got {lo}, {hi}")
         mask = (g.nodes >= lo) & (g.nodes < hi)
-        ew = float(np.dot(g.weights[mask], dir_dens[mask] + pot_dens[mask]))
+        ew = float(np.sum(dir_e[mask] + pot_e[mask]))
         out.window = (lo, hi, ew)
     return out
 
@@ -114,7 +130,8 @@ def classify(field: RadialField, m: int) -> SectorClass:
     sector requires E < 4m with inner limit 0; the degree-m sector requires
     E <= 6m with inner limit pi.  Every degree-m map has E >= 2m (the
     Bogomolny bound), so the sector has no lower edge: one would reject
-    only quadrature error, which puts an exact bubble just below 2m.
+    only discretization error, which puts E_h of an exact bubble just below
+    2m (the trapezoid rule underestimates the potential of the concave sin).
     """
     e = energy(field, m).total
     eq = 2.0 * m
@@ -168,17 +185,35 @@ def pointwise_bound_check(field: RadialField, m: int, delta1: float):
     return delta2, ok
 
 
-def topological_bound_gap(field: RadialField, m: int) -> float:
-    """E(u) - 2 |degree|, the gap in the topological energy lower bound.
+def _half_turn_radius(g: RadialGrid, off: np.ndarray) -> float:
+    """Radius where the angle pi + off first drops through pi/2,
+    log-interpolated; NaN where the grid shows no such crossing."""
+    below = off < -0.5 * np.pi
+    if not below.any() or below[0]:
+        return np.nan
+    i = int(np.argmax(below))
+    v0, v1 = off[i - 1], off[i]
+    w = (v0 + 0.5 * np.pi) / (v0 - v1)
+    return float(np.exp((1 - w) * np.log(g.nodes[i - 1]) + w * np.log(g.nodes[i])))
 
-    The degree m (cos u(inf) - cos u(0)) / 2 is m for inner limit pi and 0
-    for inner limit 0, since u tends to 0 at infinity.  Equals the
-    Bogomolny integral (1/2) integral (u_r +/- (m/r) sin u)^2 r dr up to
-    quadrature error.
+
+def topological_bound_gap(field: RadialField, m: int) -> float:
+    """E_h(u) - E_h(Q^s), the gap in the topological energy lower bound.
+
+    For degree-m data (inner limit pi) the bound is the energy of the
+    bubble, E(Q) = 2m in the continuum; on the grid it is E_h of the bubble
+    Q^s sampled at the field's half-turn radius s (the grid's geometric
+    mid-point when the field has none), since E_h(Q^s) differs from 2m by
+    discretization error.  Zero-degree data has degree 0 and gap E_h(u).
     """
-    degree = m if field.inner_limit == np.pi else 0
+    g = field.grid
     e_tot = energy(field, m).total
-    gap = e_tot - 2.0 * degree
+    gap = e_tot
+    if field.inner_limit == np.pi:
+        s = _half_turn_radius(g, field.offset)
+        if not np.isfinite(s):
+            s = float(np.sqrt(g.r_min * g.r_max))
+        gap = e_tot - energy(sample_Q(BubbleProfile(m, s), g), m).total
     if gap < -1e-6 * max(e_tot, 1.0):
         raise ContractViolation(f"topological bound violated: gap = {gap}")
     return gap
@@ -197,5 +232,5 @@ def exterior_energy(field: RadialField, m: int, R: float) -> float:
     if not (g.r_min < R < g.r_max):
         raise ContractViolation(f"R = {R} outside ({g.r_min}, {g.r_max})")
     psi = smoothstep(g.nodes / R - 1.0)
-    dir_dens, pot_dens, _ = energy_density(g, field.offset, m)
-    return float(np.dot(g.weights, psi * (dir_dens + pot_dens)))
+    dir_e, pot_e, _ = node_energies(g, field.offset, m, field.inner_limit)
+    return float(np.dot(psi, dir_e + pot_e))

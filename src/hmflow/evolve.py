@@ -11,14 +11,15 @@ and the offset vanishes like r^m at the origin: the singular
 m^2 * inner_limit / r^2 contributions of Delta_m and F cancel analytically
 and are never formed.
 
-Step-size control is tied to the flow's defining monotonicity: any discrete
-energy increase beyond rounding is treated as a step failure, the step is
-shrunk and retried.  For degree-m data a step is also retried when the
-bubble's half-turn radius falls too far in one step, and a sample is taken
-each time that radius falls by a fixed fraction of a decade, so the step
-size and the sampling follow a collapse.  Persistent failure at the floor
-step size together with concentration below the resolvable scale is
-declared blow-up.
+Step-size control is tied to the flow's defining monotonicity: Delta_m + F
+is the exact gradient of the discrete energy E_h (``energy.node_energies``),
+which the gate, the ledger and every report read, and any increase of E_h
+beyond rounding fails the step, which is shrunk and retried.  For degree-m
+data a step is also retried when the bubble's half-turn radius falls too far
+in one step, and a sample is taken each time that radius falls by a fixed
+fraction of a decade, so the step size and the sampling follow a collapse.
+A failure at the floor step size ends the run (a retry would repeat the same
+solve): as blow-up when concentrated below the resolvable scale, else abort.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from typing import List, Optional
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolation
-from .energy import EnergyBreakdown, energy_density, integrate_density
+from .energy import (EnergyBreakdown, _half_turn_radius, integrate_density,
+                     node_energies)
 from .grid import RadialField, RadialGrid
 
 STATUS_GLOBAL = "Global"
@@ -113,7 +115,7 @@ def _step_offset(grid: RadialGrid, off: np.ndarray, sin_off: np.ndarray,
                  m: int, coeffs, dt: float, scheme: str,
                  ghost_outer: float) -> np.ndarray:
     """One step of the offset off; sin_off is its sine (the third array of
-    ``energy_density``), which is +-sin(u) and enters only squared, and
+    ``node_energies``), which is +-sin(u) and enters only squared, and
     coeffs is ``_rate_coeffs(grid, m)``."""
     msq = float(m * m)
     coef, fp_coef = coeffs
@@ -131,7 +133,8 @@ def _step_offset(grid: RadialGrid, off: np.ndarray, sin_off: np.ndarray,
 
 
 def step(field: RadialField, m: int, config: StepperConfig) -> RadialField:
-    """One IMEX step; boundary offsets held at the sector values."""
+    """One IMEX step, closed by the tail laws of the sector (the offset
+    vanishes at the origin and tends to -inner_limit at infinity)."""
     g = field.grid
     off = _step_offset(g, field.offset, np.sin(field.offset), m,
                        _rate_coeffs(g, m), config.dt, config.scheme,
@@ -139,26 +142,13 @@ def step(field: RadialField, m: int, config: StepperConfig) -> RadialField:
     return RadialField(g, off, field.inner_limit)
 
 
-def _half_turn_radius(g: RadialGrid, off: np.ndarray) -> float:
-    """Radius where the angle pi + off first drops through pi/2,
+def _half_energy_radius(g: RadialGrid, node_e: np.ndarray) -> float:
+    """Radius enclosing half the sum of the node energies node_e,
     log-interpolated."""
-    below = off < -0.5 * np.pi
-    if not below.any() or below[0]:
-        return np.nan
-    i = int(np.argmax(below))
-    v0, v1 = off[i - 1], off[i]
-    w = (v0 + 0.5 * np.pi) / (v0 - v1)
-    return float(np.exp((1 - w) * np.log(g.nodes[i - 1]) + w * np.log(g.nodes[i])))
-
-
-def _half_energy_radius(g: RadialGrid, dens: np.ndarray) -> float:
-    """Radius enclosing half the energy of the nodal density dens,
-    log-interpolated."""
-    dens = g.weights * dens
-    total = float(dens.sum())
+    total = float(node_e.sum())
     if total <= 0.0:
         return np.nan
-    cum = np.cumsum(dens)
+    cum = np.cumsum(node_e)
     i = int(np.searchsorted(cum, 0.5 * total))
     if i == 0:
         return float(g.nodes[0])
@@ -176,8 +166,8 @@ def scale_estimate(field: RadialField, m: int) -> float:
     g = field.grid
     if field.inner_limit == np.pi:
         return _half_turn_radius(g, field.offset)
-    dir_dens, pot_dens, _ = energy_density(g, field.offset, m)
-    return _half_energy_radius(g, dir_dens + pot_dens)
+    dir_e, pot_e, _ = node_energies(g, field.offset, m, field.inner_limit)
+    return _half_energy_radius(g, dir_e + pot_e)
 
 
 def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
@@ -198,11 +188,11 @@ def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
     half-turn radius falls by more than MAX_LOG_SCALE_FALL in ln is retried
     at a smaller step.
 
-    Each trial step works on plain arrays: one energy density per trial
-    serves the energy gate, the sine in the next IMEX1 step's F' and, once
-    the step is accepted, the scale estimate; fields are built only for the
-    samples.  A zero-degree half-energy radius is computed after a step
-    only when it can lie below scale_floor, and otherwise when it is
+    Each trial step works on plain arrays: one set of node energies per
+    trial serves the energy gate, the sine in the next IMEX1 step's F' and,
+    once the step is accepted, the scale estimate; fields are built only
+    for the samples.  A zero-degree half-energy radius is computed after a
+    step only when it can lie below scale_floor, and otherwise when it is
     recorded.  The recorded energies and scale estimates equal energy() and
     scale_estimate() of the sampled fields exactly.
     """
@@ -219,17 +209,17 @@ def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
             f"scale_floor must be positive and finite, got {scale_floor}")
 
     rec = TrajectoryRecord(m, g)
-    # the current state: its offset from the inner limit and its energy
-    # density; no array is ever written in place, so samples may share them
+    inner = field.inner_limit
+    # the current state: its offset from the inner limit and its node
+    # energies; no array is ever written in place, so samples may share them
     off = field.offset.copy()
-    dens_cur = energy_density(g, off, m)
-    e_cur = integrate_density(g, dens_cur[0], dens_cur[1])
+    dens_cur = node_energies(g, off, m, inner)
+    e_cur = integrate_density(dens_cur[0], dens_cur[1])
     e_tol = ENERGY_INCREASE_TOL * max(e_cur.total, 1e-30)
     # the sum of the discrete identity E(u0) = E(u(t)) + dissipated
     dissipated = 0.0
     # running integral of ||u/r||_L4^4 dt; samples record its fourth root
     l4_integral = 0.0
-    inner = field.inner_limit
     # scale estimate of the current state; None marks a zero-degree state
     # whose half-energy radius is known to lie above scale_floor
     s_cur = scale_estimate(field, m)
@@ -259,14 +249,12 @@ def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
     # prefix sum and the total are summed in another order than in
     # _half_energy_radius, hence the relative margin
     n_floor = int(np.searchsorted(g.nodes, scale_floor, side="right")) + 2
-    w_floor = g.weights[:n_floor]
     half_margin = 0.5 * (1.0 - 1e-9)
 
     t = 0.0
     dt = stepper.dt
     next_sample = sample_every
     accepted_streak = 0
-    floor_failures = 0
     pinned_concentrated = 0
     ghost_outer = field.outer_ghost_offset()
     l4_weights = g.weights / g.nodes**4
@@ -279,8 +267,8 @@ def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
         finite = bool(np.isfinite(new_off).all())
         ok = finite
         if finite:
-            dens = energy_density(g, new_off, m)
-            e_new = integrate_density(g, dens[0], dens[1])
+            dens = node_energies(g, new_off, m, inner)
+            e_new = integrate_density(dens[0], dens[1])
             ok = e_new.total <= e_cur.total + e_tol
         if ok and degree_m:
             s_new = _half_turn_radius(g, new_off)
@@ -288,23 +276,16 @@ def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
                 ok = not (s_new < min_fall * s_cur)
 
         if not ok:
-            if not finite and dt <= stepper.dt_floor:
-                rec.status = STATUS_ABORTED
-                break
             if dt > stepper.dt_floor:
                 dt = max(dt * STEP_SHRINK, stepper.dt_floor)
                 accepted_streak = 0
                 continue
-            floor_failures += 1
-            if floor_failures >= 3:
-                s = current_scale()
-                concentrated = np.isfinite(s) and s < scale_floor
-                rec.status = STATUS_BLOWUP if concentrated else STATUS_ABORTED
-                break
-            continue
+            s = current_scale() if finite else np.nan
+            concentrated = np.isfinite(s) and s < scale_floor
+            rec.status = STATUS_BLOWUP if concentrated else STATUS_ABORTED
+            break
 
         # accepted
-        floor_failures = 0
         du = new_off - off
         dissipated += float(np.dot(g.weights, du * du)) / dt_try
         # squares, not new_off**4: a power of a negative base takes the
@@ -318,7 +299,7 @@ def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
 
         if degree_m:
             s_cur = s_new
-        elif (np.dot(w_floor, dens[0][:n_floor] + dens[1][:n_floor])
+        elif (np.sum(dens[0][:n_floor] + dens[1][:n_floor])
               >= half_margin * e_cur.total):
             s_cur = _half_energy_radius(g, dens[0] + dens[1])
         else:

@@ -4,13 +4,13 @@ finite-difference operators built on it.
 The grid is log-uniform: r_i = r_min * (r_max/r_min)^(i/(n-1)).  Quadrature
 against the measure r dr (or r^p dr) is trapezoid rule in the log variable,
 which is second order in the log spacing.  Every stencil is written in
-x = ln r, where the nodes are uniform and the node ratio q = e^h is one
-constant: the operators are centered 3-point formulas in x, the first
-derivative is the exact 3-point formula on the r nodes in closed form.
-Operators are closed with geometric ghost nodes at both ends.  The outer
-ghost carries Dirichlet data.  The inner ghost follows the regular power
-law r^p at the origin (p = m for the degree-m operator), or is zero for
-operators without an inverse-square term.
+x = ln r, where the nodes are uniform: the operators are centered 3-point
+formulas in x, and so is the first derivative, with one-sided 3-point rows
+at the ends.  Both end rows of the degree-m operator come from the exact
+energies of the tails beyond the grid (the r^m law inside r_min, the r^-m
+law outside r_max), which makes it the gradient of the discrete energy the
+package reports; operators without an inverse-square term are closed by
+zero ghost values.
 
 Shifted systems are solved by LAPACK ``dgtsv``.  The routine is taken from
 the OpenBLAS that numpy (>= 2) wheels bundle, found as the symbol
@@ -106,6 +106,8 @@ class RadialGrid:
         self._trapz_log = tw
         # weights for  integral f(r) r dr  =  integral f e^{2x} dx
         self.weights = tw * self.nodes**2
+        # 1/(2h r_i), the scale of every first-derivative row
+        self._inv_2hr = 0.5 / (self.log_step * self.nodes)
         self._cache: dict = {}
 
     def integrate(self, samples: np.ndarray, power: int = 1) -> float:
@@ -130,19 +132,22 @@ class RadialGrid:
         """Bands (sub, diag, sup) of  d^2/dr^2 + (advection/r) d/dr - inv_square/r^2.
 
         In x = ln r the operator is r^-2 (d_x^2 + (advection - 1) d_x -
-        inv_square), and row i is its centered 3-point form:
+        inv_square), and interior row i is its centered 3-point form:
         r_i^-2 [(v_{i+1} - 2 v_i + v_{i-1})/h^2
                 + (advection - 1)(v_{i+1} - v_{i-1})/(2h) - inv_square v_i].
-        advection = 1, inv_square = m^2 gives the singular radial operator
-        of degree m, whose interior is symmetric in the r dr weights;
         advection = d-1, inv_square = 0 gives the radial Laplacian in d
-        dimensions.  Row n-1's sup entry multiplies the outer ghost value.
-        The inner closure is folded into row 0's diagonal: for
-        inv_square > 0 the regular solution vanishes like r^p at the
-        origin, p > 0 the root of p^2 + (advection - 1) p = inv_square
-        (p = m for degree m), so the ghost value at r_0/q is q^(-p) v_0;
-        for inv_square = 0 the ghost value is 0.  Row 0's sub entry is the
-        ghost coefficient and is not used by the operator.
+        dimensions, closed by zero ghost values at both ends.
+
+        inv_square = m^2 > 0 (with advection 1) gives the singular operator
+        of degree m.  Its end rows are the gradients of the tail energies
+        (m/2) v_0^2 (r^m law inside r_0) and (m/2) (v_{n-1} - ghost)^2 (r^-m
+        law outside r_{n-1}, ghost the offset at infinity): row 0 is
+        r_0^-2 [2 (v_1 - v_0)/h^2 - (2m/h + m^2) v_0], row n-1 is
+        r^-2 [2 (v_{n-2} - v_{n-1})/h^2 - (2m/h + m^2) v_{n-1} + (2m/h) ghost].
+        So w_i (Op v + F(v))_i = -dE_h/dv_i for E_h of
+        ``energy.node_energies`` and w the r dr weights; Op is symmetric in
+        w.  Row n-1's sup entry multiplies the outer ghost value; row 0's
+        sub entry is not used.
         """
         key = ("bands", advection, inv_square)
         try:
@@ -156,14 +161,18 @@ class RadialGrid:
         diag = (-2.0 / h**2 - inv_square) * inv_r2
         sup = (1.0 / h**2 + 0.5 * a1 / h) * inv_r2
         if inv_square > 0:
-            p = 0.5 * (np.sqrt(a1 * a1 + 4.0 * inv_square) - a1)
-            diag[0] += sub[0] * np.exp(-p * h)
+            tail = 2.0 * np.sqrt(inv_square) / h
+            sup[0] *= 2.0
+            sub[-1] *= 2.0
+            diag[0] -= tail * inv_r2[0]
+            diag[-1] -= tail * inv_r2[-1]
+            sup[-1] = tail * inv_r2[-1]
         self._cache[key] = (sub, diag, sup)
         return sub, diag, sup
 
     def apply_operator(self, values, advection, inv_square, ghost_outer=0.0):
-        """Apply the 3-point operator with the inner closure of
-        ``operator_bands`` and the outer Dirichlet ghost value."""
+        """Apply the 3-point operator of ``operator_bands``, with
+        ghost_outer the outer ghost value."""
         sub, diag, sup = self.operator_bands(advection, inv_square)
         vm = np.concatenate(([0.0], values[:-1]))
         vp = np.concatenate((values[1:], [ghost_outer]))
@@ -171,8 +180,8 @@ class RadialGrid:
 
     def solve_shifted(self, rhs, alpha, advection, inv_square,
                       ghost_outer=0.0, potential=None):
-        """Solve (I - alpha*(Op + potential)) u = rhs, with the inner closure
-        of ``operator_bands`` and the outer Dirichlet ghost value; the
+        """Solve (I - alpha*(Op + potential)) u = rhs, with Op the operator
+        of ``operator_bands`` and ghost_outer its outer ghost value; the
         optional potential is a nodal array added to the diagonal of Op.
 
         For the degree-m operator without a potential and for alpha > 0
@@ -214,55 +223,29 @@ class RadialGrid:
         # the bands too
         return u.copy()
 
-    def _derivative_rows(self):
-        """The 3-point first-derivative stencil on the r nodes, in closed
-        form: the interior scale 1/((q^2 - 1) r_i) of rows 1..n-2, q^2,
-        and the one-sided second-order rows 0 and n-1 (no ghost data) as
-        tuples of Python floats.  q - 1 and q^2 - 1 are taken by expm1,
-        free of the cancellation in node differences."""
-        try:
-            return self._cache["drows"]
-        except KeyError:
-            pass
-        h, r = self.log_step, self.nodes
-        q = np.exp(h)
-        first = np.array([-(q + 2) / (q + 1), (q + 1) / q, -1 / (q * (q + 1))])
-        last = np.array([q**3 / (q + 1), -q * (q + 1), q * (2 * q + 1) / (q + 1)])
-        rows = (1.0 / (np.expm1(2 * h) * r[1:-1]), q * q,
-                tuple((first / (np.expm1(h) * r[0])).tolist()),
-                tuple((last / (np.expm1(h) * r[-1])).tolist()))
-        self._cache["drows"] = rows
-        return rows
-
     def derivative(self, values: np.ndarray) -> np.ndarray:
-        """First derivative of nodal samples: centered 3-point interior
-        rows (d_{i+1/2} + q^2 d_{i-1/2}) / ((q^2 - 1) r_i) with d the node
-        differences, one-sided second-order rows at both ends."""
-        scale, q2, first, last = self._derivative_rows()
-        d = np.diff(values)
+        """First derivative of nodal samples in x = ln r, v_r = v_x / r:
+        centered rows (v_{i+1} - v_{i-1}) / (2h r_i), and the one-sided
+        second-order rows (-3 v_0 + 4 v_1 - v_2) / (2h r_0) and
+        (3 v_{n-1} - 4 v_{n-2} + v_{n-3}) / (2h r_{n-1})."""
         out = np.empty(self.n)
-        mid = out[1:-1]
-        np.multiply(d[:-1], q2, out=mid)
-        mid += d[1:]
-        mid *= scale
+        np.subtract(values[2:], values[:-2], out=out[1:-1])
         a, b, c = values[:3].tolist()
-        out[0] = first[0] * a + first[1] * b + first[2] * c
+        out[0] = 4.0 * b - 3.0 * a - c
         a, b, c = values[-3:].tolist()
-        out[-1] = last[0] * a + last[1] * b + last[2] * c
+        out[-1] = 3.0 * c - 4.0 * b + a
+        out *= self._inv_2hr
         return out
 
     def derivative_adjoint(self, values: np.ndarray) -> np.ndarray:
         """The transpose of ``derivative`` applied to nodal samples."""
-        scale, q2, first, last = self._derivative_rows()
-        z = scale * values[1:-1]
+        z = self._inv_2hr * values
         out = np.zeros(self.n)
-        out[:-2] = -q2 * z
-        out[1:-1] += (q2 - 1.0) * z
-        out[2:] += z
-        a = float(values[0])
-        out[:3] += (first[0] * a, first[1] * a, first[2] * a)
-        a = float(values[-1])
-        out[-3:] += (last[0] * a, last[1] * a, last[2] * a)
+        out[2:] += z[1:-1]
+        out[:-2] -= z[1:-1]
+        a, c = float(z[0]), float(z[-1])
+        out[:3] += (-3.0 * a, 4.0 * a, -a)
+        out[-3:] += (c, -4.0 * c, 3.0 * c)
         return out
 
     def __repr__(self):
@@ -278,7 +261,7 @@ class RadialField:
     for degree-m maps; in both sectors u tends to 0 at infinity.  The
     offset vanishes like r^m at the origin, so storing it (and not u) keeps
     it exact where it is far below ulp(pi); linear operators act on it, and
-    the inner ghost node carries that power law (see
+    the inner tail closure carries that power law (see
     ``RadialGrid.operator_bands``).
     """
 
@@ -303,8 +286,8 @@ class RadialField:
         return self.offset + self.inner_limit
 
     def outer_ghost_offset(self) -> float:
-        """The offset of u = 0 at infinity, the outer Dirichlet ghost
-        value; 0 - inner_limit is +0.0, not -0.0, for zero-degree data."""
+        """The offset of u = 0 at infinity, the outer ghost value of the
+        operators; 0 - inner_limit is +0.0, not -0.0, for zero-degree data."""
         return 0.0 - self.inner_limit
 
 
@@ -321,8 +304,8 @@ def differentiate(field: RadialField) -> RadialField:
 def apply_delta_m(field: RadialField, m: int) -> RadialField:
     """The singular operator (d^2/dr^2 + (1/r) d/dr - m^2/r^2) u.
 
-    The stencil acts on the offset u - inner_limit, closed by the r^m law
-    inside and by the Dirichlet value -inner_limit (u = 0) outside;
+    The stencil acts on the offset u - inner_limit, closed by the r^m tail
+    inside and by the r^-m tail decaying to -inner_limit (u = 0) outside;
     the exact -m^2 * inner_limit / r^2 contribution of the constant is
     restored afterwards, so the returned samples are the true operator
     values.
@@ -338,8 +321,8 @@ def apply_delta_m(field: RadialField, m: int) -> RadialField:
 
 
 def solve_helmholtz(rhs: RadialField, m: int, alpha: float) -> RadialField:
-    """Solve (I - alpha * Delta_m) u = rhs with the r^m closure inside and
-    a zero Dirichlet value outside."""
+    """Solve (I - alpha * Delta_m) u = rhs with the tail closures of
+    ``RadialGrid.operator_bands``, u tending to 0 at infinity."""
     if alpha <= 0:
         raise ContractViolation(f"alpha must be positive, got {alpha}")
     if m < 1 or m != int(m):

@@ -213,7 +213,7 @@ def _solve_amplitude(grid: RadialGrid, m: int, shape: np.ndarray,
                      base, inner: float, target: float, sign: float) -> float:
     """The amplitude A, of the given sign, with E(base + A*shape) = target.
 
-    The energy is evaluated by quadrature at every trial; the bracket
+    The energy E_h is evaluated at every trial; the bracket
     [0, hi] is grown geometrically first, so non-monotone saturation past
     it cannot mislead Brent's method inside it.
     """

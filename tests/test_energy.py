@@ -10,7 +10,8 @@ from hmflow.energy import (classify, energy, exterior_energy, g_functional,
                            smoothstep, topological_bound_gap, x2_norm,
                            xp_norm)
 from hmflow.errors import ContractViolation, SectorError
-from hmflow.grid import RadialField
+from hmflow.evolve import nonlinearity
+from hmflow.grid import RadialField, apply_delta_m, build_grid
 
 
 def test_energy_breakdown_sums(default_grid):
@@ -21,9 +22,33 @@ def test_energy_breakdown_sums(default_grid):
 
 
 def test_energy_of_bubble_sample(default_grid):
-    # the sampled bubble (stencil derivative) still lands near 2m
+    # E_h of the sampled bubble lands near 2m
     f = sample_Q(BubbleProfile(2), default_grid)
     assert energy(f, 2).total == pytest.approx(4.0, rel=1e-4)
+
+
+@pytest.mark.parametrize("inner", [0.0, np.pi], ids=["zero_degree",
+                                                     "degree_m"])
+@pytest.mark.parametrize("m", [1, 2, 4])
+def test_operator_is_the_gradient_of_the_energy(m, inner):
+    # w_i (Delta_m u + F(u))_i = -dE_h/du_i with w the r dr weights: the
+    # scheme's operator is the exact gradient of the energy it reports, so
+    # central differences of E_h match it to their own error
+    g = build_grid(1e-3, 1e2, 64)
+    rng = np.random.default_rng(7 * m + int(inner))
+    off = 0.5 * rng.standard_normal(g.n)
+    u = RadialField(g, off, inner_limit=inner)
+    flow = apply_delta_m(u, m).values + nonlinearity(u, m).values
+    eps = 1e-6
+    grad = np.empty(g.n)
+    for i in range(g.n):
+        step = np.zeros(g.n)
+        step[i] = eps
+        e_plus = energy(RadialField(g, off + step, inner), m).total
+        e_minus = energy(RadialField(g, off - step, inner), m).total
+        grad[i] = (e_plus - e_minus) / (2 * eps)
+    ref = -grad / g.weights
+    assert np.max(np.abs(flow - ref)) <= 1e-6 * np.max(np.abs(ref))
 
 
 def test_energy_window_additivity(default_grid):
@@ -64,8 +89,8 @@ def test_classify_sectors(default_grid):
         8.0 - energy(small, 2).total)
     bub = sample_Q(BubbleProfile(2), g)
     assert classify(bub, 2).label == "E1"
-    # the quadrature energy of an exact bubble lies just below 2m for
-    # m = 3 and 4 (-6.2e-5 and -2.8e-4 here); it is still degree-m data
+    # E_h of an exact bubble lies just below 2m for m = 3 and 4 (-4.6e-5
+    # and -1.1e-4 here); it is still degree-m data
     for m in (3, 4):
         assert classify(sample_Q(BubbleProfile(m), g), m).label == "E1"
     big = RadialField(g, 4.0 * gaussian_bump(g))
@@ -112,7 +137,21 @@ def test_topological_bound_gap(default_grid):
     assert abs(topological_bound_gap(bub, 2)) < 1e-3
     # zero-degree data: gap equals the full energy
     f = RadialField(g, gaussian_bump(g))
-    assert topological_bound_gap(f, 2) == pytest.approx(energy(f, 2).total)
+    assert topological_bound_gap(f, 2) == energy(f, 2).total
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("r_min,r_max,n", [(1e-4, 1e3, 2048),
+                                           (1e-6, 1e2, 3072)])
+def test_topological_bound_gap_on_exact_bubbles(m, r_min, r_max, n):
+    # E_h of an exact bubble lies below 2m by discretization error (-1.1e-4
+    # for m = 4 on the default grid), which the -1e-6 contract used to
+    # reject; the bound is E_h of the grid's own bubble at the field's
+    # scale, so exact bubbles saturate it at every scale the grid holds
+    g = build_grid(r_min, r_max, n)
+    for ln_s in np.linspace(np.log(r_min) + 2.0, np.log(r_max) - 2.0, 9):
+        bub = sample_Q(BubbleProfile(m, s=float(np.exp(ln_s))), g)
+        assert abs(topological_bound_gap(bub, m)) <= 1e-9 * 2 * m
 
 
 def test_smoothstep_shape():
