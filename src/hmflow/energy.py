@@ -8,6 +8,7 @@ explicitly (fields do not carry it).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -37,17 +38,17 @@ class SectorClass:
 
 
 def node_energies(grid: RadialGrid, offset: np.ndarray, m: int,
-                  inner: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dirichlet and potential halves of E_h at the nodes, and the sine of
-    the offset v = u - inner.  With h the log step and tw the trapezoid
-    weights in x = ln r,
+                  inner: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Dirichlet and potential halves of E_h at the nodes, for the offset
+    v = u - inner.  With h the log step and tw the trapezoid weights in
+    x = ln r,
         E_h = sum_i (v_{i+1} - v_i)^2 / (2h) + (m/2) v_0^2
               + (m/2) (v_{n-1} + inner)^2 + sum_i tw_i m^2 sin^2(v_i) / 2.
     Each edge gives half its energy to each end; the tails (r^m law inside
     r_0, r^-m law outside r_{n-1}) are split evenly between the halves, as
-    in the continuum.  Every energy in the package sums these node energies,
-    so all agree to the last digit.  The sine, +-sin(u), is for the next
-    IMEX1 step's F'(u).  Operations are in place: this runs every trial.
+    in the continuum.  Every energy the package reports sums these node
+    energies, so all agree to the last digit; ``prefix_energy`` forms their
+    sums without the node arrays.  Operations are in place.
     """
     edge = np.diff(offset)
     edge *= edge
@@ -56,8 +57,8 @@ def node_energies(grid: RadialGrid, offset: np.ndarray, m: int,
     dir_e[:-1] = edge
     dir_e[-1] = 0.0
     dir_e[1:] += edge
-    sin_off = np.sin(offset)
-    pot_e = sin_off * sin_off
+    pot_e = np.sin(offset)
+    pot_e *= pot_e
     pot_e *= grid._trapz_log
     pot_e *= 0.5 * m * m
     tail0 = 0.25 * m * offset[0].item() ** 2
@@ -65,8 +66,29 @@ def node_energies(grid: RadialGrid, offset: np.ndarray, m: int,
     for e in (dir_e, pot_e):
         e[0] += tail0
         e[-1] += tail1
-    return dir_e, pot_e, sin_off
+    return dir_e, pot_e
 
+
+
+def prefix_energy(grid: RadialGrid, offset: np.ndarray, edges: np.ndarray,
+                  sin_sq: np.ndarray, m: int, inner: float, k: int) -> float:
+    """The sum of ``node_energies`` over nodes 0..k-1, all of E_h when
+    k >= n, from edges = np.diff(offset) and sin_sq = sin^2(offset) by dot
+    products: edge j carries (v_{j+1} - v_j)^2 / (2h), half on each end.
+    Equal to the node sums up to rounding, not bit for bit."""
+    v0 = offset[0].item()
+    if k >= grid.n:
+        edge_sq = float(np.dot(edges, edges))
+        sin_sum = float(np.dot(grid._trapz_log, sin_sq))
+        tail_sq = v0 * v0 + (offset[-1].item() + inner) ** 2
+    else:
+        last = edges[k - 1].item()
+        edge_sq = (float(np.dot(edges[:k - 1], edges[:k - 1]))
+                   + 0.5 * last * last)
+        sin_sum = float(np.dot(grid._trapz_log[:k], sin_sq[:k]))
+        tail_sq = v0 * v0
+    return ((0.5 / grid.log_step) * edge_sq + 0.5 * m * m * sin_sum
+            + 0.5 * m * tail_sq)
 
 def integrate_density(dir_e: np.ndarray, pot_e: np.ndarray) -> EnergyBreakdown:
     """Breakdown of the two halves of ``node_energies``."""
@@ -83,7 +105,7 @@ def energy(field: RadialField, m: int,
     [r1, r2); windows built from half-open node masks add up exactly.
     """
     g = field.grid
-    dir_e, pot_e, _ = node_energies(g, field.offset, m, field.inner_limit)
+    dir_e, pot_e = node_energies(g, field.offset, m, field.inner_limit)
     out = integrate_density(dir_e, pot_e)
     if r1 is not None or r2 is not None:
         lo = 0.0 if r1 is None else r1
@@ -188,13 +210,14 @@ def pointwise_bound_check(field: RadialField, m: int, delta1: float):
 def _half_turn_radius(g: RadialGrid, off: np.ndarray) -> float:
     """Radius where the angle pi + off first drops through pi/2,
     log-interpolated; NaN where the grid shows no such crossing."""
-    below = off < -0.5 * np.pi
-    if not below.any() or below[0]:
+    # argmax is 0 both when no node lies below and when node 0 does
+    i = int((off < -0.5 * math.pi).argmax())
+    if i == 0:
         return np.nan
-    i = int(np.argmax(below))
-    v0, v1 = off[i - 1], off[i]
-    w = (v0 + 0.5 * np.pi) / (v0 - v1)
-    return float(np.exp((1 - w) * np.log(g.nodes[i - 1]) + w * np.log(g.nodes[i])))
+    v0, v1 = off[i - 1].item(), off[i].item()
+    w = (v0 + 0.5 * math.pi) / (v0 - v1)
+    return math.exp((1 - w) * math.log(g.nodes[i - 1].item())
+                    + w * math.log(g.nodes[i].item()))
 
 
 def topological_bound_gap(field: RadialField, m: int) -> float:
@@ -232,5 +255,5 @@ def exterior_energy(field: RadialField, m: int, R: float) -> float:
     if not (g.r_min < R < g.r_max):
         raise ContractViolation(f"R = {R} outside ({g.r_min}, {g.r_max})")
     psi = smoothstep(g.nodes / R - 1.0)
-    dir_e, pot_e, _ = node_energies(g, field.offset, m, field.inner_limit)
+    dir_e, pot_e = node_energies(g, field.offset, m, field.inner_limit)
     return float(np.dot(psi, dir_e + pot_e))

@@ -14,10 +14,12 @@ and are never formed.
 Step-size control is tied to the flow's defining monotonicity: Delta_m + F
 is the exact gradient of the discrete energy E_h (``energy.node_energies``),
 which the gate, the ledger and every report read, and any increase of E_h
-beyond rounding fails the step, which is shrunk and retried.  For degree-m
-data a step is also retried when the bubble's half-turn radius falls too far
-in one step, and a sample is taken each time that radius falls by a fixed
-fraction of a decade, so the step size and the sampling follow a collapse.
+beyond rounding fails the step, which is shrunk and retried.  The gate forms
+E_h from two dot products; node energies are built only for the samples.
+For degree-m data a step is also retried when the bubble's half-turn radius
+falls too far in one step, and a sample is taken each time that radius
+falls by a fixed fraction of a decade, so the step size and the sampling
+follow a collapse.
 A failure at the floor step size ends the run (a retry would repeat the same
 solve): as blow-up when concentrated below the resolvable scale, else abort.
 """
@@ -31,8 +33,8 @@ import numpy as np
 
 from .errors import ConfigurationError, ContractViolation
 from .energy import (EnergyBreakdown, _half_turn_radius, integrate_density,
-                     node_energies)
-from .grid import RadialField, RadialGrid
+                     node_energies, prefix_energy)
+from .grid import RadialField, RadialGrid, check_degree
 
 STATUS_GLOBAL = "Global"
 STATUS_BLOWUP = "Blowup"
@@ -111,18 +113,18 @@ def nonlinearity(field: RadialField, m: int) -> RadialField:
     return RadialField(field.grid, out)
 
 
-def _step_offset(grid: RadialGrid, off: np.ndarray, sin_off: np.ndarray,
+def _step_offset(grid: RadialGrid, off: np.ndarray, sin_sq: np.ndarray,
                  m: int, coeffs, dt: float, scheme: str,
                  ghost_outer: float) -> np.ndarray:
-    """One step of the offset off; sin_off is its sine (the third array of
-    ``node_energies``), which is +-sin(u) and enters only squared, and
-    coeffs is ``_rate_coeffs(grid, m)``."""
+    """One step of the offset off; sin_sq is sin^2(off) = sin^2(u), which
+    the energy gate of the step that reached off has formed, and coeffs is
+    ``_rate_coeffs(grid, m)``."""
     msq = float(m * m)
     coef, fp_coef = coeffs
     if scheme == "IMEX1":
         # linearly implicit: F(u_new) ~ F(u) + F'(u)(u_new - u), with
         # F'(u) = (m^2/r^2)(1 - cos 2u) = (2 m^2/r^2) sin^2 u
-        fp = fp_coef * sin_off**2
+        fp = fp_coef * sin_sq
         rhs = off + dt * (_f_offset(coef, off) - fp * off)
         return grid.solve_shifted(rhs, dt, 1.0, msq, ghost_outer, potential=fp)
     # IMEX2: explicit half-step of F, Crank-Nicolson diffusion, half-step of F
@@ -135,8 +137,10 @@ def _step_offset(grid: RadialGrid, off: np.ndarray, sin_off: np.ndarray,
 def step(field: RadialField, m: int, config: StepperConfig) -> RadialField:
     """One IMEX step, closed by the tail laws of the sector (the offset
     vanishes at the origin and tends to -inner_limit at infinity)."""
+    check_degree(m)
     g = field.grid
-    off = _step_offset(g, field.offset, np.sin(field.offset), m,
+    sin_off = np.sin(field.offset)
+    off = _step_offset(g, field.offset, sin_off * sin_off, m,
                        _rate_coeffs(g, m), config.dt, config.scheme,
                        field.outer_ghost_offset())
     return RadialField(g, off, field.inner_limit)
@@ -166,7 +170,7 @@ def scale_estimate(field: RadialField, m: int) -> float:
     g = field.grid
     if field.inner_limit == np.pi:
         return _half_turn_radius(g, field.offset)
-    dir_e, pot_e, _ = node_energies(g, field.offset, m, field.inner_limit)
+    dir_e, pot_e = node_energies(g, field.offset, m, field.inner_limit)
     return _half_energy_radius(g, dir_e + pot_e)
 
 
@@ -188,14 +192,16 @@ def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
     half-turn radius falls by more than MAX_LOG_SCALE_FALL in ln is retried
     at a smaller step.
 
-    Each trial step works on plain arrays: one set of node energies per
-    trial serves the energy gate, the sine in the next IMEX1 step's F' and,
-    once the step is accepted, the scale estimate; fields are built only
-    for the samples.  A zero-degree half-energy radius is computed after a
-    step only when it can lie below scale_floor, and otherwise when it is
-    recorded.  The recorded energies and scale estimates equal energy() and
-    scale_estimate() of the sampled fields exactly.
+    Each trial step works on plain arrays and does only what its gate
+    needs: E_h from one np.diff and two dot products (``prefix_energy``),
+    and the sin^2 of the new state, which the next step's F' reuses.  Node
+    energies and fields are built only for the samples, and for a
+    zero-degree half-energy radius after a step only when the same dot
+    products over the nodes up to the floor find that it can lie below
+    scale_floor.  The recorded energies and scale estimates equal energy()
+    and scale_estimate() of the sampled fields exactly.
     """
+    check_degree(m)
     if not 0 < t_end < np.inf:
         raise ContractViolation(f"t_end must be positive and finite, got {t_end}")
     if not 0 < sample_every < np.inf:
@@ -209,13 +215,19 @@ def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
             f"scale_floor must be positive and finite, got {scale_floor}")
 
     rec = TrajectoryRecord(m, g)
+    n = g.n
     inner = field.inner_limit
-    # the current state: its offset from the inner limit and its node
-    # energies; no array is ever written in place, so samples may share them
+    degree_m = inner == np.pi
+    scheme = stepper.scheme
+    # the current state: its offset, the sin^2 of it and its E_h; no array
+    # is ever written in place, so samples may share off
     off = field.offset.copy()
-    dens_cur = node_energies(g, off, m, inner)
-    e_cur = integrate_density(dens_cur[0], dens_cur[1])
-    e_tol = ENERGY_INCREASE_TOL * max(e_cur.total, 1e-30)
+    sin_sq = np.sin(off)
+    sin_sq *= sin_sq
+    e_cur = prefix_energy(g, off, np.diff(off), sin_sq, m, inner, n)
+    e_tol = ENERGY_INCREASE_TOL * max(e_cur, 1e-30)
+    # node energies of the current state (None: not built yet)
+    dens_cur = None
     # the sum of the discrete identity E(u0) = E(u(t)) + dissipated
     dissipated = 0.0
     # running integral of ||u/r||_L4^4 dt; samples record its fourth root
@@ -224,29 +236,35 @@ def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
     # whose half-energy radius is known to lie above scale_floor
     s_cur = scale_estimate(field, m)
 
+    def current_density():
+        nonlocal dens_cur
+        if dens_cur is None:
+            dens_cur = node_energies(g, off, m, inner)
+        return dens_cur
+
     def current_scale():
         nonlocal s_cur
         if s_cur is None:
-            s_cur = _half_energy_radius(g, dens_cur[0] + dens_cur[1])
+            dir_e, pot_e = current_density()
+            s_cur = _half_energy_radius(g, dir_e + pot_e)
         return s_cur
 
     def take_sample(t):
         rec.times.append(t)
-        rec.energies.append(e_cur)
+        rec.energies.append(integrate_density(*current_density()))
         rec.dissipated.append(dissipated)
         rec.l4_accum.append(l4_integral ** 0.25)
         rec.scale_estimates.append(current_scale())
         rec.fields.append(RadialField(g, off, inner))
 
     take_sample(0.0)
-    degree_m = inner == np.pi
     # smallest half-turn radius sampled so far (NaN: no scale-driven samples)
     scale_mark = s_cur if degree_m else np.nan
     min_fall = np.exp(-MAX_LOG_SCALE_FALL)
     sample_fall = 10.0 ** -SAMPLE_DECADES
     # the half-energy radius can lie below scale_floor only if half the
     # energy sits on the nodes up to the second one above the floor; the
-    # prefix sum and the total are summed in another order than in
+    # prefix and the total are summed in another order than in
     # _half_energy_radius, hence the relative margin
     n_floor = int(np.searchsorted(g.nodes, scale_floor, side="right")) + 2
     half_margin = 0.5 * (1.0 - 1e-9)
@@ -262,14 +280,16 @@ def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
 
     while t < t_end - 1e-12 * t_end:
         dt_try = min(dt, t_end - t)
-        new_off = _step_offset(g, off, dens_cur[2], m, coeffs, dt_try,
-                               stepper.scheme, ghost_outer)
+        new_off = _step_offset(g, off, sin_sq, m, coeffs, dt_try, scheme,
+                               ghost_outer)
         finite = bool(np.isfinite(new_off).all())
         ok = finite
         if finite:
-            dens = node_energies(g, new_off, m, inner)
-            e_new = integrate_density(dens[0], dens[1])
-            ok = e_new.total <= e_cur.total + e_tol
+            edges = new_off[1:] - new_off[:-1]
+            new_sin_sq = np.sin(new_off)
+            new_sin_sq *= new_sin_sq
+            e_new = prefix_energy(g, new_off, edges, new_sin_sq, m, inner, n)
+            ok = e_new <= e_cur + e_tol
         if ok and degree_m:
             s_new = _half_turn_radius(g, new_off)
             if dt > stepper.dt_floor:
@@ -292,18 +312,17 @@ def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
         # slow path of pow
         sq = new_off * new_off
         l4_integral += dt_try * float(np.dot(l4_weights, sq * sq))
-        off = new_off
-        dens_cur = dens
-        e_cur = e_new
+        off, sin_sq, e_cur = new_off, new_sin_sq, e_new
+        dens_cur = None
         t += dt_try
 
         if degree_m:
             s_cur = s_new
-        elif (np.sum(dens[0][:n_floor] + dens[1][:n_floor])
-              >= half_margin * e_cur.total):
-            s_cur = _half_energy_radius(g, dens[0] + dens[1])
         else:
             s_cur = None
+            if (prefix_energy(g, off, edges, sin_sq, m, inner, n_floor)
+                    >= half_margin * e_cur):
+                current_scale()
         if s_cur is not None and s_cur < scale_floor:
             if dt > stepper.dt_floor:
                 dt = max(dt * STEP_SHRINK, stepper.dt_floor)

@@ -296,6 +296,13 @@ def build_grid(r_min: float, r_max: float, n: int) -> RadialGrid:
     return RadialGrid(r_min, r_max, n)
 
 
+def check_degree(m) -> None:
+    """Reject a degree m that is not a positive integer: the tail closures
+    of the degree-m operator and of the energy it descends need m >= 1."""
+    if not (m >= 1 and float(m).is_integer()):
+        raise ContractViolation(f"degree m must be a positive integer, got {m}")
+
+
 def differentiate(field: RadialField) -> RadialField:
     """d/dr of the samples: centered interior, one-sided at the ends."""
     return RadialField(field.grid, field.grid.derivative(field.offset))
@@ -310,8 +317,7 @@ def apply_delta_m(field: RadialField, m: int) -> RadialField:
     restored afterwards, so the returned samples are the true operator
     values.
     """
-    if m < 1 or m != int(m):
-        raise ContractViolation(f"degree m must be a positive integer, got {m}")
+    check_degree(m)
     g = field.grid
     out = g.apply_operator(field.offset, 1.0, float(m * m),
                            ghost_outer=field.outer_ghost_offset())
@@ -325,8 +331,7 @@ def solve_helmholtz(rhs: RadialField, m: int, alpha: float) -> RadialField:
     ``RadialGrid.operator_bands``, u tending to 0 at infinity."""
     if alpha <= 0:
         raise ContractViolation(f"alpha must be positive, got {alpha}")
-    if m < 1 or m != int(m):
-        raise ContractViolation(f"degree m must be a positive integer, got {m}")
+    check_degree(m)
     u = rhs.grid.solve_shifted(rhs.values, alpha, 1.0, float(m * m))
     return RadialField(rhs.grid, u)
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from conftest import gaussian_bump
 from hmflow import evolve as evolve_module
 from hmflow.bubble import BubbleProfile, sample_Q
-from hmflow.energy import energy
+from hmflow.energy import energy, node_energies, prefix_energy
 from hmflow.errors import ConfigurationError, ContractViolation
 from hmflow.evolve import (STATUS_ABORTED, STATUS_BLOWUP, STATUS_GLOBAL,
                            StepperConfig, dissipation_audit, evolve,
@@ -176,24 +176,114 @@ def _excited_bubble(g, m):
                        inner_limit=np.pi)
 
 
-@pytest.mark.parametrize("sector", ["zero_degree", "degree_m"])
-def test_evolve_monitors_equal_reference_functionals(sector):
-    # the loop computes energies and scale estimates from one energy
-    # density per trial step; they must be exactly what the public
-    # functionals give on the sampled fields
-    g = build_grid(1e-3, 1e2, 512)
+def _collapsing_bubble(g, m):
+    """Degree-m bubble pushed inward: from dt = 0.2 its first step fails the
+    bound on the fall of the half-turn radius at three step sizes."""
+    q = sample_Q(BubbleProfile(m), g)
+    return RadialField(g, q.offset - 1.5 * gaussian_bump(g, sigma=2.0, m=m),
+                       inner_limit=np.pi)
+
+
+def _monitor_case(sector, g):
+    """(initial field, evolve keywords, samples) of a monitor test case."""
+    cfg = StepperConfig(dt=1e-3)
+    if sector == "degree_m":
+        return _excited_bubble(g, 2), dict(stepper=cfg), 11
+    if sector == "degree_m_scale_retries":
+        return (_collapsing_bubble(g, 2),
+                dict(stepper=StepperConfig(dt=0.2), t_end=0.5,
+                     sample_every=0.1), 6)
+    u0 = RadialField(g, 1.5 * gaussian_bump(g))
     if sector == "zero_degree":
-        u0 = RadialField(g, 1.5 * gaussian_bump(g))
-    else:
-        u0 = _excited_bubble(g, 2)
-    rec = evolve(u0, 2, t_end=0.1, stepper=StepperConfig(dt=1e-3),
-                 sample_every=0.01)
-    assert len(rec.fields) == 11
+        return u0, dict(stepper=cfg), 11
+    # the floor screen passes while the half-energy radius lies within two
+    # nodes above the floor, and always once it lies below the floor
+    s0 = scale_estimate(u0, 2)
+    if sector == "zero_degree_floor_near":
+        return u0, dict(stepper=cfg, scale_floor=0.99 * s0), 11
+    # pinned below the floor: dt halves to dt_floor and the run ends as
+    # Blowup, every accepted step a sample
+    return u0, dict(stepper=StepperConfig(dt=1e-3, dt_floor=1e-4),
+                    scale_floor=2.0 * s0, sample_every=1e-4), 8
+
+
+@pytest.mark.parametrize("sector", [
+    "zero_degree", "degree_m", "zero_degree_floor_near",
+    "zero_degree_floor_above", "degree_m_scale_retries"])
+def test_evolve_monitors_equal_reference_functionals(sector):
+    # the loop gates trial steps on sums and builds node energies only for
+    # samples and floor checks; the recorded energies and scale estimates
+    # must be exactly what the public functionals give on the sampled fields
+    g = build_grid(1e-3, 1e2, 512)
+    u0, kwargs, samples = _monitor_case(sector, g)
+    rec = evolve(u0, 2, **{"t_end": 0.1, "sample_every": 0.01, **kwargs})
+    assert len(rec.fields) == samples
     for fld, eb, s in zip(rec.fields, rec.energies, rec.scale_estimates):
         ref = energy(fld, 2)
         assert (eb.total, eb.dirichlet, eb.potential) == (
             ref.total, ref.dirichlet, ref.potential)
         assert s == scale_estimate(fld, 2)
+
+
+@pytest.mark.parametrize("m", [0, -2, 2.5])
+def test_evolve_rejects_bad_degree(default_grid, monkeypatch, m):
+    # for m < 0 the stepped operator's tails use |m| and the energy's use m,
+    # so the flow would not descend the energy it reports
+    def no_step(*args, **kwargs):
+        raise AssertionError("evolve stepped before rejecting its degree")
+
+    monkeypatch.setattr("hmflow.evolve._step_offset", no_step)
+    u0 = RadialField(default_grid, gaussian_bump(default_grid))
+    with pytest.raises(ContractViolation):
+        evolve(u0, m, t_end=0.1, stepper=StepperConfig(dt=1e-3))
+
+
+@pytest.mark.parametrize("n", [16, 2048])
+@pytest.mark.parametrize("inner", [0.0, np.pi], ids=["zero_degree",
+                                                     "degree_m"])
+def test_gate_sums_equal_node_energy_sums(n, inner):
+    # the gate's E_h and the floor screen's prefix come from dot products,
+    # the reported energies from node sums; they must agree to rounding,
+    # also for a prefix that covers every node (scale_floor >= r_max)
+    g = build_grid(1e-3, 1e2, n)
+    rng = np.random.default_rng(n + int(inner))
+    for m in (1, 2, 4):
+        off = rng.uniform(-np.pi, np.pi, n)
+        sin_off = np.sin(off)
+        args = (g, off, np.diff(off), sin_off * sin_off, m, inner)
+        total = prefix_energy(*args, n)
+        ref = energy(RadialField(g, off, inner), m).total
+        assert total == pytest.approx(ref, rel=1e-13, abs=0.0)
+        dir_e, pot_e = node_energies(g, off, m, inner)
+        for k in (1, 2, n // 3, n - 1, n, n + 2):
+            prefix = prefix_energy(*args, k)
+            want = float(np.sum(dir_e[:k] + pot_e[:k]))
+            assert prefix == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def test_node_energies_only_for_samples(monkeypatch):
+    # the gate works on sums: node energies are built for the initial state
+    # and each sample, not for the trials, retried or accepted
+    g = build_grid(1e-3, 1e2, 512)
+    calls = {"trials": 0, "node": 0}
+    real_step, real_node = (evolve_module._step_offset,
+                            evolve_module.node_energies)
+
+    def counted_step(*args):
+        calls["trials"] += 1
+        return real_step(*args)
+
+    def counted_node(*args):
+        calls["node"] += 1
+        return real_node(*args)
+
+    monkeypatch.setattr(evolve_module, "_step_offset", counted_step)
+    monkeypatch.setattr(evolve_module, "node_energies", counted_node)
+    rec = evolve(_collapsing_bubble(g, 2), 2, t_end=0.5,
+                 stepper=StepperConfig(dt=0.2), sample_every=0.1)
+    assert rec.status == STATUS_GLOBAL
+    assert calls["trials"] > len(rec.times)
+    assert calls["node"] == len(rec.times)
 
 
 @pytest.mark.parametrize("scheme", ["IMEX1", "IMEX2"])

@@ -173,9 +173,12 @@ def test_delta_m_second_order():
 
 
 def test_delta_m_rejects_bad_degree(default_grid):
+    # sqrt(m^2) = |m| in the operator's tails but m in the energy's: a
+    # negative degree would step a flow that does not descend E_h
     f = RadialField(default_grid, np.zeros(default_grid.n))
-    with pytest.raises(ContractViolation):
-        apply_delta_m(f, 0)
+    for m in (0, -2, 2.5, np.nan):
+        with pytest.raises(ContractViolation):
+            apply_delta_m(f, m)
 
 
 def test_helmholtz_roundtrip(default_grid):
@@ -191,8 +194,9 @@ def test_helmholtz_validation(default_grid):
     rhs = RadialField(default_grid, np.zeros(default_grid.n))
     with pytest.raises(ContractViolation):
         solve_helmholtz(rhs, 2, -0.1)
-    with pytest.raises(ContractViolation):
-        solve_helmholtz(rhs, 0, 0.1)
+    for m in (0, -2, 2.5, np.nan):
+        with pytest.raises(ContractViolation):
+            solve_helmholtz(rhs, m, 0.1)
 
 
 def test_origin_exponent(default_grid):
