@@ -86,16 +86,44 @@ class TrajectoryRecord:
 
 
 def _f_offset(coef: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """coef * (v - sin(2v)/2), coef = m^2/r^2, with a series near v = 0 to
-    kill the cubic-order cancellation."""
-    out = np.empty_like(off)
+    """coef * (v - sin(2v)/2), coef = m^2/r^2, with the series
+    (2/3) v^3 (1 - v^2/5) where |v| < 1e-4, to kill the cubic-order
+    cancellation.
+
+    The closed form runs over the span from the first to the last node
+    outside that band, the series over the nodes before and after the span
+    and over any small nodes inside it, so no array is gathered by a mask.
+    """
+    n = off.shape[0]
+    out = np.empty(n)
     small = np.abs(off) < 1e-4
-    v = off[~small]
-    out[~small] = v - 0.5 * np.sin(2.0 * v)
-    v = off[small]
+    lo = int(small.argmin())
+    hi = lo if small[lo] else n - int(small[::-1].argmin())
+    span = out[lo:hi]
+    np.multiply(off[lo:hi], 2.0, out=span)
+    np.sin(span, out=span)
+    span *= 0.5
+    np.subtract(off[lo:hi], span, out=span)
+    if lo > 0:
+        _cubic_series(off[:lo], out[:lo])
+    if hi < n:
+        _cubic_series(off[hi:], out[hi:])
+    if np.count_nonzero(small) > lo + n - hi:
+        inside = lo + np.flatnonzero(small[lo:hi])
+        out[inside] = _cubic_series(off[inside], np.empty(inside.size))
+    out *= coef
+    return out
+
+
+def _cubic_series(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """(2/3) v^3 (1 - v^2/5) into out."""
     v2 = v * v
-    out[small] = (2.0 / 3.0) * v * v2 * (1.0 - 0.2 * v2)
-    return coef * out
+    np.multiply(v, 2.0 / 3.0, out=out)
+    out *= v2
+    v2 *= -0.2
+    v2 += 1.0
+    out *= v2
+    return out
 
 
 def _rate_coeffs(grid: RadialGrid, m: int):
@@ -123,15 +151,28 @@ def _step_offset(grid: RadialGrid, off: np.ndarray, sin_sq: np.ndarray,
     coef, fp_coef = coeffs
     if scheme == "IMEX1":
         # linearly implicit: F(u_new) ~ F(u) + F'(u)(u_new - u), with
-        # F'(u) = (m^2/r^2)(1 - cos 2u) = (2 m^2/r^2) sin^2 u
+        # F'(u) = (m^2/r^2)(1 - cos 2u) = (2 m^2/r^2) sin^2 u; the right
+        # side off + dt (F(u) - F'(u) off) is formed in place
         fp = fp_coef * sin_sq
-        rhs = off + dt * (_f_offset(coef, off) - fp * off)
+        rhs = _f_offset(coef, off)
+        rhs -= fp * off
+        rhs *= dt
+        rhs += off
         return grid.solve_shifted(rhs, dt, 1.0, msq, ghost_outer, potential=fp)
-    # IMEX2: explicit half-step of F, Crank-Nicolson diffusion, half-step of F
-    a = off + 0.5 * dt * _f_offset(coef, off)
-    rhs = a + 0.5 * dt * grid.apply_operator(a, 1.0, msq, ghost_outer)
-    b = grid.solve_shifted(rhs, 0.5 * dt, 1.0, msq, ghost_outer)
-    return b + 0.5 * dt * _f_offset(coef, b)
+    # IMEX2: explicit half-step of F, Crank-Nicolson diffusion, half-step
+    # of F, each formed in place
+    half = 0.5 * dt
+    a = _f_offset(coef, off)
+    a *= half
+    a += off
+    rhs = grid.apply_operator(a, 1.0, msq, ghost_outer)
+    rhs *= half
+    rhs += a
+    b = grid.solve_shifted(rhs, half, 1.0, msq, ghost_outer)
+    out = _f_offset(coef, b)
+    out *= half
+    out += b
+    return out
 
 
 def step(field: RadialField, m: int, config: StepperConfig) -> RadialField:

@@ -12,13 +12,16 @@ law outside r_max), which makes it the gradient of the discrete energy the
 package reports; operators without an inverse-square term are closed by
 zero ghost values.
 
-Shifted systems are solved by LAPACK ``dgtsv``.  The routine is taken from
-the OpenBLAS that numpy (>= 2) wheels bundle, found as the symbol
-``scipy_dgtsv_64_`` through ``numpy.linalg._umath_linalg``'s shared library,
-so ``import hmflow`` loads numpy and no scipy module.  Where that module or
-symbol is missing (numpy 1.x wheels, numpy built on a system LAPACK) the
-backend is ``scipy.linalg.lapack.dgtsv``, imported once when this module is.
-Both give the same bits.
+Shifted systems are solved by LAPACK: ``dgtsv`` where the diagonal carries
+a potential, and ``dgttrs`` on a ``dgttrf`` factorization kept per shifted
+operator where it does not.  The routines are taken from the OpenBLAS that
+numpy (>= 2) wheels bundle, found as the symbols ``scipy_dgtsv_64_``,
+``scipy_dgttrf_64_`` and ``scipy_dgttrs_64_`` through
+``numpy.linalg._umath_linalg``'s shared library, so ``import hmflow`` loads
+numpy and no scipy module.  Where that module or a symbol is missing (numpy
+1.x wheels, numpy built on a system LAPACK) the backend is
+``scipy.linalg.lapack``, imported once when this module is.  Both backends,
+and both routes, give the same bits.
 """
 
 from __future__ import annotations
@@ -31,29 +34,44 @@ import numpy as np
 from .errors import ConfigurationError, ContractViolation
 
 
-def _openblas_gtsv():
-    """The ``dgtsv`` backend on numpy's bundled OpenBLAS (64-bit integers),
-    or None when numpy carries no such library."""
+def _openblas_symbols(*names):
+    """The named LAPACK routines of the OpenBLAS that numpy bundles (64-bit
+    integers), or None when numpy carries no such library."""
     try:
         from numpy.linalg import _umath_linalg
-        fn = ctypes.CDLL(_umath_linalg.__file__).scipy_dgtsv_64_
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+        return [getattr(lib, name) for name in names]
     except (ImportError, OSError, AttributeError):
         return None
+
+
+def _address(array):
+    """Address of the first element of a writable contiguous array."""
+    return ctypes.addressof(ctypes.c_char.from_buffer(array))
+
+
+def _openblas_gtsv():
+    """The ``dgtsv`` backend on numpy's bundled OpenBLAS, or None."""
+    fns = _openblas_symbols("scipy_dgtsv_64_")
+    if fns is None:
+        return None
+    fn, = fns
     fn.argtypes = [ctypes.c_void_p] * 8
     fn.restype = None
     sizes = {}  # n -> (n, nrhs, ldb); dgtsv only reads them
 
-    def gtsv(buf, n):
+    def gtsv(bands, b):
+        n = b.shape[0]
         try:
             size = sizes[n]
         except KeyError:
             size = sizes.setdefault(n, (ctypes.c_int64 * 3)(n, 1, n))
         s = ctypes.addressof(size)
-        a = ctypes.addressof(ctypes.c_char.from_buffer(buf))
+        a = _address(bands)
         info = ctypes.c_int64()
-        fn(s, s + 8, a, a + 8 * (n - 1), a + 8 * (2 * n - 1),
-           a + 8 * (3 * n - 2), s + 16, ctypes.addressof(info))
-        return buf[3 * n - 2:], info.value
+        fn(s, s + 8, a, a + 8 * (n - 1), a + 8 * (2 * n - 1), _address(b),
+           s + 16, ctypes.addressof(info))
+        return b, info.value
 
     return gtsv
 
@@ -62,19 +80,77 @@ def _scipy_gtsv():
     """The ``dgtsv`` backend on ``scipy.linalg.lapack``."""
     from scipy.linalg.lapack import dgtsv
 
-    def gtsv(buf, n):
-        *_, u, info = dgtsv(buf[:n - 1], buf[n - 1:2 * n - 1],
-                            buf[2 * n - 1:3 * n - 2], buf[3 * n - 2:],
-                            overwrite_dl=1, overwrite_d=1, overwrite_du=1,
-                            overwrite_b=1)
+    def gtsv(bands, b):
+        n = b.shape[0]
+        *_, u, info = dgtsv(bands[:n - 1], bands[n - 1:2 * n - 1],
+                            bands[2 * n - 1:], b, overwrite_dl=1,
+                            overwrite_d=1, overwrite_du=1, overwrite_b=1)
         return u, info
 
     return gtsv
 
 
-# _gtsv(buf, n) solves the system packed in buf as dl | d | du | b and
-# returns (solution, info); dgtsv overwrites all of buf
+def _openblas_gttrf():
+    """The ``dgttrf``/``dgttrs`` backend on numpy's bundled OpenBLAS, or
+    None."""
+    fns = _openblas_symbols("scipy_dgttrf_64_", "scipy_dgttrs_64_")
+    if fns is None:
+        return None
+    trf, trs = fns
+    trf.argtypes = [ctypes.c_void_p] * 7
+    trf.restype = None
+    # the last argument is the hidden length of the character TRANS
+    trs.argtypes = [ctypes.c_void_p] * 11 + [ctypes.c_size_t]
+    trs.restype = None
+    trans = ctypes.c_char(b"N")
+
+    def gttrf(dl, d, du):
+        n = d.shape[0]
+        # dl | d | du | du2, overwritten by the factors, and the pivots
+        lu = np.concatenate((dl, d, du, np.empty(n - 2)))
+        ipiv = np.empty(n, dtype=np.int64)
+        size = (ctypes.c_int64 * 3)(n, 1, n)  # n, nrhs, ldb
+        s, a = ctypes.addressof(size), _address(lu)
+        factors = (a, a + 8 * (n - 1), a + 8 * (2 * n - 1),
+                   a + 8 * (3 * n - 2), _address(ipiv))
+        info = ctypes.c_int64()
+        trf(s, *factors, ctypes.addressof(info))
+        head = (ctypes.addressof(trans), s, s + 8, *factors)
+
+        def gttrs(b):
+            info = ctypes.c_int64()
+            trs(*head, _address(b), s + 16, ctypes.addressof(info), 1)
+            return b
+
+        # gttrs holds only addresses; this keeps what they point to alive
+        gttrs.arrays = (lu, ipiv, size)
+        return gttrs, info.value
+
+    return gttrf
+
+
+def _scipy_gttrf():
+    """The ``dgttrf``/``dgttrs`` backend on ``scipy.linalg.lapack``."""
+    from scipy.linalg.lapack import dgttrf, dgttrs
+
+    def gttrf(dl, d, du):
+        *lu, info = dgttrf(dl, d, du)
+
+        def gttrs(b):
+            return dgttrs(*lu, b, overwrite_b=1)[0]
+
+        return gttrs, info
+
+    return gttrf
+
+
+# _gtsv(bands, b) solves the system with the bands packed in bands as
+# dl | d | du and the right side b, and returns (solution, info); dgtsv
+# overwrites both arrays.  _gttrf(dl, d, du) factors a system and returns
+# (gttrs, info): gttrs(b) returns the solution for the right side b, which
+# it may overwrite, and never writes the factors.
 _gtsv = _openblas_gtsv() or _scipy_gtsv()
+_gttrf = _openblas_gttrf() or _scipy_gttrf()
 
 
 class RadialGrid:
@@ -172,11 +248,22 @@ class RadialGrid:
 
     def apply_operator(self, values, advection, inv_square, ghost_outer=0.0):
         """Apply the 3-point operator of ``operator_bands``, with
-        ghost_outer the outer ghost value."""
+        ghost_outer the outer ghost value.
+
+        Row i is (sub_i v_{i-1} + diag_i v_i) + sup_i v_{i+1}, summed in
+        that order, with v_{-1} = 0 and v_n = ghost_outer; the three band
+        products are added into one output array.
+        """
         sub, diag, sup = self.operator_bands(advection, inv_square)
-        vm = np.concatenate(([0.0], values[:-1]))
-        vp = np.concatenate((values[1:], [ghost_outer]))
-        return sub * vm + diag * values + sup * vp
+        out = np.multiply(diag, values)
+        band = np.multiply(sub[1:], values[:-1])
+        out[1:] += band
+        # the v_{-1} = 0 term can turn a -0.0 row into +0.0
+        out[0] += sub[0] * 0.0
+        np.multiply(sup[:-1], values[1:], out=band)
+        out[:-1] += band
+        out[-1] += sup[-1] * ghost_outer
+        return out
 
     def solve_shifted(self, rhs, alpha, advection, inv_square,
                       ghost_outer=0.0, potential=None):
@@ -190,38 +277,57 @@ class RadialGrid:
         Laplacian in d dimensions the sub-diagonal is positive only for
         log step < 2/(d - 2).
 
-        The shifted bands of the latest (alpha, advection, inv_square) are
-        kept, one entry only: a run's step size moves only on rejections
-        and regrowth.  Each call packs the bands and the right side into
-        one new buffer for LAPACK ``dgtsv``, which overwrites it, so the
-        cached bands are never written; the routine comes from numpy's
-        bundled OpenBLAS, or from ``scipy.linalg.lapack`` where numpy has
-        none (see the module docstring).  Raises ``numpy.linalg.LinAlgError``
-        when the system is singular.
+        One cache entry is kept, for the latest (alpha, advection,
+        inv_square): a run's step size moves only on rejections and
+        regrowth.  It holds the shifted bands packed as dl | d | du, the
+        coefficient of the ghost value, and, once a call without a
+        potential has asked for it, the LAPACK ``dgttrf`` factorization of
+        the shifted operator.  A call without a potential (IMEX2's
+        Crank-Nicolson solve, ``solve_helmholtz``) is then one ``dgttrs``
+        on a copy of the right side.  A call with a potential (IMEX1) copies
+        the packed bands into a new buffer, writes the shifted diagonal into
+        it and solves by ``dgtsv``, which overwrites that buffer and the
+        copy of the right side.  Neither the bands nor the factors are
+        written after they are built, so the instance stays safe to share
+        across threads.  The routines come from numpy's bundled OpenBLAS,
+        or from ``scipy.linalg.lapack`` where numpy has none (see the
+        module docstring).  Raises ``numpy.linalg.LinAlgError`` when the
+        system is singular.
         """
+        n = self.n
+        if np.shape(rhs) != (n,) or (potential is not None
+                                     and np.shape(potential) != (n,)):
+            # LAPACK is handed addresses into arrays sized from the grid
+            raise ContractViolation(
+                "rhs and potential need one value per node")
         key = (alpha, advection, inv_square)
         cached = self._cache.get("shifted")
         if cached is None or cached[0] != key:
             sub, diag, sup = self.operator_bands(advection, inv_square)
-            cached = (key, -alpha * sub[1:], 1.0 - alpha * diag,
-                      -alpha * sup[:-1], alpha * sup[-1])
+            bands = np.concatenate((-alpha * sub[1:], 1.0 - alpha * diag,
+                                    -alpha * sup[:-1]))
+            cached = (key, bands, alpha * sup[-1], None)
             self._cache["shifted"] = cached
-        _, dl, d, du, ghost_coeff = cached
-        d = d if potential is None else d - alpha * potential
-        n = self.n
-        buf = np.concatenate((dl, d, du, rhs), dtype=float)
-        if buf.shape != (4 * n - 2,):
-            # dgtsv is handed addresses into buf
-            raise ContractViolation(
-                "rhs and potential need one value per node")
+        _, bands, ghost_coeff, gttrs = cached
+        u = np.array(rhs, dtype=float)
         if ghost_outer != 0.0:
-            buf[-1] += ghost_coeff * ghost_outer
-        u, info = _gtsv(buf, n)
+            u[-1] += ghost_coeff * ghost_outer
+        if potential is None:
+            if gttrs is None:
+                gttrs, info = _gttrf(bands[:n - 1], bands[n - 1:2 * n - 1],
+                                     bands[2 * n - 1:])
+                if info > 0:
+                    raise np.linalg.LinAlgError("singular shifted operator")
+                self._cache["shifted"] = (key, bands, ghost_coeff, gttrs)
+            return gttrs(u)
+        buf = bands.copy()
+        d = buf[n - 1:2 * n - 1]
+        np.multiply(potential, alpha, out=d)
+        np.subtract(bands[n - 1:2 * n - 1], d, out=d)
+        u, info = _gtsv(buf, u)
         if info > 0:
             raise np.linalg.LinAlgError("singular shifted operator")
-        # u is a view of buf; a copy keeps a stored solution from holding
-        # the bands too
-        return u.copy()
+        return u
 
     def derivative(self, values: np.ndarray) -> np.ndarray:
         """First derivative of nodal samples in x = ln r, v_r = v_x / r:

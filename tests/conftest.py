@@ -19,3 +19,9 @@ def gaussian_bump(grid, amplitude=1.0, sigma=1.0, m=2):
     """Smooth zero-degree test profile A (r/sigma)^m exp(-(r/sigma)^2)."""
     rho = grid.nodes / sigma
     return amplitude * rho**m * np.exp(-(rho**2))
+
+
+def same_bits(a, b):
+    """Equal values and equal signs of zeros."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a),
+                                                   np.signbit(b))

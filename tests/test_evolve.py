@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gaussian_bump
+from conftest import gaussian_bump, same_bits
 from hmflow import evolve as evolve_module
 from hmflow.bubble import BubbleProfile, sample_Q
 from hmflow.energy import energy, node_energies, prefix_energy
@@ -445,3 +445,107 @@ def test_monitor_accumulates(default_grid):
     assert all(b >= a for a, b in zip(rec.l4_accum, rec.l4_accum[1:]))
     # the estimate of the final state, the last one recorded, is finite
     assert np.isfinite(rec.scale_estimates[-1])
+
+
+def _f_offset_masked(coef, off):
+    # the masked formula that _f_offset replaced, kept verbatim
+    out = np.empty_like(off)
+    small = np.abs(off) < 1e-4
+    v = off[~small]
+    out[~small] = v - 0.5 * np.sin(2.0 * v)
+    v = off[small]
+    v2 = v * v
+    out[small] = (2.0 / 3.0) * v * v2 * (1.0 - 0.2 * v2)
+    return coef * out
+
+
+def _nonlinearity_patterns(n, rng):
+    """Offsets of n nodes: every node small, no node small, small runs at
+    both ends and inside the span, and signed zeros among them."""
+    sign = rng.choice([-1.0, 1.0], n)
+    small = sign * rng.uniform(0.0, 1e-4, n)
+    large = sign * rng.uniform(1e-4, 4.0, n)
+    mixed = large.copy()
+    k = max(n // 8, 1)
+    mixed[:k] = small[:k]
+    mixed[-k:] = small[-k:]
+    mixed[n // 2:n // 2 + k] = small[n // 2:n // 2 + k]
+    mixed[n // 3] = small[n // 3]
+    zeros = mixed.copy()
+    zeros[::5] = 0.0
+    zeros[2::7] = -0.0
+    edge = np.full(n, 1e-4)
+    edge[1::2] = -np.nextafter(1e-4, 0.0)
+    return [small, large, mixed, zeros, edge]
+
+
+@pytest.mark.parametrize("n", [*range(16, 71), 2048, 3071])
+def test_f_offset_keeps_the_bits_of_the_masked_formula(n):
+    rng = np.random.default_rng(n)
+    coef = 4.0 / build_grid(1e-4, 1e3, n).nodes**2
+    for off in _nonlinearity_patterns(n, rng):
+        want = _f_offset_masked(coef, off)
+        # views at odd element offsets, and data one byte past alignment
+        views = [np.empty(n + k)[k:] for k in (1, 3)]
+        views.append(np.frombuffer(bytearray(8 * n + 1), offset=1, count=n))
+        assert not views[-1].flags.aligned
+        for data in (off, *views):
+            data[...] = off
+            assert same_bits(evolve_module._f_offset(coef, data), want)
+
+
+def _parent_step(grid, off, sin_sq, m, dt, scheme, ghost):
+    """The step with the arithmetic it had before its temporaries were
+    dropped: concatenated operator apply, masked F, one packed dgtsv."""
+    from scipy.linalg.lapack import dgtsv
+
+    msq = float(m * m)
+    coef = m * m / grid.nodes**2
+    sub, diag, sup = grid.operator_bands(1.0, msq)
+
+    def apply(v):
+        vm = np.concatenate(([0.0], v[:-1]))
+        vp = np.concatenate((v[1:], [ghost]))
+        return sub * vm + diag * v + sup * vp
+
+    def solve(rhs, alpha, potential=None):
+        d = 1.0 - alpha * diag
+        if potential is not None:
+            d = d - alpha * potential
+        b = np.array(rhs, dtype=float)
+        if ghost != 0.0:
+            b[-1] += alpha * sup[-1] * ghost
+        *_, u, info = dgtsv(-alpha * sub[1:], d, -alpha * sup[:-1], b)
+        assert info == 0
+        return u
+
+    if scheme == "IMEX1":
+        fp = 2.0 * coef * sin_sq
+        rhs = off + dt * (_f_offset_masked(coef, off) - fp * off)
+        return solve(rhs, dt, fp)
+    a = off + 0.5 * dt * _f_offset_masked(coef, off)
+    rhs = a + 0.5 * dt * apply(a)
+    b = solve(rhs, 0.5 * dt)
+    return b + 0.5 * dt * _f_offset_masked(coef, b)
+
+
+@pytest.mark.parametrize("scheme", ["IMEX1", "IMEX2"])
+@pytest.mark.parametrize("m, inner", [(2, 0.0), (3, np.pi)])
+def test_step_keeps_the_bits_of_the_packed_dgtsv_step(scheme, m, inner):
+    # guards every artifact's bits against trims of the step
+    g = build_grid(1e-4, 1e3, 512)
+    if inner == 0.0:
+        off = gaussian_bump(g, 1.2, 0.5, m)
+    else:
+        off = -2.0 * np.arctan(g.nodes**m) + gaussian_bump(g, 0.3, 2.0, m)
+    ghost = RadialField(g, off, inner).outer_ghost_offset()
+    coeffs = evolve_module._rate_coeffs(g, m)
+    for dt in [2e-3] * 10 + [1e-3, 5e-4] * 5:
+        sin_sq = np.sin(off)
+        sin_sq *= sin_sq
+        want = _parent_step(g, off, sin_sq, m, dt, scheme, ghost)
+        got = evolve_module._step_offset(g, off, sin_sq, m, coeffs, dt,
+                                         scheme, ghost)
+        assert np.isfinite(got).all()
+        assert same_bits(got, want)
+        off = got

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hmflow
+from conftest import same_bits
 from hmflow import grid as grid_module
 from hmflow.errors import ConfigurationError, ContractViolation
 from hmflow.grid import (RadialField, apply_delta_m, build_grid, differentiate,
@@ -271,6 +272,100 @@ def test_solve_shifted_rejects_rhs_of_wrong_length():
     for rhs in (np.ones(31), np.ones(33)):
         with pytest.raises(ContractViolation):
             g.solve_shifted(rhs, 1e-2, 1.0, 4.0)
+
+
+def _use_backend(name, monkeypatch):
+    """Route every solve through one backend: dgtsv and dgttrf/dgttrs
+    alike."""
+    gttrf = getattr(grid_module, f"_{name}_gttrf")()
+    if gttrf is None:
+        pytest.skip("numpy bundles no OpenBLAS with scipy_dgttrf_64_")
+    monkeypatch.setattr(grid_module, "_gtsv", _dgtsv_backend(name))
+    monkeypatch.setattr(grid_module, "_gttrf", gttrf)
+
+
+@pytest.mark.parametrize("advection, inv_square",
+                         [(1.0, 1.0), (1.0, 4.0), (1.0, 16.0), (3.0, 0.0),
+                          (5.0, 0.0)])
+@pytest.mark.parametrize("ghost", [0.0, -np.pi])
+def test_apply_operator_keeps_the_bits_of_the_concatenation(advection,
+                                                            inv_square, ghost):
+    g = build_grid(1e-4, 1e3, 512)
+    sub, diag, sup = g.operator_bands(advection, inv_square)
+    rng = np.random.default_rng(7)
+    values = rng.normal(size=g.n) * np.exp(-g.nodes)
+    values[::9] = 0.0
+    values[4::11] = -0.0
+    values[0] = -0.0
+    zeros = np.zeros(g.n)
+    zeros[1::2] = -0.0
+    for v in (values, -values, zeros, -zeros):
+        vm = np.concatenate(([0.0], v[:-1]))
+        vp = np.concatenate((v[1:], [ghost]))
+        want = sub * vm + diag * v + sup * vp
+        assert same_bits(g.apply_operator(v, advection, inv_square, ghost),
+                         want)
+
+
+def _fresh_dgtsv(g, rhs, alpha, advection, inv_square, ghost):
+    """The shifted system packed anew and solved by the current dgtsv."""
+    sub, diag, sup = g.operator_bands(advection, inv_square)
+    bands = np.concatenate((-alpha * sub[1:], 1.0 - alpha * diag,
+                            -alpha * sup[:-1]))
+    b = np.array(rhs, dtype=float)
+    if ghost != 0.0:
+        b[-1] += alpha * sup[-1] * ghost
+    u, info = grid_module._gtsv(bands, b)
+    assert info == 0
+    return u
+
+
+@pytest.mark.parametrize("backend", ["openblas", "scipy"])
+@pytest.mark.parametrize("n", [16, 512, 2048, 8192])
+def test_cached_factorization_gives_the_bits_of_dgtsv(backend, n,
+                                                      monkeypatch):
+    _use_backend(backend, monkeypatch)
+    factorizations = []
+    gttrf = grid_module._gttrf
+
+    def counted_gttrf(*bands):
+        factorizations.append(bands)
+        return gttrf(*bands)
+
+    monkeypatch.setattr(grid_module, "_gttrf", counted_gttrf)
+    g = build_grid(1e-4, 1e3, n)
+    rhs = np.exp(-g.nodes) * np.sin(g.nodes)
+    pot = 2.0 / (1.0 + g.nodes**2)
+    # alpha changes, and potential calls on the same key between the
+    # potential-free ones, which must not disturb the stored factors
+    for alpha in (1e-2, 5e-3, 1e-2, 2e-3):
+        for ghost in (0.0, -np.pi, 0.0):
+            want = _fresh_dgtsv(g, rhs, alpha, 1.0, 4.0, ghost)
+            assert same_bits(g.solve_shifted(rhs, alpha, 1.0, 4.0, ghost),
+                             want)
+            g.solve_shifted(rhs, alpha, 1.0, 4.0, ghost, potential=pot)
+            assert same_bits(g.solve_shifted(rhs, alpha, 1.0, 4.0, ghost),
+                             want)
+    want = _fresh_dgtsv(g, rhs, 1e-3, 5.0, 0.0, 0.0)
+    assert same_bits(g.solve_shifted(rhs, 1e-3, 5.0, 0.0), want)
+    # one factorization per key
+    assert len(factorizations) == 5
+    assert np.array_equal(rhs, np.exp(-g.nodes) * np.sin(g.nodes))
+
+
+@pytest.mark.parametrize("backend", ["openblas", "scipy"])
+def test_singular_potential_free_system_raises_on_each_backend(backend,
+                                                               monkeypatch):
+    _use_backend(backend, monkeypatch)
+    # a unit diagonal with alpha = 1 zeroes the shifted diagonal exactly;
+    # a tridiagonal matrix with zero diagonal and odd order is singular
+    g = build_grid(1e-3, 1e2, 17)
+    sub, _, sup = g.operator_bands(1.0, 4.0)
+    monkeypatch.setattr(g, "operator_bands",
+                        lambda advection, inv_square: (sub, np.ones(17), sup))
+    for _ in range(2):
+        with pytest.raises(np.linalg.LinAlgError):
+            g.solve_shifted(np.ones(17), 1.0, 1.0, 4.0)
 
 
 _IMPORT_PROBE = """
