@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation
-from .grid import RadialField, RadialGrid, differentiate
+from .grid import RadialField, RadialGrid, check_degree, differentiate
 
 # (r/s)^(2m) above this is treated as infinite; keeps h, hhat at their
 # closed-form limits and preserves h^2 + hhat^2 = 1
@@ -28,8 +28,7 @@ class BubbleProfile:
     s: float = 1.0
 
     def __post_init__(self):
-        if self.m < 1 or self.m != int(self.m):
-            raise ContractViolation(f"degree must be a positive integer, got {self.m}")
+        check_degree(self.m)
         if not (self.s > 0):
             raise ContractViolation(f"scale must be positive, got {self.s}")
 

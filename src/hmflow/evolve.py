@@ -215,6 +215,17 @@ def scale_estimate(field: RadialField, m: int) -> float:
     return _half_energy_radius(g, dir_e + pot_e)
 
 
+def check_horizon(t_end: float, sample_every: float,
+                  scale_floor: Optional[float] = None) -> None:
+    """Reject a t_end, sample_every or scale_floor that is not positive
+    and finite; scale_floor None stands for the default of ``evolve``."""
+    for name, value in (("t_end", t_end), ("sample_every", sample_every),
+                        ("scale_floor", scale_floor)):
+        if value is not None and not 0 < value < np.inf:
+            raise ContractViolation(
+                f"{name} must be positive and finite, got {value}")
+
+
 def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
            sample_every: float = 0.05,
            scale_floor: Optional[float] = None) -> TrajectoryRecord:
@@ -243,17 +254,10 @@ def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
     and scale_estimate() of the sampled fields exactly.
     """
     check_degree(m)
-    if not 0 < t_end < np.inf:
-        raise ContractViolation(f"t_end must be positive and finite, got {t_end}")
-    if not 0 < sample_every < np.inf:
-        raise ContractViolation(
-            f"sample_every must be positive and finite, got {sample_every}")
+    check_horizon(t_end, sample_every, scale_floor)
     g = field.grid
     if scale_floor is None:
         scale_floor = 10.0 * g.r_min
-    elif not 0 < scale_floor < np.inf:
-        raise ContractViolation(
-            f"scale_floor must be positive and finite, got {scale_floor}")
 
     rec = TrajectoryRecord(m, g)
     n = g.n
@@ -385,8 +389,10 @@ def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
             take_sample(t)
             if degree_m:
                 scale_mark = np.fmin(scale_mark, s_cur)
-            while next_sample <= t + 1e-12:
-                next_sample += sample_every
+            if next_sample <= t + 1e-12:
+                # past every interval the step spanned, in one addition
+                next_sample += (np.floor((t + 1e-12 - next_sample)
+                                         / sample_every) + 1.0) * sample_every
 
     if rec.status != STATUS_GLOBAL and rec.times[-1] < t:
         take_sample(t)

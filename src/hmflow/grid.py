@@ -14,14 +14,14 @@ zero ghost values.
 
 Shifted systems are solved by LAPACK: ``dgtsv`` where the diagonal carries
 a potential, and ``dgttrs`` on a ``dgttrf`` factorization kept per shifted
-operator where it does not.  The routines are taken from the OpenBLAS that
-numpy (>= 2) wheels bundle, found as the symbols ``scipy_dgtsv_64_``,
-``scipy_dgttrf_64_`` and ``scipy_dgttrs_64_`` through
+operator where it does not.  One library serves all three routines.  It is
+the OpenBLAS that numpy (>= 2) wheels bundle, found as the symbols
+``scipy_dgtsv_64_``, ``scipy_dgttrf_64_`` and ``scipy_dgttrs_64_`` through
 ``numpy.linalg._umath_linalg``'s shared library, so ``import hmflow`` loads
-numpy and no scipy module.  Where that module or a symbol is missing (numpy
-1.x wheels, numpy built on a system LAPACK) the backend is
-``scipy.linalg.lapack``, imported once when this module is.  Both backends,
-and both routes, give the same bits.
+numpy and no scipy module.  Where that module or any of the three symbols
+is missing (numpy 1.x wheels, numpy built on a system LAPACK) all three
+come from ``scipy.linalg.lapack``, which is then imported once, when this
+module is.  Both libraries, and both routes, give the same bits.
 """
 
 from __future__ import annotations
@@ -34,31 +34,28 @@ import numpy as np
 from .errors import ConfigurationError, ContractViolation
 
 
-def _openblas_symbols(*names):
-    """The named LAPACK routines of the OpenBLAS that numpy bundles (64-bit
-    integers), or None when numpy carries no such library."""
-    try:
-        from numpy.linalg import _umath_linalg
-        lib = ctypes.CDLL(_umath_linalg.__file__)
-        return [getattr(lib, name) for name in names]
-    except (ImportError, OSError, AttributeError):
-        return None
-
-
 def _address(array):
     """Address of the first element of a writable contiguous array."""
     return ctypes.addressof(ctypes.c_char.from_buffer(array))
 
 
-def _openblas_gtsv():
-    """The ``dgtsv`` backend on numpy's bundled OpenBLAS, or None."""
-    fns = _openblas_symbols("scipy_dgtsv_64_")
-    if fns is None:
+def _openblas_lapack():
+    """``(gtsv, gttrf)`` on the OpenBLAS that numpy bundles (64-bit
+    integers), or None unless it exports all three routines."""
+    try:
+        from numpy.linalg import _umath_linalg
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+        sv, trf, trs = (getattr(lib, f"scipy_dgt{name}_64_")
+                        for name in ("sv", "trf", "trs"))
+    except (ImportError, OSError, AttributeError):
         return None
-    fn, = fns
-    fn.argtypes = [ctypes.c_void_p] * 8
-    fn.restype = None
-    sizes = {}  # n -> (n, nrhs, ldb); dgtsv only reads them
+    sv.argtypes = [ctypes.c_void_p] * 8
+    trf.argtypes = [ctypes.c_void_p] * 7
+    # the last argument is the hidden length of the character TRANS
+    trs.argtypes = [ctypes.c_void_p] * 11 + [ctypes.c_size_t]
+    sv.restype = trf.restype = trs.restype = None
+    trans = ctypes.c_char(b"N")
+    sizes = {}  # n -> (n, nrhs, ldb); the routines only read them
 
     def gtsv(bands, b):
         n = b.shape[0]
@@ -69,47 +66,16 @@ def _openblas_gtsv():
         s = ctypes.addressof(size)
         a = _address(bands)
         info = ctypes.c_int64()
-        fn(s, s + 8, a, a + 8 * (n - 1), a + 8 * (2 * n - 1), _address(b),
+        sv(s, s + 8, a, a + 8 * (n - 1), a + 8 * (2 * n - 1), _address(b),
            s + 16, ctypes.addressof(info))
         return b, info.value
-
-    return gtsv
-
-
-def _scipy_gtsv():
-    """The ``dgtsv`` backend on ``scipy.linalg.lapack``."""
-    from scipy.linalg.lapack import dgtsv
-
-    def gtsv(bands, b):
-        n = b.shape[0]
-        *_, u, info = dgtsv(bands[:n - 1], bands[n - 1:2 * n - 1],
-                            bands[2 * n - 1:], b, overwrite_dl=1,
-                            overwrite_d=1, overwrite_du=1, overwrite_b=1)
-        return u, info
-
-    return gtsv
-
-
-def _openblas_gttrf():
-    """The ``dgttrf``/``dgttrs`` backend on numpy's bundled OpenBLAS, or
-    None."""
-    fns = _openblas_symbols("scipy_dgttrf_64_", "scipy_dgttrs_64_")
-    if fns is None:
-        return None
-    trf, trs = fns
-    trf.argtypes = [ctypes.c_void_p] * 7
-    trf.restype = None
-    # the last argument is the hidden length of the character TRANS
-    trs.argtypes = [ctypes.c_void_p] * 11 + [ctypes.c_size_t]
-    trs.restype = None
-    trans = ctypes.c_char(b"N")
 
     def gttrf(dl, d, du):
         n = d.shape[0]
         # dl | d | du | du2, overwritten by the factors, and the pivots
         lu = np.concatenate((dl, d, du, np.empty(n - 2)))
         ipiv = np.empty(n, dtype=np.int64)
-        size = (ctypes.c_int64 * 3)(n, 1, n)  # n, nrhs, ldb
+        size = sizes.setdefault(n, (ctypes.c_int64 * 3)(n, 1, n))
         s, a = ctypes.addressof(size), _address(lu)
         factors = (a, a + 8 * (n - 1), a + 8 * (2 * n - 1),
                    a + 8 * (3 * n - 2), _address(ipiv))
@@ -122,16 +88,23 @@ def _openblas_gttrf():
             trs(*head, _address(b), s + 16, ctypes.addressof(info), 1)
             return b
 
-        # gttrs holds only addresses; this keeps what they point to alive
-        gttrs.arrays = (lu, ipiv, size)
+        # gttrs holds only addresses; this keeps the factors alive
+        gttrs.arrays = (lu, ipiv)
         return gttrs, info.value
 
-    return gttrf
+    return gtsv, gttrf
 
 
-def _scipy_gttrf():
-    """The ``dgttrf``/``dgttrs`` backend on ``scipy.linalg.lapack``."""
-    from scipy.linalg.lapack import dgttrf, dgttrs
+def _scipy_lapack():
+    """``(gtsv, gttrf)`` on ``scipy.linalg.lapack``."""
+    from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
+
+    def gtsv(bands, b):
+        n = b.shape[0]
+        *_, u, info = dgtsv(bands[:n - 1], bands[n - 1:2 * n - 1],
+                            bands[2 * n - 1:], b, overwrite_dl=1,
+                            overwrite_d=1, overwrite_du=1, overwrite_b=1)
+        return u, info
 
     def gttrf(dl, d, du):
         *lu, info = dgttrf(dl, d, du)
@@ -141,7 +114,7 @@ def _scipy_gttrf():
 
         return gttrs, info
 
-    return gttrf
+    return gtsv, gttrf
 
 
 # _gtsv(bands, b) solves the system with the bands packed in bands as
@@ -149,8 +122,7 @@ def _scipy_gttrf():
 # overwrites both arrays.  _gttrf(dl, d, du) factors a system and returns
 # (gttrs, info): gttrs(b) returns the solution for the right side b, which
 # it may overwrite, and never writes the factors.
-_gtsv = _openblas_gtsv() or _scipy_gtsv()
-_gttrf = _openblas_gttrf() or _scipy_gttrf()
+_gtsv, _gttrf = _openblas_lapack() or _scipy_lapack()
 
 
 class RadialGrid:
@@ -289,10 +261,8 @@ class RadialGrid:
         it and solves by ``dgtsv``, which overwrites that buffer and the
         copy of the right side.  Neither the bands nor the factors are
         written after they are built, so the instance stays safe to share
-        across threads.  The routines come from numpy's bundled OpenBLAS,
-        or from ``scipy.linalg.lapack`` where numpy has none (see the
-        module docstring).  Raises ``numpy.linalg.LinAlgError`` when the
-        system is singular.
+        across threads.  The module docstring names the LAPACK library.
+        Raises ``numpy.linalg.LinAlgError`` when the system is singular.
         """
         n = self.n
         if np.shape(rhs) != (n,) or (potential is not None

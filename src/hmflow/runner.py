@@ -23,10 +23,10 @@ from .bubble import BubbleProfile, eval_h, eval_Q_offset, sample_Q
 from .energy import (OTHER_LABEL, classify as classify_sector,
                      energy as energy_breakdown, exterior_energy, x2_norm)
 from .errors import ConfigurationError, ContractViolation, HmflowError
-from .evolve import (StepperConfig, TrajectoryRecord, evolve,
+from .evolve import (StepperConfig, TrajectoryRecord, check_horizon, evolve,
                      dissipation_audit, STATUS_ABORTED, STATUS_BLOWUP,
                      STATUS_GLOBAL)
-from .grid import RadialField, RadialGrid, build_grid
+from .grid import RadialField, RadialGrid, build_grid, check_degree
 
 CSV_COLUMNS = ["t", "E_total", "E_dirichlet", "E_potential", "X2_norm",
                "sup_abs_u", "s", "sdot", "orth_residual",
@@ -36,7 +36,13 @@ CSV_COLUMNS = ["t", "E_total", "E_dirichlet", "E_potential", "X2_norm",
 SCENARIOS = ("free", "q_stationarity", "below_threshold_decay",
              "above_threshold_stability", "m1_blowup")
 
-IC_FAMILIES = ("e0_bump", "e1_excited", "q_exact", "custom_samples")
+# each initial-data family's keys that must be positive, then the keys of
+# which it needs at least one
+_IC_NEEDS = {"e0_bump": (("ic_sigma",), ("ic_A", "ic_target_energy")),
+             "e1_excited": (("ic_s0", "ic_sigma"), ("ic_A",)),
+             "q_exact": (("ic_s0",), ()),
+             "custom_samples": ((), ("ic_file",))}
+IC_FAMILIES = tuple(_IC_NEEDS)
 
 _FLOAT_KEYS = ("r_min", "r_max", "dt", "dt_floor", "t_end", "sample_every",
                "scale_floor", "ic_A", "ic_sigma", "ic_s0", "ic_target_energy")
@@ -169,44 +175,28 @@ def _stepper(cfg: RunConfig) -> StepperConfig:
 
 
 def _validate(cfg: RunConfig) -> None:
-    # the grid and the stepper check their own invariants
+    # the grid, the stepper, the degree and the horizon check themselves
     RadialGrid(cfg.r_min, cfg.r_max, cfg.n)
     _stepper(cfg)
-    if cfg.m < 1:
-        raise ConfigurationError(f"m must be a positive degree, got {cfg.m}")
+    try:
+        check_degree(cfg.m)
+        check_horizon(cfg.t_end, cfg.sample_every, cfg.scale_floor)
+    except ContractViolation as exc:
+        raise ConfigurationError(str(exc)) from None
     if "/" in cfg.label or os.sep in cfg.label:
         raise ConfigurationError(
             f"label names files in out_dir and must not hold a path "
             f"separator, got {cfg.label!r}")
-    if cfg.t_end <= 0:
-        raise ConfigurationError(f"t_end must be positive, got {cfg.t_end}")
-    if cfg.sample_every <= 0:
-        raise ConfigurationError(
-            f"sample_every must be positive, got {cfg.sample_every}")
-    if cfg.scale_floor is not None and cfg.scale_floor <= 0:
-        raise ConfigurationError(
-            f"scale_floor must be positive, got {cfg.scale_floor}")
     if cfg.ic_family not in IC_FAMILIES:
         raise ConfigurationError(
             f"ic_family {cfg.ic_family!r} not in known set {IC_FAMILIES}")
-    if cfg.ic_family == "e0_bump":
-        if cfg.ic_sigma is None or cfg.ic_sigma <= 0:
-            raise ConfigurationError("e0_bump requires ic_sigma > 0")
-        if cfg.ic_A is None and cfg.ic_target_energy is None:
-            raise ConfigurationError("e0_bump requires ic_A or ic_target_energy")
-    elif cfg.ic_family == "e1_excited":
-        if cfg.ic_s0 is None or cfg.ic_s0 <= 0:
-            raise ConfigurationError("e1_excited requires ic_s0 > 0")
-        if cfg.ic_sigma is None or cfg.ic_sigma <= 0:
-            raise ConfigurationError("e1_excited requires ic_sigma > 0")
-        if cfg.ic_A is None:
-            raise ConfigurationError("e1_excited requires ic_A")
-    elif cfg.ic_family == "q_exact":
-        if cfg.ic_s0 is None or cfg.ic_s0 <= 0:
-            raise ConfigurationError("q_exact requires ic_s0 > 0")
-    elif cfg.ic_family == "custom_samples":
-        if not cfg.ic_file:
-            raise ConfigurationError("custom_samples requires ic_file")
+    positive, one_of = _IC_NEEDS[cfg.ic_family]
+    for key in positive:
+        if getattr(cfg, key) is None or getattr(cfg, key) <= 0:
+            raise ConfigurationError(f"{cfg.ic_family} requires {key} > 0")
+    if one_of and all(getattr(cfg, key) in (None, "") for key in one_of):
+        raise ConfigurationError(
+            f"{cfg.ic_family} requires {' or '.join(one_of)}")
 
 
 def _solve_amplitude(grid: RadialGrid, m: int, shape: np.ndarray,
@@ -336,7 +326,7 @@ def _scenario_checks(cfg: RunConfig, rec: TrajectoryRecord,
         checks["x2_drift_small"] = drift <= 1e-3 * np.sqrt(2 * e0)
     elif tag == "below_threshold_decay":
         checks["status_global"] = rec.status == STATUS_GLOBAL
-        checks["energy_decayed"] = rec.energies[-1].total < 0.05 * e0
+        checks["energy_decayed"] = _decayed(rec)
     elif tag == "above_threshold_stability":
         checks["status_global"] = rec.status == STATUS_GLOBAL
         conv = _bubble_convergence(cfg, rec, track)
@@ -397,6 +387,11 @@ def _collapse_start(s: np.ndarray) -> int:
     return k
 
 
+def _decayed(rec: TrajectoryRecord) -> bool:
+    """Whether the run ended below 5% of its initial energy."""
+    return rec.energies[-1].total < 0.05 * rec.energies[0].total
+
+
 def _bubble_convergence(cfg: RunConfig, rec: TrajectoryRecord,
                         track: Optional[modulation.ScaleTrack]
                         ) -> Optional[Tuple[bool, bool]]:
@@ -422,7 +417,7 @@ def _classify_end_state(cfg: RunConfig, rec: TrajectoryRecord,
         return "Blowup"
     if rec.status != STATUS_GLOBAL:
         return "Undetermined"
-    if rec.energies[-1].total < 0.05 * rec.energies[0].total:
+    if _decayed(rec):
         return "Decayed"
     conv = _bubble_convergence(cfg, rec, track)
     if conv is not None and all(conv):

@@ -169,6 +169,27 @@ def test_evolve_rejects_bad_horizon(default_grid, monkeypatch, t_end,
                sample_every=sample_every, scale_floor=scale_floor)
 
 
+def test_sample_every_below_ulp_of_t_samples_each_step(monkeypatch):
+    # the sampling clock used to add one interval at a time, which makes no
+    # progress once sample_every is below ulp(t); it must jump past every
+    # interval a step spans and take one sample per accepted step
+    g = build_grid(1e-3, 1e2, 64)
+    trials = []
+    real_step = evolve_module._step_offset
+
+    def counted_step(*args):
+        trials.append(args)
+        return real_step(*args)
+
+    monkeypatch.setattr(evolve_module, "_step_offset", counted_step)
+    rec = evolve(RadialField(g, 0.5 * gaussian_bump(g)), 2, t_end=0.01,
+                 stepper=StepperConfig(dt=1e-3), sample_every=1e-20)
+    assert rec.status == STATUS_GLOBAL
+    assert len(rec.times) == len(trials) + 1
+    assert np.all(np.diff(rec.times) > 0.0)
+    assert rec.times[-1] == pytest.approx(0.01, rel=1e-12)
+
+
 def _excited_bubble(g, m):
     """Degree-m bubble plus a small bump: relaxes without rejected steps."""
     q = sample_Q(BubbleProfile(m), g)

@@ -231,22 +231,27 @@ def test_shifted_band_cache_matches_fresh_grid():
     assert np.array_equal(rhs, np.exp(-g.nodes) * np.sin(g.nodes))
 
 
-def _dgtsv_backend(name):
-    """A fresh dgtsv backend; the OpenBLAS one only where numpy bundles it."""
-    backend = getattr(grid_module, f"_{name}_gtsv")()
+def _use_backend(name, monkeypatch):
+    """Route every solve through a fresh backend: dgtsv and dgttrf/dgttrs
+    alike, from one library; the OpenBLAS one only where numpy bundles
+    it."""
+    backend = getattr(grid_module, f"_{name}_lapack")()
     if backend is None:
-        pytest.skip("numpy bundles no OpenBLAS with scipy_dgtsv_64_")
-    return backend
+        pytest.skip("numpy bundles no OpenBLAS with the scipy_dgt*_64_ "
+                    "routines")
+    monkeypatch.setattr(grid_module, "_gtsv", backend[0])
+    monkeypatch.setattr(grid_module, "_gttrf", backend[1])
 
 
 @pytest.mark.parametrize("n", [16, 512, 2048, 8192])
 def test_dgtsv_backends_give_the_same_bits(n, monkeypatch):
-    g = build_grid(1e-4, 1e3, n)
-    rhs = np.exp(-g.nodes) * np.sin(g.nodes)
-    pot = 2.0 / (1.0 + g.nodes**2)
     solutions = {}
     for name in ("openblas", "scipy"):
-        monkeypatch.setattr(grid_module, "_gtsv", _dgtsv_backend(name))
+        _use_backend(name, monkeypatch)
+        # a fresh grid, so the factors cached by one backend are not reused
+        g = build_grid(1e-4, 1e3, n)
+        rhs = np.exp(-g.nodes) * np.sin(g.nodes)
+        pot = 2.0 / (1.0 + g.nodes**2)
         solutions[name] = [g.solve_shifted(rhs, 1e-2, 1.0, 4.0, ghost,
                                            potential=p)
                            for p in (None, pot) for ghost in (0.0, -np.pi)]
@@ -257,7 +262,7 @@ def test_dgtsv_backends_give_the_same_bits(n, monkeypatch):
 
 @pytest.mark.parametrize("backend", ["openblas", "scipy"])
 def test_singular_shifted_system_raises_on_each_backend(backend, monkeypatch):
-    monkeypatch.setattr(grid_module, "_gtsv", _dgtsv_backend(backend))
+    _use_backend(backend, monkeypatch)
     # alpha = 1 and potential = 1 - diag zero the diagonal exactly; a
     # tridiagonal matrix with zero diagonal and odd order is singular
     g = build_grid(1e-3, 1e2, 17)
@@ -272,16 +277,6 @@ def test_solve_shifted_rejects_rhs_of_wrong_length():
     for rhs in (np.ones(31), np.ones(33)):
         with pytest.raises(ContractViolation):
             g.solve_shifted(rhs, 1e-2, 1.0, 4.0)
-
-
-def _use_backend(name, monkeypatch):
-    """Route every solve through one backend: dgtsv and dgttrf/dgttrs
-    alike."""
-    gttrf = getattr(grid_module, f"_{name}_gttrf")()
-    if gttrf is None:
-        pytest.skip("numpy bundles no OpenBLAS with scipy_dgttrf_64_")
-    monkeypatch.setattr(grid_module, "_gtsv", _dgtsv_backend(name))
-    monkeypatch.setattr(grid_module, "_gttrf", gttrf)
 
 
 @pytest.mark.parametrize("advection, inv_square",
@@ -374,8 +369,18 @@ sys.path.insert(0, sys.argv[1])
 if sys.argv[2] == "no-symbol":
     # a numpy whose linalg library lacks scipy_dgtsv_64_ (numpy 1.x wheels)
     ctypes.CDLL = lambda path: object()
+elif sys.argv[2] == "dgtsv-only":
+    # a library that exports scipy_dgtsv_64_ but not dgttrf or dgttrs
+    cdll = ctypes.CDLL
+
+    class DgtsvOnly:
+        def __init__(self, path):
+            self.scipy_dgtsv_64_ = cdll(path).scipy_dgtsv_64_
+
+    ctypes.CDLL = DgtsvOnly
 import hmflow
-print(json.dumps([hmflow.grid._gtsv.__qualname__.split(".")[0],
+print(json.dumps([[f.__qualname__.split(".")[0]
+                   for f in (hmflow.grid._gtsv, hmflow.grid._gttrf)],
                   sorted(k for k in sys.modules if k.split(".")[0] == "scipy")]))
 """
 
@@ -392,12 +397,15 @@ def _public_scipy_subpackages(modules):
             if "." in k and not k.split(".")[1].startswith("_")}
 
 
-@pytest.mark.parametrize("mode", ["default", "no-symbol"])
+@pytest.mark.parametrize("mode", ["default", "no-symbol", "dgtsv-only"])
 def test_import_loads_scipy_only_for_the_fallback_backend(mode):
-    backend, scipy_modules = _import_in_fresh_interpreter(mode)
-    if mode == "no-symbol":
-        assert backend == "_scipy_gtsv"
-    if backend == "_openblas_gtsv":
+    backends, scipy_modules = _import_in_fresh_interpreter(mode)
+    # a partial symbol set falls back as a whole
+    backend = "_scipy_lapack"
+    if mode == "default" and grid_module._openblas_lapack() is not None:
+        backend = "_openblas_lapack"
+    assert backends == [backend, backend]
+    if backend == "_openblas_lapack":
         assert scipy_modules == []
     else:
         assert "scipy.linalg" in scipy_modules

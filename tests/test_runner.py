@@ -443,7 +443,7 @@ _EDGE_VALUES = {
     "dt": ["0", "nan", "1e-9", "1"],
     "dt_floor": ["2e-3", "nan", "-1", "1e-300"],
     "t_end": ["0", "nan", "inf", "1e-9"],
-    "sample_every": ["0", "nan", "1e-4", "1e3"],
+    "sample_every": ["0", "nan", "1e-4", "1e3", "1e-20"],
     "scale_floor": ["0", "nan", "1e3"],
     "ic_A": ["nan", "0", "50", "-50"],
     "ic_sigma": ["0", "inf", "1e-6", "1e6"],
