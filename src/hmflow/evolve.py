@@ -22,12 +22,14 @@ falls by a fixed fraction of a decade, so the step size and the sampling
 follow a collapse.
 A failure at the floor step size ends the run (a retry would repeat the same
 solve): as blow-up when concentrated below the resolvable scale, else abort.
+The floor step size is not set but derived from the state's scale and the
+resolvable one (``step_floor``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -56,16 +58,17 @@ SAMPLE_DECADES = 1.0 / 16.0
 
 @dataclass
 class StepperConfig:
+    """The initial and largest step size dt (positive and finite), and the
+    scheme; the floor step size is derived (``step_floor``)."""
     dt: float
     scheme: str = "IMEX1"
-    dt_floor: float = 1e-9
 
     def __post_init__(self):
         if self.scheme not in ("IMEX1", "IMEX2"):
             raise ConfigurationError(f"unknown scheme {self.scheme!r}")
-        if not (self.dt > self.dt_floor > 0):
+        if not 0 < self.dt < np.inf:
             raise ConfigurationError(
-                f"need dt > dt_floor > 0, got dt={self.dt}, dt_floor={self.dt_floor}")
+                f"dt must be positive and finite, got {self.dt}")
 
 
 @dataclass
@@ -215,15 +218,37 @@ def scale_estimate(field: RadialField, m: int) -> float:
     return _half_energy_radius(g, dir_e + pot_e)
 
 
-def check_horizon(t_end: float, sample_every: float,
-                  scale_floor: Optional[float] = None) -> None:
-    """Reject a t_end, sample_every or scale_floor that is not positive
-    and finite; scale_floor None stands for the default of ``evolve``."""
+def step_floor(scale: float) -> float:
+    """min(1e-9, scale^2 / 10): the flow is critical (u(t, r) ->
+    u(lambda^2 t, lambda r) maps solutions to solutions), so the step that
+    resolves a bubble of scale s shrinks like s^2."""
+    # a product, not a power: a float power raises on overflow
+    return min(1e-9, scale * scale / 10.0)
+
+
+def check_horizon(t_end: float, sample_every: float, dt: float,
+                  r_min: float, scale_floor: Optional[float] = None
+                  ) -> Tuple[float, float]:
+    """(scale_floor, dt_floor) of a run: scale_floor None stands for
+    10 * r_min, and dt_floor = step_floor(scale_floor) is the smallest step
+    size the run may take.  Raises ContractViolation unless t_end,
+    sample_every and scale_floor are positive and finite and
+    dt > dt_floor > 0."""
     for name, value in (("t_end", t_end), ("sample_every", sample_every),
                         ("scale_floor", scale_floor)):
         if value is not None and not 0 < value < np.inf:
             raise ContractViolation(
                 f"{name} must be positive and finite, got {value}")
+    if scale_floor is None:
+        scale_floor = 10.0 * r_min
+    dt_floor = step_floor(scale_floor)
+    if not dt_floor > 0:
+        raise ContractViolation(
+            f"the step floor of scale_floor {scale_floor:g} underflows to 0")
+    if not dt > dt_floor:
+        raise ContractViolation(
+            f"dt must exceed the step floor {dt_floor:g}, got {dt}")
+    return scale_floor, dt_floor
 
 
 def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
@@ -237,6 +262,14 @@ def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
     m = 1 collapse on the grid bottoms out near 12-15 r_min, above the
     default, so m = 1 runs should set the floor explicitly (the m1_blowup
     preset uses 100 r_min).
+
+    The floor step size is ``step_floor`` of the state's scale estimate,
+    or of scale_floor once the estimate lies below it: a failing step on a
+    wide state ends the run at 1e-9 instead of crawling on, and a collapse
+    gets steps down to step_floor(scale_floor), which stepper.dt must
+    exceed.  The floor is at most half of stepper.dt (but never below
+    step_floor(scale_floor)), so a stepper.dt below the step of the
+    state's own scale still gets a retry and the collapse guard.
 
     Samples are taken every sample_every in t and, for degree-m data, each
     time the half-turn radius falls SAMPLE_DECADES below the smallest
@@ -254,10 +287,9 @@ def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
     and scale_estimate() of the sampled fields exactly.
     """
     check_degree(m)
-    check_horizon(t_end, sample_every, scale_floor)
     g = field.grid
-    if scale_floor is None:
-        scale_floor = 10.0 * g.r_min
+    scale_floor, dt_floor = check_horizon(t_end, sample_every, stepper.dt,
+                                          g.r_min, scale_floor)
 
     rec = TrajectoryRecord(m, g)
     n = g.n
@@ -293,6 +325,17 @@ def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
             dir_e, pot_e = current_density()
             s_cur = _half_energy_radius(g, dir_e + pot_e)
         return s_cur
+
+    # a step that fails at stepper.dt is always retried at a smaller one
+    floor_cap = max(dt_floor, STEP_SHRINK * stepper.dt)
+
+    def current_floor():
+        # the floor step size at the current scale, held at scale_floor
+        # once the state lies below it or has no scale; it never exceeds
+        # floor_cap, so the collapse guard holds at every dt check accepts
+        s = current_scale()
+        return min(step_floor(s if s > scale_floor else scale_floor),
+                   floor_cap)
 
     def take_sample(t):
         rec.times.append(t)
@@ -337,12 +380,13 @@ def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
             ok = e_new <= e_cur + e_tol
         if ok and degree_m:
             s_new = _half_turn_radius(g, new_off)
-            if dt > stepper.dt_floor:
+            if dt > current_floor():
                 ok = not (s_new < min_fall * s_cur)
 
         if not ok:
-            if dt > stepper.dt_floor:
-                dt = max(dt * STEP_SHRINK, stepper.dt_floor)
+            floor = current_floor()
+            if dt > floor:
+                dt = max(dt * STEP_SHRINK, floor)
                 accepted_streak = 0
                 continue
             s = current_scale() if finite else np.nan
@@ -369,8 +413,9 @@ def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
                     >= half_margin * e_cur):
                 current_scale()
         if s_cur is not None and s_cur < scale_floor:
-            if dt > stepper.dt_floor:
-                dt = max(dt * STEP_SHRINK, stepper.dt_floor)
+            floor = current_floor()
+            if dt > floor:
+                dt = max(dt * STEP_SHRINK, floor)
             else:
                 pinned_concentrated += 1
                 if pinned_concentrated >= 3:

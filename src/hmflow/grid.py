@@ -142,6 +142,12 @@ class RadialGrid:
             raise ConfigurationError(f"need at least 16 nodes, got {n}")
         self.r_min = float(r_min)
         self.r_max = float(r_max)
+        # the package divides by r^2 (the operator bands) and by r^4 (the
+        # L4 monitor); r_min^4 must be a normal float
+        if not (r_min * r_min) * (r_min * r_min) >= np.finfo(float).tiny:
+            raise ConfigurationError(
+                f"r_min = {r_min:g} is too small: r_min^4 is below the "
+                f"smallest normal float")
         self.n = int(n)
         x = np.linspace(np.log(r_min), np.log(r_max), n)
         self.log_step = x[1] - x[0]

@@ -154,22 +154,19 @@ def fit_scale(u: RadialField, m: int, w: Optional[RadialField] = None,
         flo = fhi = f0
         limit = np.log(1e3)
         while hi - x0 < limit or x0 - lo < limit:
-            grew = False
             if hi - x0 < limit:
                 nxt, fn = hi + dx, mismatch(hi + dx)
                 if np.sign(fn) != np.sign(fhi):
                     bracket = (hi, nxt)
                     break
-                hi, fhi, grew = nxt, fn, True
+                hi, fhi = nxt, fn
             if x0 - lo < limit:
                 nxt, fn = lo - dx, mismatch(lo - dx)
                 if np.sign(fn) != np.sign(flo):
                     bracket = (nxt, lo)
                     break
-                lo, flo, grew = nxt, fn, True
+                lo, flo = nxt, fn
             dx = min(dx * 1.3, 0.5)
-            if not grew:
-                break
         if bracket is None:
             raise NoBubbleError(
                 f"no orthogonality root within [{s_init / 1e3:g}, {s_init * 1e3:g}]")

@@ -44,7 +44,7 @@ _IC_NEEDS = {"e0_bump": (("ic_sigma",), ("ic_A", "ic_target_energy")),
              "custom_samples": ((), ("ic_file",))}
 IC_FAMILIES = tuple(_IC_NEEDS)
 
-_FLOAT_KEYS = ("r_min", "r_max", "dt", "dt_floor", "t_end", "sample_every",
+_FLOAT_KEYS = ("r_min", "r_max", "dt", "t_end", "sample_every",
                "scale_floor", "ic_A", "ic_sigma", "ic_s0", "ic_target_energy")
 _INT_KEYS = ("m", "n")
 _STR_KEYS = ("scheme", "scenario", "ic_family", "ic_file", "label")
@@ -53,23 +53,22 @@ _KNOWN_KEYS = set(_FLOAT_KEYS) | set(_INT_KEYS) | set(_STR_KEYS)
 # Presets supply every knob a scenario needs; explicit config keys override.
 _SCENARIO_DEFAULTS: Dict[str, Dict[str, object]] = {
     "q_stationarity": dict(m=2, r_min=1e-4, r_max=1e3, n=2048,
-                           dt=1e-3, scheme="IMEX1", dt_floor=1e-9,
-                           t_end=1.0, sample_every=0.05,
-                           ic_family="q_exact", ic_s0=1.0),
+                           dt=1e-3, scheme="IMEX1", t_end=1.0,
+                           sample_every=0.05, ic_family="q_exact", ic_s0=1.0),
     "below_threshold_decay": dict(m=2, r_min=1e-4, r_max=1e3, n=2048,
-                                  dt=1e-3, scheme="IMEX1", dt_floor=1e-9,
-                                  t_end=20.0, sample_every=0.5,
+                                  dt=1e-3, scheme="IMEX1", t_end=20.0,
+                                  sample_every=0.5,
                                   ic_family="e0_bump", ic_sigma=1.0,
                                   ic_A=1.0, ic_target_energy=0.9 * 2 * (2 * 2)),
     "above_threshold_stability": dict(m=4, r_min=1e-4, r_max=1e3, n=2048,
-                                      dt=2e-3, scheme="IMEX1", dt_floor=1e-9,
-                                      t_end=20.0, sample_every=0.25,
+                                      dt=2e-3, scheme="IMEX1", t_end=20.0,
+                                      sample_every=0.25,
                                       ic_family="e1_excited", ic_s0=1.0,
                                       ic_sigma=3.0, ic_A=1.0,
                                       ic_target_energy=2.5 * (2 * 4)),
     "m1_blowup": dict(m=1, r_min=1e-6, r_max=1e2, n=3072,
-                      dt=2e-3, scheme="IMEX1", dt_floor=1e-9,
-                      t_end=25.0, sample_every=0.05, scale_floor=1e-4,
+                      dt=2e-3, scheme="IMEX1", t_end=25.0,
+                      sample_every=0.05, scale_floor=1e-4,
                       ic_family="e1_excited", ic_s0=1.0,
                       ic_sigma=4.0, ic_A=-1.5),
 }
@@ -83,7 +82,6 @@ class RunConfig:
     n: int = 2048
     dt: float = 1e-3
     scheme: str = "IMEX1"
-    dt_floor: float = 1e-9
     t_end: float = 1.0
     sample_every: float = 0.05
     scenario: str = "free"
@@ -171,16 +169,23 @@ def build_run_config(raw: Dict[str, str], out_dir: Optional[str] = None) -> RunC
 
 
 def _stepper(cfg: RunConfig) -> StepperConfig:
-    return StepperConfig(dt=cfg.dt, scheme=cfg.scheme, dt_floor=cfg.dt_floor)
+    return StepperConfig(dt=cfg.dt, scheme=cfg.scheme)
+
+
+def _floors(cfg: RunConfig) -> Tuple[float, float]:
+    """(scale_floor, dt_floor) of a run, as ``evolve`` derives them."""
+    return check_horizon(cfg.t_end, cfg.sample_every, cfg.dt, cfg.r_min,
+                         cfg.scale_floor)
 
 
 def _validate(cfg: RunConfig) -> None:
-    # the grid, the stepper, the degree and the horizon check themselves
+    # the grid, the stepper, the degree and the horizon with its floors
+    # check themselves
     RadialGrid(cfg.r_min, cfg.r_max, cfg.n)
     _stepper(cfg)
     try:
         check_degree(cfg.m)
-        check_horizon(cfg.t_end, cfg.sample_every, cfg.scale_floor)
+        _floors(cfg)
     except ContractViolation as exc:
         raise ConfigurationError(str(exc)) from None
     if "/" in cfg.label or os.sep in cfg.label:
@@ -466,7 +471,7 @@ def execute(cfg: RunConfig) -> RunResult:
         "provenance": {
             "grid": {"r_min": cfg.r_min, "r_max": cfg.r_max, "n": cfg.n},
             "stepper": {"dt": cfg.dt, "scheme": cfg.scheme,
-                        "dt_floor": cfg.dt_floor,
+                        "dt_floor": _floors(cfg)[1],
                         "scale_floor": cfg.scale_floor},
             "initial_condition": {
                 "family": cfg.ic_family,

@@ -9,8 +9,9 @@ from hmflow.bubble import BubbleProfile, sample_Q
 from hmflow.energy import energy, node_energies, prefix_energy
 from hmflow.errors import ConfigurationError, ContractViolation
 from hmflow.evolve import (STATUS_ABORTED, STATUS_BLOWUP, STATUS_GLOBAL,
-                           StepperConfig, dissipation_audit, evolve,
-                           nonlinearity, scale_estimate, step)
+                           StepperConfig, check_horizon, dissipation_audit,
+                           evolve, nonlinearity, scale_estimate, step,
+                           step_floor)
 from hmflow.grid import RadialField, apply_delta_m, build_grid
 
 
@@ -18,8 +19,10 @@ def test_stepper_config_validation():
     StepperConfig(dt=1e-3)
     with pytest.raises(ConfigurationError):
         StepperConfig(dt=1e-3, scheme="RK4")
-    with pytest.raises(ConfigurationError):
-        StepperConfig(dt=1e-10, dt_floor=1e-9)
+    # step() does not check a horizon, so the stepper checks its own dt
+    for dt in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ConfigurationError, match="dt"):
+            StepperConfig(dt=dt)
 
 
 def test_nonlinearity_zero(default_grid):
@@ -140,24 +143,29 @@ def test_dissipation_audit_needs_samples(default_grid):
 
 
 # a NaN horizon used to end the run after one sample, a non-positive
-# sample_every used to hang the sampling clock, and a NaN scale floor
-# silently turned off the Blowup verdict
-@pytest.mark.parametrize("t_end,sample_every,scale_floor", [
-    pytest.param(0.0, 0.05, None, id="t_end_zero"),
-    pytest.param(-1.0, 0.05, None, id="t_end_negative"),
-    pytest.param(np.nan, 0.05, None, id="t_end_nan"),
-    pytest.param(np.inf, 0.05, None, id="t_end_inf"),
-    pytest.param(0.1, 0.0, None, id="sample_every_zero"),
-    pytest.param(0.1, -0.05, None, id="sample_every_negative"),
-    pytest.param(0.1, np.nan, None, id="sample_every_nan"),
-    pytest.param(0.1, np.inf, None, id="sample_every_inf"),
-    pytest.param(0.1, 0.05, 0.0, id="scale_floor_zero"),
-    pytest.param(0.1, 0.05, -1e-3, id="scale_floor_negative"),
-    pytest.param(0.1, 0.05, np.nan, id="scale_floor_nan"),
-    pytest.param(0.1, 0.05, np.inf, id="scale_floor_inf"),
+# sample_every used to hang the sampling clock, a NaN scale floor silently
+# turned off the Blowup verdict, and a dt at the floor step size (1e-9 on
+# this grid) cannot shrink
+@pytest.mark.parametrize("t_end,sample_every,scale_floor,dt", [
+    pytest.param(0.0, 0.05, None, 1e-3, id="t_end_zero"),
+    pytest.param(-1.0, 0.05, None, 1e-3, id="t_end_negative"),
+    pytest.param(np.nan, 0.05, None, 1e-3, id="t_end_nan"),
+    pytest.param(np.inf, 0.05, None, 1e-3, id="t_end_inf"),
+    pytest.param(0.1, 0.0, None, 1e-3, id="sample_every_zero"),
+    pytest.param(0.1, -0.05, None, 1e-3, id="sample_every_negative"),
+    pytest.param(0.1, np.nan, None, 1e-3, id="sample_every_nan"),
+    pytest.param(0.1, np.inf, None, 1e-3, id="sample_every_inf"),
+    pytest.param(0.1, 0.05, 0.0, 1e-3, id="scale_floor_zero"),
+    pytest.param(0.1, 0.05, -1e-3, 1e-3, id="scale_floor_negative"),
+    pytest.param(0.1, 0.05, np.nan, 1e-3, id="scale_floor_nan"),
+    pytest.param(0.1, 0.05, np.inf, 1e-3, id="scale_floor_inf"),
+    # (1e-170)^2 / 10 underflows to 0
+    pytest.param(0.1, 0.05, 1e-170, 1e-3, id="scale_floor_step_floor_zero"),
+    pytest.param(0.1, 0.05, None, 1e-10, id="dt_below_floor"),
+    pytest.param(0.1, 0.05, None, 1e-9, id="dt_at_floor"),
 ])
 def test_evolve_rejects_bad_horizon(default_grid, monkeypatch, t_end,
-                                    sample_every, scale_floor):
+                                    sample_every, scale_floor, dt):
     u0 = RadialField(default_grid, gaussian_bump(default_grid))
 
     def no_step(*args, **kwargs):
@@ -165,8 +173,21 @@ def test_evolve_rejects_bad_horizon(default_grid, monkeypatch, t_end,
 
     monkeypatch.setattr("hmflow.evolve._step_offset", no_step)
     with pytest.raises(ContractViolation):
-        evolve(u0, 2, t_end=t_end, stepper=StepperConfig(dt=1e-3),
+        evolve(u0, 2, t_end=t_end, stepper=StepperConfig(dt=dt),
                sample_every=sample_every, scale_floor=scale_floor)
+
+
+@pytest.mark.parametrize("scale_floor,dt_floor", [
+    (1e-3, 1e-9), (1e-4, 1e-9), (1e-6, 1e-13), (1e-8, 1e-17)])
+def test_step_floor_follows_scale_floor(scale_floor, dt_floor):
+    # min(1e-9, scale_floor^2 / 10), exactly; a floor of 1e-4 lands on the
+    # cap, so every preset keeps the step floor 1e-9
+    assert step_floor(scale_floor) == dt_floor
+    assert check_horizon(1.0, 0.1, 1e-3, 1.0, scale_floor) == (scale_floor,
+                                                               dt_floor)
+    # the default scale floor is 10 r_min
+    assert check_horizon(1.0, 0.1, 1e-3, scale_floor / 10,
+                         None) == (10.0 * (scale_floor / 10), dt_floor)
 
 
 def test_sample_every_below_ulp_of_t_samples_each_step(monkeypatch):
@@ -222,10 +243,12 @@ def _monitor_case(sector, g):
     s0 = scale_estimate(u0, 2)
     if sector == "zero_degree_floor_near":
         return u0, dict(stepper=cfg, scale_floor=0.99 * s0), 11
-    # pinned below the floor: dt halves to dt_floor and the run ends as
-    # Blowup, every accepted step a sample
-    return u0, dict(stepper=StepperConfig(dt=1e-3, dt_floor=1e-4),
-                    scale_floor=2.0 * s0, sample_every=1e-4), 8
+    # pinned below the floor: dt halves on each of 20 steps from 1e-3 to
+    # 1.9e-9, the 20-step streak grows it to 1.25e-9 for one more step,
+    # that step halves it to the floor step size 1e-9, and 3 steps there
+    # end the run as Blowup, every accepted step a sample: 1 + 21 + 3
+    return u0, dict(stepper=cfg, scale_floor=2.0 * s0,
+                    sample_every=1e-10), 25
 
 
 @pytest.mark.parametrize("sector", [
@@ -364,8 +387,7 @@ def test_concentration_floor_terminates_as_blowup(default_grid, sector):
     else:
         u0, scale_floor = RadialField(g, gaussian_bump(g, sigma=0.05)), 1.0
         assert scale_estimate(u0, 2) < 0.1 * scale_floor
-    rec = evolve(u0, 2, t_end=10.0,
-                 stepper=StepperConfig(dt=1e-3, dt_floor=1e-5),
+    rec = evolve(u0, 2, t_end=10.0, stepper=StepperConfig(dt=1e-3),
                  sample_every=0.01, scale_floor=scale_floor)
     assert rec.status == STATUS_BLOWUP
     assert rec.times[-1] < 10.0
@@ -376,21 +398,30 @@ def test_concentration_floor_terminates_as_blowup(default_grid, sector):
 
 
 # a step that fails at every dt: shrinking from dt = 1e-3 by halves takes
-# 7 attempts to reach dt_floor = 1e-5; the first failure there ends the run
-# (a retry would repeat the same solve): a non-finite step aborts, and an
-# energy rise ends the run as Blowup if the state sits below the scale
-# floor and as Aborted otherwise
-@pytest.mark.parametrize("bad,sigma,scale_floor,status,attempts", [
-    pytest.param(lambda off: 1.1 * off, 1.0, 1e-3, STATUS_ABORTED, 7 + 1,
-                 id="energy_rise_unconcentrated"),
-    pytest.param(lambda off: 1.1 * off, 0.05, 1.0, STATUS_BLOWUP, 7 + 1,
-                 id="energy_rise_concentrated"),
+# 20 attempts to reach the floor step size 1e-9; the first failure there
+# ends the run (a retry would repeat the same solve): a non-finite step
+# aborts, and an energy rise ends the run as Blowup if the state sits below
+# the scale floor and as Aborted otherwise.  The floor is that of the
+# state's own scale s, min(1e-9, s^2 / 10), until s falls below scale_floor:
+# a state of scale 1 on a grid that resolves 1e-6 still stops at 1e-9 (it
+# used to halve on to 1e-13, and an IMEX2 step whose energy rise is first
+# order in dt then crawled at dt ~ 6e-14), and one of scale 9.85e-6 stops
+# at 9.7e-12, after 27 halvings.  A deep grid is on [1e-8, 1e2].
+@pytest.mark.parametrize("bad,sigma,scale_floor,status,attempts,deep", [
+    pytest.param(lambda off: 1.1 * off, 1.0, 1e-3, STATUS_ABORTED, 20 + 1,
+                 False, id="energy_rise_unconcentrated"),
+    pytest.param(lambda off: 1.1 * off, 0.05, 1.0, STATUS_BLOWUP, 20 + 1,
+                 False, id="energy_rise_concentrated"),
     pytest.param(lambda off: np.full_like(off, np.nan), 1.0, 1e-3,
-                 STATUS_ABORTED, 7 + 1, id="non_finite"),
+                 STATUS_ABORTED, 20 + 1, False, id="non_finite"),
+    pytest.param(lambda off: 1.1 * off, 1.0, 1e-6, STATUS_ABORTED, 20 + 1,
+                 True, id="energy_rise_wide_state_deep_floor"),
+    pytest.param(lambda off: 1.1 * off, 1e-5, 1e-7, STATUS_ABORTED, 27 + 1,
+                 True, id="energy_rise_small_state_deep_floor"),
 ])
 def test_failures_at_the_floor_step_end_the_run(default_grid, monkeypatch, bad,
                                                 sigma, scale_floor, status,
-                                                attempts):
+                                                attempts, deep):
     calls = []
 
     def failing_step(grid, off, *args):
@@ -398,13 +429,48 @@ def test_failures_at_the_floor_step_end_the_run(default_grid, monkeypatch, bad,
         return bad(off)
 
     monkeypatch.setattr("hmflow.evolve._step_offset", failing_step)
-    u0 = RadialField(default_grid, gaussian_bump(default_grid, sigma=sigma))
-    rec = evolve(u0, 2, t_end=1.0,
-                 stepper=StepperConfig(dt=1e-3, dt_floor=1e-5),
+    g = build_grid(1e-8, 1e2, 1024) if deep else default_grid
+    u0 = RadialField(g, gaussian_bump(g, sigma=sigma))
+    rec = evolve(u0, 2, t_end=1.0, stepper=StepperConfig(dt=1e-3),
                  sample_every=0.1, scale_floor=scale_floor)
     assert rec.status == status
     assert rec.times == [0.0]
     assert len(calls) == attempts
+
+
+# a bubble of scale 1e-5 has the step floor 1e-11 at its own scale, above
+# dt = 5e-12, which check accepts against step_floor(1e-7) = 1e-15; the
+# floor is capped at half of dt, so a failed first step is retried at
+# 2.5e-12 (it used to end the run), and a first step whose half-turn radius
+# halves is retried too (the collapse guard used to be off all run)
+@pytest.mark.parametrize("failure", ["non_finite", "scale_fall"])
+def test_a_dt_below_the_step_of_the_state_keeps_retries(monkeypatch,
+                                                        failure):
+    g = build_grid(1e-8, 1e2, 1024)
+    u0 = sample_Q(BubbleProfile(2, s=1e-5), g)
+    assert step_floor(scale_estimate(u0, 2)) > 5e-12
+    real_step = evolve_module._step_offset
+    real_radius = evolve_module._half_turn_radius
+    trials = []
+
+    def step_once_bad(grid, off, sin_sq, m, coeffs, dt, *args):
+        trials.append(dt)
+        new_off = real_step(grid, off, sin_sq, m, coeffs, dt, *args)
+        if failure == "non_finite" and len(trials) == 1:
+            return np.full_like(new_off, np.nan)
+        return new_off
+
+    def radius_once_halved(grid, off):
+        s = real_radius(grid, off)
+        return 0.5 * s if failure == "scale_fall" and len(trials) == 1 else s
+
+    monkeypatch.setattr("hmflow.evolve._step_offset", step_once_bad)
+    monkeypatch.setattr("hmflow.evolve._half_turn_radius", radius_once_halved)
+    rec = evolve(u0, 2, t_end=1e-10, stepper=StepperConfig(dt=5e-12),
+                 sample_every=5e-11)
+    assert rec.status == STATUS_GLOBAL
+    assert trials[:2] == [5e-12, 2.5e-12]
+    assert rec.times[-1] == pytest.approx(1e-10)
 
 
 def test_m1_bubble_near_inner_wall_is_stationary():

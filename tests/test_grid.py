@@ -69,6 +69,17 @@ def test_grid_construction_validation():
         build_grid(1e-3, np.inf, 64)
     with pytest.raises(ConfigurationError):
         build_grid(1e-3, 1.0, 8)
+    # the operator bands divide by r^2 and the L4 monitor by r^4: r_min^4
+    # must be a normal float, which holds down to r_min = 1.2213e-77;
+    # r_min = 1e-200 used to pass check and end the run Aborted
+    for n in (16, 64, 2048):
+        g = build_grid(1.3e-77, 1e2, n)
+        for bands in (g.operator_bands(1.0, 16.0), g.operator_bands(2.0, 0.0)):
+            assert all(np.isfinite(b).all() for b in bands)
+        assert np.isfinite(g.weights / g.nodes**4).all()
+    for r_min in (1.2e-77, 1e-200):
+        with pytest.raises(ConfigurationError, match="r_min"):
+            build_grid(r_min, 1e2, 64)
 
 
 def test_field_contract(default_grid):

@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import json
 import math
 import tempfile
@@ -11,9 +12,10 @@ from hypothesis import strategies as st
 from hmflow.cli import main as cli_main
 from hmflow.energy import energy
 from hmflow.errors import ConfigurationError
-from hmflow.evolve import evolve
+from hmflow.evolve import evolve, step_floor
 from hmflow.grid import build_grid
-from hmflow.runner import (CSV_COLUMNS, IC_FAMILIES, SCENARIOS,
+from hmflow.runner import (CSV_COLUMNS, IC_FAMILIES, SCENARIOS, _FLOAT_KEYS,
+                           _INT_KEYS, _KNOWN_KEYS, _STR_KEYS, RunConfig,
                            _setup, build_initial_condition, build_run_config,
                            execute, parse_config_text, parse_grid_file, run,
                            sweep)
@@ -50,6 +52,14 @@ def test_unknown_key_rejected(tmp_path):
         build_run_config({"mm": "2"}, out_dir=str(tmp_path))
 
 
+def test_config_keys_are_the_run_config_fields():
+    # every RunConfig field but out_dir is a config key, of exactly one type
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    assert _KNOWN_KEYS == fields - {"out_dir"}
+    assert len(_FLOAT_KEYS) + len(_INT_KEYS) + len(_STR_KEYS) == len(
+        _KNOWN_KEYS)
+
+
 @pytest.mark.parametrize("key,val,fragment", [
     ("m", "0", "m"),
     ("m", "2.5", "m"),
@@ -57,8 +67,9 @@ def test_unknown_key_rejected(tmp_path):
     ("r_max", "1e-5", "r_"),
     ("n", "8", "n"),
     ("dt", "0", "dt"),
-    ("dt_floor", "2e-3", "dt_floor"),  # equal to dt
+    ("dt_floor", "2e-3", "dt_floor"),  # not a key: derived from scale_floor
     ("dt_floor", "nan", "dt_floor"),
+    ("scale_floor", "1e-170", "underflows"),  # its step floor is 0
     ("r_max", "inf", "r_max"),
     ("t_end", "nan", "t_end"),
     ("t_end", "-1", "t_end"),
@@ -376,13 +387,38 @@ def _nan_samples(tmp_path):
     return str(path)
 
 
+def test_cli_small_bubble_runs_below_the_old_step_floor(tmp_path):
+    # a bubble of scale 1e-5 needs steps near 1e-11, below the fixed step
+    # floor 1e-9 of old; the floor derived from the default scale floor
+    # 10 r_min = 1e-7 is 1e-15, so check accepts dt = 5e-12 with no key
+    path = tmp_path / "small_bubble.cfg"
+    path.write_text("m = 2\nr_min = 1e-8\nr_max = 1e2\nn = 2925\n"
+                    "dt = 5e-12\nt_end = 5e-9\nsample_every = 1e-9\n"
+                    "ic_family = q_exact\nic_s0 = 1e-5\nlabel = small\n")
+    assert cli_main(["check", str(path)]) == 0
+    assert cli_main(["--out", str(tmp_path), "run", str(path)]) == 0
+    summary = json.loads((tmp_path / "small_summary.json").read_text())
+    assert summary["status"] == "Global"
+    assert summary["classification"] == "ConvergedToQ"
+    assert summary["provenance"]["stepper"]["dt_floor"] == step_floor(
+        10 * 1e-8)
+
+
 # each of these used to pass `check` and then fail or misbehave in `run`;
 # a callable value is called with tmp_path to make the file it names
 @pytest.mark.parametrize("over", [
     pytest.param(dict(m="0"), id="m_zero"),
+    # dt_floor is no longer a key: its lines are rejected as unknown
     pytest.param(dict(dt_floor="2e-3"), id="dt_equals_dt_floor"),
     pytest.param(dict(t_end="nan"), id="t_end_nan"),
     pytest.param(dict(dt_floor="nan"), id="dt_floor_nan"),
+    # this dt needs 1e300 steps to reach t_end; with a dt_floor line of
+    # 1e-301 it used to pass check and hang the run
+    pytest.param(dict(n="64", dt="1e-300", t_end="1"), id="dt_below_floor"),
+    pytest.param(dict(n="64", dt="1e-300", dt_floor="1e-301", t_end="1"),
+                 id="dt_below_dt_floor_line"),
+    # r_min^4 underflows to 0; the run used to end Aborted
+    pytest.param(dict(r_min="1e-200"), id="r_min_fourth_power_underflow"),
     pytest.param(dict(ic_family="q_exact", ic_s0="nan"), id="ic_s0_nan"),
     pytest.param(dict(r_max="inf"), id="r_max_inf"),
     pytest.param(dict(ic_A="50"), id="e0_energy_window"),
@@ -437,10 +473,11 @@ _PROPERTY_BASE = dict(r_min="1e-3", r_max="1e2", dt="2e-3", ic_A="0.5",
                       ic_sigma="1", ic_s0="1", label="prop")
 _EDGE_VALUES = {
     "m": ["0", "1"],
-    "r_min": ["0", "nan", "1e-12", "1e2"],
+    "r_min": ["0", "nan", "1e-12", "1e2", "1e-200"],
     "r_max": ["inf", "1e6"],
     "n": ["8", "15"],
-    "dt": ["0", "nan", "1e-9", "1"],
+    "dt": ["0", "nan", "1e-9", "1", "1e-300"],
+    # not a key: the step floor is derived from scale_floor
     "dt_floor": ["2e-3", "nan", "-1", "1e-300"],
     "t_end": ["0", "nan", "inf", "1e-9"],
     "sample_every": ["0", "nan", "1e-4", "1e3", "1e-20"],
