@@ -47,8 +47,8 @@ def node_energies(grid: RadialGrid, offset: np.ndarray, m: int,
     Each edge gives half its energy to each end; the tails (r^m law inside
     r_0, r^-m law outside r_{n-1}) are split evenly between the halves, as
     in the continuum.  Every energy the package reports sums these node
-    energies, so all agree to the last digit; ``prefix_energy`` forms their
-    sums without the node arrays.  Operations are in place.
+    energies, so all agree to the last digit; ``gate_energy`` forms their
+    sum without the node arrays.  Operations are in place.
     """
     edge = np.diff(offset)
     edge *= edge
@@ -69,26 +69,19 @@ def node_energies(grid: RadialGrid, offset: np.ndarray, m: int,
     return dir_e, pot_e
 
 
-
-def prefix_energy(grid: RadialGrid, offset: np.ndarray, edges: np.ndarray,
-                  sin_sq: np.ndarray, m: int, inner: float, k: int) -> float:
-    """The sum of ``node_energies`` over nodes 0..k-1, all of E_h when
-    k >= n, from edges = np.diff(offset) and sin_sq = sin^2(offset) by dot
-    products: edge j carries (v_{j+1} - v_j)^2 / (2h), half on each end.
-    Equal to the node sums up to rounding, not bit for bit."""
+def gate_energy(grid: RadialGrid, offset: np.ndarray, edges: np.ndarray,
+                sin_sq: np.ndarray, m: int, inner: float) -> float:
+    """E_h, the sum of ``node_energies``, from edges = np.diff(offset) and
+    sin_sq = sin^2(offset) by dot products: edge j carries
+    (v_{j+1} - v_j)^2 / (2h).  Equal to the node sum up to rounding, not
+    bit for bit."""
     v0 = offset[0].item()
-    if k >= grid.n:
-        edge_sq = float(np.dot(edges, edges))
-        sin_sum = float(np.dot(grid._trapz_log, sin_sq))
-        tail_sq = v0 * v0 + (offset[-1].item() + inner) ** 2
-    else:
-        last = edges[k - 1].item()
-        edge_sq = (float(np.dot(edges[:k - 1], edges[:k - 1]))
-                   + 0.5 * last * last)
-        sin_sum = float(np.dot(grid._trapz_log[:k], sin_sq[:k]))
-        tail_sq = v0 * v0
+    edge_sq = float(np.dot(edges, edges))
+    sin_sum = float(np.dot(grid._trapz_log, sin_sq))
+    tail_sq = v0 * v0 + (offset[-1].item() + inner) ** 2
     return ((0.5 / grid.log_step) * edge_sq + 0.5 * m * m * sin_sum
             + 0.5 * m * tail_sq)
+
 
 def integrate_density(dir_e: np.ndarray, pot_e: np.ndarray) -> EnergyBreakdown:
     """Breakdown of the two halves of ``node_energies``."""

@@ -20,10 +20,14 @@ For degree-m data a step is also retried when the bubble's half-turn radius
 falls too far in one step, and a sample is taken each time that radius
 falls by a fixed fraction of a decade, so the step size and the sampling
 follow a collapse.
-A failure at the floor step size ends the run (a retry would repeat the same
-solve): as blow-up when concentrated below the resolvable scale, else abort.
-The floor step size is not set but derived from the state's scale and the
-resolvable one (``step_floor``).
+A degree-m run ends as blow-up at its first accepted step whose half-turn
+radius lies below the resolvable scale.  A failure at the floor step size
+ends the run (a retry would repeat the same solve): as blow-up when the
+state is degree-m and already below the resolvable scale, else abort.
+Zero-degree data below 2 E(Q) keep sup |u| < pi (``pointwise_bound_check``),
+so they cannot bubble and are never screened for concentration.  The floor
+step size is not set but derived from the state's scale and the resolvable
+one (``step_floor``).
 """
 
 from __future__ import annotations
@@ -34,8 +38,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolation
-from .energy import (EnergyBreakdown, _half_turn_radius, integrate_density,
-                     node_energies, prefix_energy)
+from .energy import (EnergyBreakdown, _half_turn_radius, gate_energy,
+                     integrate_density, node_energies)
 from .grid import RadialField, RadialGrid, check_degree
 
 STATUS_GLOBAL = "Global"
@@ -45,7 +49,7 @@ STATUS_ABORTED = "Aborted"
 # accepted steps may raise the energy by at most this fraction of E(u0)
 ENERGY_INCREASE_TOL = 1e-8
 
-# dt shrink factor on a failed step or on concentration below the scale floor
+# dt shrink factor on a failed step
 STEP_SHRINK = 0.5
 
 # largest fall of ln(half-turn radius) an accepted degree-m step may make
@@ -232,8 +236,9 @@ def check_horizon(t_end: float, sample_every: float, dt: float,
     """(scale_floor, dt_floor) of a run: scale_floor None stands for
     10 * r_min, and dt_floor = step_floor(scale_floor) is the smallest step
     size the run may take.  Raises ContractViolation unless t_end,
-    sample_every and scale_floor are positive and finite and
-    dt > dt_floor > 0."""
+    sample_every and scale_floor are positive and finite,
+    dt > dt_floor > 0 and dt > np.spacing(t_end): a smaller step added to
+    t near t_end leaves t unchanged."""
     for name, value in (("t_end", t_end), ("sample_every", sample_every),
                         ("scale_floor", scale_floor)):
         if value is not None and not 0 < value < np.inf:
@@ -248,6 +253,10 @@ def check_horizon(t_end: float, sample_every: float, dt: float,
     if not dt > dt_floor:
         raise ContractViolation(
             f"dt must exceed the step floor {dt_floor:g}, got {dt}")
+    if not dt > np.spacing(t_end):
+        raise ContractViolation(
+            f"dt must exceed the float spacing {np.spacing(t_end):g} at "
+            f"t_end, got {dt}")
     return scale_floor, dt_floor
 
 
@@ -257,11 +266,14 @@ def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
     """Adaptive evolution with dissipation ledger and blow-up monitors.
 
     scale_floor is the concentration scale below which the grid can no
-    longer resolve the bubble core (default 10 * r_min); a run pinned at the
-    floor step size while concentrated below it terminates as Blowup.  An
-    m = 1 collapse on the grid bottoms out near 12-15 r_min, above the
-    default, so m = 1 runs should set the floor explicitly (the m1_blowup
-    preset uses 100 r_min).
+    longer resolve the bubble core (default 10 * r_min).  A degree-m run
+    ends as Blowup at its first accepted step whose half-turn radius lies
+    below it, and at a failure at the floor step size when its state
+    already does; every other failure there ends it as Aborted.  For
+    zero-degree data it only sets the floor step size.  An m = 1 collapse
+    on the grid bottoms out near 12-15 r_min, above the default, so m = 1
+    runs should set the floor explicitly (the m1_blowup preset uses
+    100 r_min).
 
     The floor step size is ``step_floor`` of the state's scale estimate,
     or of scale_floor once the estimate lies below it: a failing step on a
@@ -278,13 +290,12 @@ def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
     at a smaller step.
 
     Each trial step works on plain arrays and does only what its gate
-    needs: E_h from one np.diff and two dot products (``prefix_energy``),
+    needs: E_h from one np.diff and two dot products (``gate_energy``),
     and the sin^2 of the new state, which the next step's F' reuses.  Node
-    energies and fields are built only for the samples, and for a
-    zero-degree half-energy radius after a step only when the same dot
-    products over the nodes up to the floor find that it can lie below
-    scale_floor.  The recorded energies and scale estimates equal energy()
-    and scale_estimate() of the sampled fields exactly.
+    energies and fields are built only for the samples (and for the floor
+    step size of a zero-degree state after a failed step).  The recorded
+    energies and scale estimates equal energy() and scale_estimate() of
+    the sampled fields exactly.
     """
     check_degree(m)
     g = field.grid
@@ -292,7 +303,6 @@ def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
                                           g.r_min, scale_floor)
 
     rec = TrajectoryRecord(m, g)
-    n = g.n
     inner = field.inner_limit
     degree_m = inner == np.pi
     scheme = stepper.scheme
@@ -301,7 +311,7 @@ def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
     off = field.offset.copy()
     sin_sq = np.sin(off)
     sin_sq *= sin_sq
-    e_cur = prefix_energy(g, off, np.diff(off), sin_sq, m, inner, n)
+    e_cur = gate_energy(g, off, np.diff(off), sin_sq, m, inner)
     e_tol = ENERGY_INCREASE_TOL * max(e_cur, 1e-30)
     # node energies of the current state (None: not built yet)
     dens_cur = None
@@ -310,7 +320,7 @@ def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
     # running integral of ||u/r||_L4^4 dt; samples record its fourth root
     l4_integral = 0.0
     # scale estimate of the current state; None marks a zero-degree state
-    # whose half-energy radius is known to lie above scale_floor
+    # whose half-energy radius is not built yet
     s_cur = scale_estimate(field, m)
 
     def current_density():
@@ -350,94 +360,79 @@ def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
     scale_mark = s_cur if degree_m else np.nan
     min_fall = np.exp(-MAX_LOG_SCALE_FALL)
     sample_fall = 10.0 ** -SAMPLE_DECADES
-    # the half-energy radius can lie below scale_floor only if half the
-    # energy sits on the nodes up to the second one above the floor; the
-    # prefix and the total are summed in another order than in
-    # _half_energy_radius, hence the relative margin
-    n_floor = int(np.searchsorted(g.nodes, scale_floor, side="right")) + 2
-    half_margin = 0.5 * (1.0 - 1e-9)
 
     t = 0.0
     dt = stepper.dt
     next_sample = sample_every
     accepted_streak = 0
-    pinned_concentrated = 0
     ghost_outer = field.outer_ghost_offset()
     l4_weights = g.weights / g.nodes**4
     coeffs = _rate_coeffs(g, m)
 
-    while t < t_end - 1e-12 * t_end:
-        dt_try = min(dt, t_end - t)
-        new_off = _step_offset(g, off, sin_sq, m, coeffs, dt_try, scheme,
-                               ghost_outer)
-        finite = bool(np.isfinite(new_off).all())
-        ok = finite
-        if finite:
-            edges = new_off[1:] - new_off[:-1]
-            new_sin_sq = np.sin(new_off)
-            new_sin_sq *= new_sin_sq
-            e_new = prefix_energy(g, new_off, edges, new_sin_sq, m, inner, n)
-            ok = e_new <= e_cur + e_tol
-        if ok and degree_m:
-            s_new = _half_turn_radius(g, new_off)
-            if dt > current_floor():
-                ok = not (s_new < min_fall * s_cur)
+    # a diverging trial may overflow; the finite check and the gate reject
+    # it, so one errstate spans the loop rather than each trial
+    with np.errstate(over="ignore", invalid="ignore"):
+        while t < t_end - 1e-12 * t_end:
+            dt_try = min(dt, t_end - t)
+            new_off = _step_offset(g, off, sin_sq, m, coeffs, dt_try, scheme,
+                                   ghost_outer)
+            finite = bool(np.isfinite(new_off).all())
+            ok = finite
+            if finite:
+                edges = new_off[1:] - new_off[:-1]
+                new_sin_sq = np.sin(new_off)
+                new_sin_sq *= new_sin_sq
+                e_new = gate_energy(g, new_off, edges, new_sin_sq, m, inner)
+                ok = e_new <= e_cur + e_tol
+            if ok and degree_m:
+                s_new = _half_turn_radius(g, new_off)
+                if dt > current_floor():
+                    ok = not (s_new < min_fall * s_cur)
 
-        if not ok:
-            floor = current_floor()
-            if dt > floor:
-                dt = max(dt * STEP_SHRINK, floor)
-                accepted_streak = 0
-                continue
-            s = current_scale() if finite else np.nan
-            concentrated = np.isfinite(s) and s < scale_floor
-            rec.status = STATUS_BLOWUP if concentrated else STATUS_ABORTED
-            break
+            if not ok:
+                floor = current_floor()
+                if dt > floor:
+                    dt = max(dt * STEP_SHRINK, floor)
+                    accepted_streak = 0
+                    continue
+                concentrated = finite and degree_m and s_cur < scale_floor
+                rec.status = STATUS_BLOWUP if concentrated else STATUS_ABORTED
+                break
 
-        # accepted
-        du = new_off - off
-        dissipated += float(np.dot(g.weights, du * du)) / dt_try
-        # squares, not new_off**4: a power of a negative base takes the
-        # slow path of pow
-        sq = new_off * new_off
-        l4_integral += dt_try * float(np.dot(l4_weights, sq * sq))
-        off, sin_sq, e_cur = new_off, new_sin_sq, e_new
-        dens_cur = None
-        t += dt_try
+            # accepted
+            du = new_off - off
+            dissipated += float(np.dot(g.weights, du * du)) / dt_try
+            # squares, not new_off**4: a power of a negative base takes the
+            # slow path of pow
+            sq = new_off * new_off
+            l4_integral += dt_try * float(np.dot(l4_weights, sq * sq))
+            off, sin_sq, e_cur = new_off, new_sin_sq, e_new
+            dens_cur = None
+            t += dt_try
 
-        if degree_m:
-            s_cur = s_new
-        else:
-            s_cur = None
-            if (prefix_energy(g, off, edges, sin_sq, m, inner, n_floor)
-                    >= half_margin * e_cur):
-                current_scale()
-        if s_cur is not None and s_cur < scale_floor:
-            floor = current_floor()
-            if dt > floor:
-                dt = max(dt * STEP_SHRINK, floor)
-            else:
-                pinned_concentrated += 1
-                if pinned_concentrated >= 3:
+            if degree_m:
+                s_cur = s_new
+                if s_cur < scale_floor:
                     rec.status = STATUS_BLOWUP
                     break
-        else:
-            pinned_concentrated = 0
+            else:
+                s_cur = None
 
-        accepted_streak += 1
-        if accepted_streak >= 20 and dt < stepper.dt:
-            dt = min(dt * 1.25, stepper.dt)
-            accepted_streak = 0
+            accepted_streak += 1
+            if accepted_streak >= 20 and dt < stepper.dt:
+                dt = min(dt * 1.25, stepper.dt)
+                accepted_streak = 0
 
-        if (t >= next_sample - 1e-12 or t >= t_end - 1e-12 * t_end
-                or (degree_m and s_cur <= sample_fall * scale_mark)):
-            take_sample(t)
-            if degree_m:
-                scale_mark = np.fmin(scale_mark, s_cur)
-            if next_sample <= t + 1e-12:
-                # past every interval the step spanned, in one addition
-                next_sample += (np.floor((t + 1e-12 - next_sample)
-                                         / sample_every) + 1.0) * sample_every
+            if (t >= next_sample - 1e-12 or t >= t_end - 1e-12 * t_end
+                    or (degree_m and s_cur <= sample_fall * scale_mark)):
+                take_sample(t)
+                if degree_m:
+                    scale_mark = np.fmin(scale_mark, s_cur)
+                if next_sample <= t + 1e-12:
+                    # past every interval the step spanned, in one addition
+                    spanned = np.floor((t + 1e-12 - next_sample)
+                                       / sample_every)
+                    next_sample += (spanned + 1.0) * sample_every
 
     if rec.status != STATUS_GLOBAL and rec.times[-1] < t:
         take_sample(t)

@@ -137,6 +137,16 @@ def test_criterion_05_pointwise_bound(decay):
     _report(5, "pointwise_sup_bound", ok)
 
 
+def test_decay_keeps_the_pointwise_bound_at_every_sample(decay):
+    # the evidence for the zero-degree Global verdict: E never rises, so
+    # delta1 = 4m - E(u0) bounds sup |u| below pi at every sample, the
+    # early ones that criterion 05 skips included
+    rec = decay[0].record
+    delta1 = 4.0 * rec.m - rec.energies[0].total
+    assert len(rec.fields) == 41
+    assert all(pointwise_bound_check(f, rec.m, delta1)[1] for f in rec.fields)
+
+
 def test_criterion_06_above_threshold_convergence(stability):
     res, elapsed = stability
     e_init = res.summary["final_metrics"]["E_initial"]

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from conftest import gaussian_bump, same_bits
 from hmflow import evolve as evolve_module
 from hmflow.bubble import BubbleProfile, sample_Q
-from hmflow.energy import energy, node_energies, prefix_energy
+from hmflow.energy import energy, gate_energy, pointwise_bound_check
 from hmflow.errors import ConfigurationError, ContractViolation
 from hmflow.evolve import (STATUS_ABORTED, STATUS_BLOWUP, STATUS_GLOBAL,
                            StepperConfig, check_horizon, dissipation_audit,
@@ -163,6 +163,9 @@ def test_dissipation_audit_needs_samples(default_grid):
     pytest.param(0.1, 0.05, 1e-170, 1e-3, id="scale_floor_step_floor_zero"),
     pytest.param(0.1, 0.05, None, 1e-10, id="dt_below_floor"),
     pytest.param(0.1, 0.05, None, 1e-9, id="dt_at_floor"),
+    # a step at or below the float spacing at t_end leaves t unchanged
+    pytest.param(1.0, 0.05, 1e-20, np.spacing(1.0),
+                 id="dt_at_spacing_of_t_end"),
 ])
 def test_evolve_rejects_bad_horizon(default_grid, monkeypatch, t_end,
                                     sample_every, scale_floor, dt):
@@ -235,29 +238,15 @@ def _monitor_case(sector, g):
         return (_collapsing_bubble(g, 2),
                 dict(stepper=StepperConfig(dt=0.2), t_end=0.5,
                      sample_every=0.1), 6)
-    u0 = RadialField(g, 1.5 * gaussian_bump(g))
-    if sector == "zero_degree":
-        return u0, dict(stepper=cfg), 11
-    # the floor screen passes while the half-energy radius lies within two
-    # nodes above the floor, and always once it lies below the floor
-    s0 = scale_estimate(u0, 2)
-    if sector == "zero_degree_floor_near":
-        return u0, dict(stepper=cfg, scale_floor=0.99 * s0), 11
-    # pinned below the floor: dt halves on each of 20 steps from 1e-3 to
-    # 1.9e-9, the 20-step streak grows it to 1.25e-9 for one more step,
-    # that step halves it to the floor step size 1e-9, and 3 steps there
-    # end the run as Blowup, every accepted step a sample: 1 + 21 + 3
-    return u0, dict(stepper=cfg, scale_floor=2.0 * s0,
-                    sample_every=1e-10), 25
+    return RadialField(g, 1.5 * gaussian_bump(g)), dict(stepper=cfg), 11
 
 
 @pytest.mark.parametrize("sector", [
-    "zero_degree", "degree_m", "zero_degree_floor_near",
-    "zero_degree_floor_above", "degree_m_scale_retries"])
+    "zero_degree", "degree_m", "degree_m_scale_retries"])
 def test_evolve_monitors_equal_reference_functionals(sector):
     # the loop gates trial steps on sums and builds node energies only for
-    # samples and floor checks; the recorded energies and scale estimates
-    # must be exactly what the public functionals give on the sampled fields
+    # samples; the recorded energies and scale estimates must be exactly
+    # what the public functionals give on the sampled fields
     g = build_grid(1e-3, 1e2, 512)
     u0, kwargs, samples = _monitor_case(sector, g)
     rec = evolve(u0, 2, **{"t_end": 0.1, "sample_every": 0.01, **kwargs})
@@ -286,23 +275,16 @@ def test_evolve_rejects_bad_degree(default_grid, monkeypatch, m):
 @pytest.mark.parametrize("inner", [0.0, np.pi], ids=["zero_degree",
                                                      "degree_m"])
 def test_gate_sums_equal_node_energy_sums(n, inner):
-    # the gate's E_h and the floor screen's prefix come from dot products,
-    # the reported energies from node sums; they must agree to rounding,
-    # also for a prefix that covers every node (scale_floor >= r_max)
+    # the gate's E_h comes from dot products, the reported energies from
+    # node sums; they must agree to rounding
     g = build_grid(1e-3, 1e2, n)
     rng = np.random.default_rng(n + int(inner))
     for m in (1, 2, 4):
         off = rng.uniform(-np.pi, np.pi, n)
         sin_off = np.sin(off)
-        args = (g, off, np.diff(off), sin_off * sin_off, m, inner)
-        total = prefix_energy(*args, n)
+        total = gate_energy(g, off, np.diff(off), sin_off * sin_off, m, inner)
         ref = energy(RadialField(g, off, inner), m).total
         assert total == pytest.approx(ref, rel=1e-13, abs=0.0)
-        dir_e, pot_e = node_energies(g, off, m, inner)
-        for k in (1, 2, n // 3, n - 1, n, n + 2):
-            prefix = prefix_energy(*args, k)
-            want = float(np.sum(dir_e[:k] + pot_e[:k]))
-            assert prefix == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 def test_node_energies_only_for_samples(monkeypatch):
@@ -377,50 +359,72 @@ def test_scale_estimate_bump_tracks_width(default_grid):
 
 @pytest.mark.parametrize("sector", ["degree_m", "zero_degree"])
 def test_concentration_floor_terminates_as_blowup(default_grid, sector):
-    # data already below the resolvable scale floor pins the step size at
-    # its floor and the run must be declared Blowup, not ground forever; in
-    # the zero-degree sector the half-energy radius is computed only when
-    # the floor test finds half the energy near the floor
+    # a degree-m run below the resolvable scale floor ends as Blowup at its
+    # first accepted step (dt used to halve about 20 times and then count 3
+    # steps pinned at the floor step size); zero-degree data below 2 E(Q)
+    # cannot bubble, so the same concentration ends Global, and the
+    # pointwise bound of Theorem 1 holds at every sample
     g = default_grid
     if sector == "degree_m":
         u0, scale_floor = sample_Q(BubbleProfile(2, s=0.01), g), 0.1
+        t_end = 10.0
     else:
         u0, scale_floor = RadialField(g, gaussian_bump(g, sigma=0.05)), 1.0
         assert scale_estimate(u0, 2) < 0.1 * scale_floor
-    rec = evolve(u0, 2, t_end=10.0, stepper=StepperConfig(dt=1e-3),
+        t_end = 0.05
+    rec = evolve(u0, 2, t_end=t_end, stepper=StepperConfig(dt=1e-3),
                  sample_every=0.01, scale_floor=scale_floor)
-    assert rec.status == STATUS_BLOWUP
-    assert rec.times[-1] < 10.0
-    # the final state is always sampled, so its concentration is on record
-    assert rec.scale_estimates[-1] < scale_floor
     for fld, s in zip(rec.fields, rec.scale_estimates):
         assert s == scale_estimate(fld, 2)
+    if sector == "degree_m":
+        assert rec.status == STATUS_BLOWUP
+        assert rec.times == [0.0, 1e-3]
+        # the final state is always sampled, so its concentration is on
+        # record
+        assert rec.scale_estimates[-1] < scale_floor
+        return
+    assert rec.status == STATUS_GLOBAL
+    assert rec.times[-1] == pytest.approx(t_end)
+    delta1 = 4.0 * 2 - rec.energies[0].total
+    assert all(pointwise_bound_check(f, 2, delta1)[1] for f in rec.fields)
+
+
+def _bump(sigma):
+    return lambda g: RadialField(g, gaussian_bump(g, sigma=sigma))
+
+
+def _bubble(s):
+    return lambda g: sample_Q(BubbleProfile(2, s=s), g)
 
 
 # a step that fails at every dt: shrinking from dt = 1e-3 by halves takes
 # 20 attempts to reach the floor step size 1e-9; the first failure there
 # ends the run (a retry would repeat the same solve): a non-finite step
-# aborts, and an energy rise ends the run as Blowup if the state sits below
-# the scale floor and as Aborted otherwise.  The floor is that of the
-# state's own scale s, min(1e-9, s^2 / 10), until s falls below scale_floor:
-# a state of scale 1 on a grid that resolves 1e-6 still stops at 1e-9 (it
-# used to halve on to 1e-13, and an IMEX2 step whose energy rise is first
-# order in dt then crawled at dt ~ 6e-14), and one of scale 9.85e-6 stops
-# at 9.7e-12, after 27 halvings.  A deep grid is on [1e-8, 1e2].
-@pytest.mark.parametrize("bad,sigma,scale_floor,status,attempts,deep", [
-    pytest.param(lambda off: 1.1 * off, 1.0, 1e-3, STATUS_ABORTED, 20 + 1,
-                 False, id="energy_rise_unconcentrated"),
-    pytest.param(lambda off: 1.1 * off, 0.05, 1.0, STATUS_BLOWUP, 20 + 1,
-                 False, id="energy_rise_concentrated"),
-    pytest.param(lambda off: np.full_like(off, np.nan), 1.0, 1e-3,
+# aborts, and an energy rise ends the run as Blowup if the state is
+# degree-m and sits below the scale floor, and as Aborted otherwise (zero-
+# degree data below the floor used to end as Blowup).  The floor is that of
+# the state's own scale s, min(1e-9, s^2 / 10), until s falls below
+# scale_floor: a state of scale 1 on a grid that resolves 1e-6 still stops
+# at 1e-9 (it used to halve on to 1e-13, and an IMEX2 step whose energy
+# rise is first order in dt then crawled at dt ~ 6e-14), and one of scale
+# 9.85e-6 stops at 9.7e-12, after 27 halvings.  A deep grid is on
+# [1e-8, 1e2].
+@pytest.mark.parametrize("bad,data,scale_floor,status,attempts,deep", [
+    pytest.param(lambda off: 1.1 * off, _bump(1.0), 1e-3, STATUS_ABORTED,
+                 20 + 1, False, id="energy_rise_unconcentrated"),
+    pytest.param(lambda off: 1.1 * off, _bump(0.05), 1.0, STATUS_ABORTED,
+                 20 + 1, False, id="energy_rise_zero_degree_below_floor"),
+    pytest.param(lambda off: 1.1 * off, _bubble(0.05), 1.0, STATUS_BLOWUP,
+                 20 + 1, False, id="energy_rise_degree_m_below_floor"),
+    pytest.param(lambda off: np.full_like(off, np.nan), _bump(1.0), 1e-3,
                  STATUS_ABORTED, 20 + 1, False, id="non_finite"),
-    pytest.param(lambda off: 1.1 * off, 1.0, 1e-6, STATUS_ABORTED, 20 + 1,
-                 True, id="energy_rise_wide_state_deep_floor"),
-    pytest.param(lambda off: 1.1 * off, 1e-5, 1e-7, STATUS_ABORTED, 27 + 1,
-                 True, id="energy_rise_small_state_deep_floor"),
+    pytest.param(lambda off: 1.1 * off, _bump(1.0), 1e-6, STATUS_ABORTED,
+                 20 + 1, True, id="energy_rise_wide_state_deep_floor"),
+    pytest.param(lambda off: 1.1 * off, _bump(1e-5), 1e-7, STATUS_ABORTED,
+                 27 + 1, True, id="energy_rise_small_state_deep_floor"),
 ])
 def test_failures_at_the_floor_step_end_the_run(default_grid, monkeypatch, bad,
-                                                sigma, scale_floor, status,
+                                                data, scale_floor, status,
                                                 attempts, deep):
     calls = []
 
@@ -430,7 +434,7 @@ def test_failures_at_the_floor_step_end_the_run(default_grid, monkeypatch, bad,
 
     monkeypatch.setattr("hmflow.evolve._step_offset", failing_step)
     g = build_grid(1e-8, 1e2, 1024) if deep else default_grid
-    u0 = RadialField(g, gaussian_bump(g, sigma=sigma))
+    u0 = data(g)
     rec = evolve(u0, 2, t_end=1.0, stepper=StepperConfig(dt=1e-3),
                  sample_every=0.1, scale_floor=scale_floor)
     assert rec.status == status

@@ -6,7 +6,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hmflow.cli import main as cli_main
@@ -417,6 +417,9 @@ def test_cli_small_bubble_runs_below_the_old_step_floor(tmp_path):
     pytest.param(dict(n="64", dt="1e-300", t_end="1"), id="dt_below_floor"),
     pytest.param(dict(n="64", dt="1e-300", dt_floor="1e-301", t_end="1"),
                  id="dt_below_dt_floor_line"),
+    # above its step floor 1e-39, but t stops moving once it passes 1e-14
+    pytest.param(dict(n="64", r_min="1e-20", dt="1e-30", t_end="1"),
+                 id="dt_below_spacing_of_t_end"),
     # r_min^4 underflows to 0; the run used to end Aborted
     pytest.param(dict(r_min="1e-200"), id="r_min_fourth_power_underflow"),
     pytest.param(dict(ic_family="q_exact", ic_s0="nan"), id="ic_s0_nan"),
@@ -468,12 +471,13 @@ def test_cli_sweep(tmp_path):
 
 
 # valid settings for a short run, and per-key values at or past the edge of
-# what a config may hold; each example injects at most one of the latter.
+# what a config may hold; each drawn example injects at most one of the
+# latter, and a pinned @example may inject several.
 _PROPERTY_BASE = dict(r_min="1e-3", r_max="1e2", dt="2e-3", ic_A="0.5",
                       ic_sigma="1", ic_s0="1", label="prop")
 _EDGE_VALUES = {
     "m": ["0", "1"],
-    "r_min": ["0", "nan", "1e-12", "1e2", "1e-200"],
+    "r_min": ["0", "nan", "1e-12", "1e2", "1e-200", "1e-76"],
     "r_max": ["inf", "1e6"],
     "n": ["8", "15"],
     "dt": ["0", "nan", "1e-9", "1", "1e-300"],
@@ -496,8 +500,17 @@ _EDGE_VALUES = {
        t_end=st.floats(1e-3, 0.05), sample_every=st.floats(1e-3, 0.05),
        target=st.one_of(st.none(), st.floats(0.0, 30.0)),
        edge=st.one_of(st.none(), st.sampled_from(
-           [(k, v) for k, vals in _EDGE_VALUES.items() for v in vals])))
+           [{k: v} for k, vals in _EDGE_VALUES.items() for v in vals])))
 @settings(max_examples=100, deadline=None)
+# an IMEX2 trial on this coarse, deep grid overflows in the energy gate; the
+# run used to raise the overflow warning instead of ending Aborted
+@example(family="e0_bump", m=1, n=256, scheme="IMEX2", t_end=0.01,
+         sample_every=0.01, target=None, edge={"r_min": "1e-76"})
+# above its step floor 1e-39, this dt used to hang the run once t passed
+# 1e-14, where t + dt == t
+@example(family="e0_bump", m=2, n=64, scheme="IMEX1", t_end=1.0,
+         sample_every=0.05, target=None,
+         edge={"r_min": "1e-20", "dt": "1e-30"})
 def test_checked_configs_execute(family, m, n, scheme, t_end, sample_every,
                                  target, edge):
     raw = dict(_PROPERTY_BASE, ic_family=family, m=str(m), n=str(n),
@@ -506,7 +519,7 @@ def test_checked_configs_execute(family, m, n, scheme, t_end, sample_every,
     if target is not None:
         raw["ic_target_energy"] = repr(target)
     if edge is not None:
-        raw[edge[0]] = edge[1]
+        raw.update(edge)
     # a function-scoped tmp_path is shared by every example of @given
     with tempfile.TemporaryDirectory() as out:
         try:
