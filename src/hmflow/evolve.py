@@ -20,20 +20,21 @@ For degree-m data a step is also retried when the bubble's half-turn radius
 falls too far in one step, and a sample is taken each time that radius
 falls by a fixed fraction of a decade, so the step size and the sampling
 follow a collapse.
-A degree-m run ends as blow-up at its first accepted step whose half-turn
-radius lies below the resolvable scale.  A failure at the floor step size
-ends the run (a retry would repeat the same solve): as blow-up when the
-state is degree-m and already below the resolvable scale, else abort.
-Zero-degree data below 2 E(Q) keep sup |u| < pi (``pointwise_bound_check``),
-so they cannot bubble and are never screened for concentration.  The floor
-step size is not set but derived from the state's scale and the resolvable
-one (``step_floor``).
+A degree-m run ends as blow-up at its first sampled state (the initial
+one, or the first accepted step) whose half-turn radius lies below the
+resolvable scale; nothing else reads that scale.  The floor step size is the
+state's own (``step_floor`` of its scale estimate): the flow is critical, so
+the step that resolves a state shrinks like the square of its scale.  A
+failure at the floor step size aborts the run (a retry would repeat the same
+solve).  Zero-degree data below 2 E(Q) keep sup |u| < pi
+(``pointwise_bound_check``), so they cannot bubble and are never screened
+for concentration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -58,6 +59,11 @@ MAX_LOG_SCALE_FALL = 0.025
 # a degree-m run takes a sample each time the half-turn radius falls by
 # this many decades
 SAMPLE_DECADES = 1.0 / 16.0
+
+# dt must exceed this fraction of t_end, the square root of the float
+# epsilon: a run then takes fewer than 1/sqrt(eps) ~ 6.7e7 steps at dt, and
+# the rounding of t over that many additions stays below half a step
+DT_MIN_FRACTION = float(np.sqrt(np.finfo(float).eps))
 
 
 @dataclass
@@ -225,39 +231,29 @@ def scale_estimate(field: RadialField, m: int) -> float:
 def step_floor(scale: float) -> float:
     """min(1e-9, scale^2 / 10): the flow is critical (u(t, r) ->
     u(lambda^2 t, lambda r) maps solutions to solutions), so the step that
-    resolves a bubble of scale s shrinks like s^2."""
+    resolves a state of scale s shrinks like s^2.  A NaN scale (a state
+    with no half-turn crossing or no energy) gets 1e-9."""
     # a product, not a power: a float power raises on overflow
     return min(1e-9, scale * scale / 10.0)
 
 
 def check_horizon(t_end: float, sample_every: float, dt: float,
-                  r_min: float, scale_floor: Optional[float] = None
-                  ) -> Tuple[float, float]:
-    """(scale_floor, dt_floor) of a run: scale_floor None stands for
-    10 * r_min, and dt_floor = step_floor(scale_floor) is the smallest step
-    size the run may take.  Raises ContractViolation unless t_end,
-    sample_every and scale_floor are positive and finite,
-    dt > dt_floor > 0 and dt > np.spacing(t_end): a smaller step added to
-    t near t_end leaves t unchanged."""
+                  r_min: float, scale_floor: Optional[float] = None) -> float:
+    """The scale_floor of a run, None standing for 10 * r_min.  Raises
+    ContractViolation unless t_end, sample_every and scale_floor are
+    positive and finite and dt > DT_MIN_FRACTION * t_end, which bounds the
+    run to fewer than 6.7e7 steps at dt and keeps each step above the float
+    spacing at t_end."""
     for name, value in (("t_end", t_end), ("sample_every", sample_every),
                         ("scale_floor", scale_floor)):
         if value is not None and not 0 < value < np.inf:
             raise ContractViolation(
                 f"{name} must be positive and finite, got {value}")
-    if scale_floor is None:
-        scale_floor = 10.0 * r_min
-    dt_floor = step_floor(scale_floor)
-    if not dt_floor > 0:
+    if not dt > DT_MIN_FRACTION * t_end:
         raise ContractViolation(
-            f"the step floor of scale_floor {scale_floor:g} underflows to 0")
-    if not dt > dt_floor:
-        raise ContractViolation(
-            f"dt must exceed the step floor {dt_floor:g}, got {dt}")
-    if not dt > np.spacing(t_end):
-        raise ContractViolation(
-            f"dt must exceed the float spacing {np.spacing(t_end):g} at "
-            f"t_end, got {dt}")
-    return scale_floor, dt_floor
+            f"dt must exceed sqrt(eps) * t_end = {DT_MIN_FRACTION * t_end:g}"
+            f", got {dt}")
+    return 10.0 * r_min if scale_floor is None else scale_floor
 
 
 def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
@@ -267,21 +263,19 @@ def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
 
     scale_floor is the concentration scale below which the grid can no
     longer resolve the bubble core (default 10 * r_min).  A degree-m run
-    ends as Blowup at its first accepted step whose half-turn radius lies
-    below it, and at a failure at the floor step size when its state
-    already does; every other failure there ends it as Aborted.  For
-    zero-degree data it only sets the floor step size.  An m = 1 collapse
-    on the grid bottoms out near 12-15 r_min, above the default, so m = 1
-    runs should set the floor explicitly (the m1_blowup preset uses
-    100 r_min).
+    ends as Blowup at its first sampled state whose half-turn radius lies
+    below it: the initial state, which then takes no trial step, or the
+    first accepted step below it.  Zero-degree runs never read it.  An
+    m = 1 collapse on the grid bottoms out near 21 r_min, above the
+    default, so m = 1 runs should set the floor explicitly (the m1_blowup
+    preset uses 100 r_min).
 
     The floor step size is ``step_floor`` of the state's scale estimate,
-    or of scale_floor once the estimate lies below it: a failing step on a
-    wide state ends the run at 1e-9 instead of crawling on, and a collapse
-    gets steps down to step_floor(scale_floor), which stepper.dt must
-    exceed.  The floor is at most half of stepper.dt (but never below
-    step_floor(scale_floor)), so a stepper.dt below the step of the
-    state's own scale still gets a retry and the collapse guard.
+    capped at half of stepper.dt: a failing step on a wide state ends the
+    run at 1e-9 instead of crawling on, a collapse gets steps that shrink
+    with its scale, and a stepper.dt below the step of the state's own
+    scale still gets a retry and the collapse guard.  Every failure at the
+    floor step size ends the run as Aborted.
 
     Samples are taken every sample_every in t and, for degree-m data, each
     time the half-turn radius falls SAMPLE_DECADES below the smallest
@@ -299,8 +293,8 @@ def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
     """
     check_degree(m)
     g = field.grid
-    scale_floor, dt_floor = check_horizon(t_end, sample_every, stepper.dt,
-                                          g.r_min, scale_floor)
+    scale_floor = check_horizon(t_end, sample_every, stepper.dt, g.r_min,
+                                scale_floor)
 
     rec = TrajectoryRecord(m, g)
     inner = field.inner_limit
@@ -337,15 +331,12 @@ def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
         return s_cur
 
     # a step that fails at stepper.dt is always retried at a smaller one
-    floor_cap = max(dt_floor, STEP_SHRINK * stepper.dt)
+    floor_cap = STEP_SHRINK * stepper.dt
 
     def current_floor():
-        # the floor step size at the current scale, held at scale_floor
-        # once the state lies below it or has no scale; it never exceeds
-        # floor_cap, so the collapse guard holds at every dt check accepts
-        s = current_scale()
-        return min(step_floor(s if s > scale_floor else scale_floor),
-                   floor_cap)
+        # the floor step size at the current scale; it never exceeds
+        # floor_cap, so the collapse guard holds at every dt
+        return min(step_floor(current_scale()), floor_cap)
 
     def take_sample(t):
         rec.times.append(t)
@@ -356,6 +347,9 @@ def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
         rec.fields.append(RadialField(g, off, inner))
 
     take_sample(0.0)
+    if degree_m and s_cur < scale_floor:
+        rec.status = STATUS_BLOWUP
+        return rec
     # smallest half-turn radius sampled so far (NaN: no scale-driven samples)
     scale_mark = s_cur if degree_m else np.nan
     min_fall = np.exp(-MAX_LOG_SCALE_FALL)
@@ -376,9 +370,8 @@ def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
             dt_try = min(dt, t_end - t)
             new_off = _step_offset(g, off, sin_sq, m, coeffs, dt_try, scheme,
                                    ghost_outer)
-            finite = bool(np.isfinite(new_off).all())
-            ok = finite
-            if finite:
+            ok = bool(np.isfinite(new_off).all())
+            if ok:
                 edges = new_off[1:] - new_off[:-1]
                 new_sin_sq = np.sin(new_off)
                 new_sin_sq *= new_sin_sq
@@ -395,8 +388,7 @@ def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
                     dt = max(dt * STEP_SHRINK, floor)
                     accepted_streak = 0
                     continue
-                concentrated = finite and degree_m and s_cur < scale_floor
-                rec.status = STATUS_BLOWUP if concentrated else STATUS_ABORTED
+                rec.status = STATUS_ABORTED
                 break
 
             # accepted

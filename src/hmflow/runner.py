@@ -24,8 +24,8 @@ from .energy import (OTHER_LABEL, classify as classify_sector,
                      energy as energy_breakdown, exterior_energy, x2_norm)
 from .errors import ConfigurationError, ContractViolation, HmflowError
 from .evolve import (StepperConfig, TrajectoryRecord, check_horizon, evolve,
-                     dissipation_audit, STATUS_ABORTED, STATUS_BLOWUP,
-                     STATUS_GLOBAL)
+                     dissipation_audit, step_floor, STATUS_ABORTED,
+                     STATUS_BLOWUP, STATUS_GLOBAL)
 from .grid import RadialField, RadialGrid, build_grid, check_degree
 
 CSV_COLUMNS = ["t", "E_total", "E_dirichlet", "E_potential", "X2_norm",
@@ -172,20 +172,20 @@ def _stepper(cfg: RunConfig) -> StepperConfig:
     return StepperConfig(dt=cfg.dt, scheme=cfg.scheme)
 
 
-def _floors(cfg: RunConfig) -> Tuple[float, float]:
-    """(scale_floor, dt_floor) of a run, as ``evolve`` derives them."""
+def _scale_floor(cfg: RunConfig) -> float:
+    """scale_floor of a run, as ``evolve`` checks and resolves it."""
     return check_horizon(cfg.t_end, cfg.sample_every, cfg.dt, cfg.r_min,
                          cfg.scale_floor)
 
 
 def _validate(cfg: RunConfig) -> None:
-    # the grid, the stepper, the degree and the horizon with its floors
-    # check themselves
+    # the grid, the stepper, the degree and the horizon with its scale
+    # floor check themselves
     RadialGrid(cfg.r_min, cfg.r_max, cfg.n)
     _stepper(cfg)
     try:
         check_degree(cfg.m)
-        _floors(cfg)
+        _scale_floor(cfg)
     except ContractViolation as exc:
         raise ConfigurationError(str(exc)) from None
     if "/" in cfg.label or os.sep in cfg.label:
@@ -471,7 +471,8 @@ def execute(cfg: RunConfig) -> RunResult:
         "provenance": {
             "grid": {"r_min": cfg.r_min, "r_max": cfg.r_max, "n": cfg.n},
             "stepper": {"dt": cfg.dt, "scheme": cfg.scheme,
-                        "dt_floor": _floors(cfg)[1],
+                        # the step floor at the Blowup threshold
+                        "dt_floor": step_floor(_scale_floor(cfg)),
                         "scale_floor": cfg.scale_floor},
             "initial_condition": {
                 "family": cfg.ic_family,

@@ -144,8 +144,8 @@ def test_dissipation_audit_needs_samples(default_grid):
 
 # a NaN horizon used to end the run after one sample, a non-positive
 # sample_every used to hang the sampling clock, a NaN scale floor silently
-# turned off the Blowup verdict, and a dt at the floor step size (1e-9 on
-# this grid) cannot shrink
+# turned off the Blowup verdict, and a dt at or below sqrt(eps) * t_end
+# (1.5e-9 at t_end = 0.1) needs more steps than the clock t can count
 @pytest.mark.parametrize("t_end,sample_every,scale_floor,dt", [
     pytest.param(0.0, 0.05, None, 1e-3, id="t_end_zero"),
     pytest.param(-1.0, 0.05, None, 1e-3, id="t_end_negative"),
@@ -159,11 +159,10 @@ def test_dissipation_audit_needs_samples(default_grid):
     pytest.param(0.1, 0.05, -1e-3, 1e-3, id="scale_floor_negative"),
     pytest.param(0.1, 0.05, np.nan, 1e-3, id="scale_floor_nan"),
     pytest.param(0.1, 0.05, np.inf, 1e-3, id="scale_floor_inf"),
-    # (1e-170)^2 / 10 underflows to 0
-    pytest.param(0.1, 0.05, 1e-170, 1e-3, id="scale_floor_step_floor_zero"),
-    pytest.param(0.1, 0.05, None, 1e-10, id="dt_below_floor"),
-    pytest.param(0.1, 0.05, None, 1e-9, id="dt_at_floor"),
-    # a step at or below the float spacing at t_end leaves t unchanged
+    pytest.param(0.1, 0.05, None, 1e-10, id="dt_far_below_clock_edge"),
+    pytest.param(0.1, 0.05, None, 1e-9, id="dt_below_clock_edge"),
+    # a step at the float spacing at t_end leaves t unchanged; a tiny scale
+    # floor does not let it pass
     pytest.param(1.0, 0.05, 1e-20, np.spacing(1.0),
                  id="dt_at_spacing_of_t_end"),
 ])
@@ -183,14 +182,31 @@ def test_evolve_rejects_bad_horizon(default_grid, monkeypatch, t_end,
 @pytest.mark.parametrize("scale_floor,dt_floor", [
     (1e-3, 1e-9), (1e-4, 1e-9), (1e-6, 1e-13), (1e-8, 1e-17)])
 def test_step_floor_follows_scale_floor(scale_floor, dt_floor):
-    # min(1e-9, scale_floor^2 / 10), exactly; a floor of 1e-4 lands on the
-    # cap, so every preset keeps the step floor 1e-9
+    # min(1e-9, scale_floor^2 / 10), exactly, the step floor at the Blowup
+    # threshold that the provenance records; a floor of 1e-4 lands on the
+    # cap, so every preset records 1e-9
     assert step_floor(scale_floor) == dt_floor
-    assert check_horizon(1.0, 0.1, 1e-3, 1.0, scale_floor) == (scale_floor,
-                                                               dt_floor)
+    assert check_horizon(1.0, 0.1, 1e-3, 1.0, scale_floor) == scale_floor
     # the default scale floor is 10 r_min
     assert check_horizon(1.0, 0.1, 1e-3, scale_floor / 10,
-                         None) == (10.0 * (scale_floor / 10), dt_floor)
+                         None) == 10.0 * (scale_floor / 10)
+
+
+def test_step_floor_of_a_state_without_scale():
+    # a state with no half-turn crossing has a NaN scale estimate, and its
+    # floor step size is the cap
+    assert step_floor(np.nan) == 1e-9
+
+
+@pytest.mark.parametrize("t_end", [1e-3, 0.05, 1.0, 20.0])
+def test_check_horizon_needs_dt_above_sqrt_eps_t_end(t_end):
+    # fewer than 1/sqrt(eps) ~ 6.7e7 steps at dt, so the rounding of t stays
+    # below half a step; a tiny scale floor is valid, since it only decides
+    # Blowup
+    edge = np.sqrt(np.finfo(float).eps) * t_end
+    with pytest.raises(ContractViolation, match="dt must exceed"):
+        check_horizon(t_end, 0.1, edge, 1e-3, 1e-170)
+    assert check_horizon(t_end, 0.1, 1.01 * edge, 1e-3, 1e-170) == 1e-170
 
 
 def test_sample_every_below_ulp_of_t_samples_each_step(monkeypatch):
@@ -358,14 +374,19 @@ def test_scale_estimate_bump_tracks_width(default_grid):
 
 
 @pytest.mark.parametrize("sector", ["degree_m", "zero_degree"])
-def test_concentration_floor_terminates_as_blowup(default_grid, sector):
-    # a degree-m run below the resolvable scale floor ends as Blowup at its
-    # first accepted step (dt used to halve about 20 times and then count 3
-    # steps pinned at the floor step size); zero-degree data below 2 E(Q)
-    # cannot bubble, so the same concentration ends Global, and the
-    # pointwise bound of Theorem 1 holds at every sample
+def test_concentration_floor_terminates_as_blowup(default_grid, monkeypatch,
+                                                   sector):
+    # degree-m initial data below the resolvable scale floor end as Blowup
+    # at sample 0, with no trial step (the run used to take one accepted
+    # step first); zero-degree data below 2 E(Q) cannot bubble, so the same
+    # concentration ends Global, and the pointwise bound of Theorem 1 holds
+    # at every sample
     g = default_grid
     if sector == "degree_m":
+        def no_step(*args, **kwargs):
+            raise AssertionError("a trial step below the scale floor")
+
+        monkeypatch.setattr("hmflow.evolve._step_offset", no_step)
         u0, scale_floor = sample_Q(BubbleProfile(2, s=0.01), g), 0.1
         t_end = 10.0
     else:
@@ -378,7 +399,7 @@ def test_concentration_floor_terminates_as_blowup(default_grid, sector):
         assert s == scale_estimate(fld, 2)
     if sector == "degree_m":
         assert rec.status == STATUS_BLOWUP
-        assert rec.times == [0.0, 1e-3]
+        assert rec.times == [0.0]
         # the final state is always sampled, so its concentration is on
         # record
         assert rec.scale_estimates[-1] < scale_floor
@@ -399,33 +420,32 @@ def _bubble(s):
 
 # a step that fails at every dt: shrinking from dt = 1e-3 by halves takes
 # 20 attempts to reach the floor step size 1e-9; the first failure there
-# ends the run (a retry would repeat the same solve): a non-finite step
-# aborts, and an energy rise ends the run as Blowup if the state is
-# degree-m and sits below the scale floor, and as Aborted otherwise (zero-
-# degree data below the floor used to end as Blowup).  The floor is that of
-# the state's own scale s, min(1e-9, s^2 / 10), until s falls below
-# scale_floor: a state of scale 1 on a grid that resolves 1e-6 still stops
-# at 1e-9 (it used to halve on to 1e-13, and an IMEX2 step whose energy
-# rise is first order in dt then crawled at dt ~ 6e-14), and one of scale
-# 9.85e-6 stops at 9.7e-12, after 27 halvings.  A deep grid is on
+# ends the run as Aborted (a retry would repeat the same solve), for either
+# sector and either failure (degree-m data below the scale floor used to
+# end as Blowup here; they now end at sample 0, with no trial step).  The
+# floor is that of the state's own scale s, min(1e-9, s^2 / 10), whatever
+# the scale floor: a state of scale 1 on a grid that resolves 1e-6 still
+# stops at 1e-9 (it used to halve on to 1e-13, and an IMEX2 step whose
+# energy rise is first order in dt then crawled at dt ~ 6e-14), and one of
+# scale 9.85e-6 stops at 9.7e-12, after 27 halvings.  A deep grid is on
 # [1e-8, 1e2].
-@pytest.mark.parametrize("bad,data,scale_floor,status,attempts,deep", [
-    pytest.param(lambda off: 1.1 * off, _bump(1.0), 1e-3, STATUS_ABORTED,
-                 20 + 1, False, id="energy_rise_unconcentrated"),
-    pytest.param(lambda off: 1.1 * off, _bump(0.05), 1.0, STATUS_ABORTED,
-                 20 + 1, False, id="energy_rise_zero_degree_below_floor"),
-    pytest.param(lambda off: 1.1 * off, _bubble(0.05), 1.0, STATUS_BLOWUP,
-                 20 + 1, False, id="energy_rise_degree_m_below_floor"),
+@pytest.mark.parametrize("bad,data,scale_floor,attempts,deep", [
+    pytest.param(lambda off: 1.1 * off, _bump(1.0), 1e-3, 20 + 1, False,
+                 id="energy_rise_unconcentrated"),
+    pytest.param(lambda off: 1.1 * off, _bump(0.05), 1.0, 20 + 1, False,
+                 id="energy_rise_zero_degree_below_floor"),
+    pytest.param(lambda off: 1.1 * off, _bubble(0.05), 1e-3, 20 + 1, False,
+                 id="energy_rise_degree_m_above_floor"),
     pytest.param(lambda off: np.full_like(off, np.nan), _bump(1.0), 1e-3,
-                 STATUS_ABORTED, 20 + 1, False, id="non_finite"),
-    pytest.param(lambda off: 1.1 * off, _bump(1.0), 1e-6, STATUS_ABORTED,
-                 20 + 1, True, id="energy_rise_wide_state_deep_floor"),
-    pytest.param(lambda off: 1.1 * off, _bump(1e-5), 1e-7, STATUS_ABORTED,
-                 27 + 1, True, id="energy_rise_small_state_deep_floor"),
+                 20 + 1, False, id="non_finite"),
+    pytest.param(lambda off: 1.1 * off, _bump(1.0), 1e-6, 20 + 1, True,
+                 id="energy_rise_wide_state_deep_floor"),
+    pytest.param(lambda off: 1.1 * off, _bump(1e-5), 1e-7, 27 + 1, True,
+                 id="energy_rise_small_state_deep_floor"),
 ])
 def test_failures_at_the_floor_step_end_the_run(default_grid, monkeypatch, bad,
-                                                data, scale_floor, status,
-                                                attempts, deep):
+                                                data, scale_floor, attempts,
+                                                deep):
     calls = []
 
     def failing_step(grid, off, *args):
@@ -437,13 +457,13 @@ def test_failures_at_the_floor_step_end_the_run(default_grid, monkeypatch, bad,
     u0 = data(g)
     rec = evolve(u0, 2, t_end=1.0, stepper=StepperConfig(dt=1e-3),
                  sample_every=0.1, scale_floor=scale_floor)
-    assert rec.status == status
+    assert rec.status == STATUS_ABORTED
     assert rec.times == [0.0]
     assert len(calls) == attempts
 
 
 # a bubble of scale 1e-5 has the step floor 1e-11 at its own scale, above
-# dt = 5e-12, which check accepts against step_floor(1e-7) = 1e-15; the
+# dt = 5e-12, which check accepts (it exceeds sqrt(eps) * t_end); the
 # floor is capped at half of dt, so a failed first step is retried at
 # 2.5e-12 (it used to end the run), and a first step whose half-turn radius
 # halves is retried too (the collapse guard used to be off all run)

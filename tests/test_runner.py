@@ -69,7 +69,6 @@ def test_config_keys_are_the_run_config_fields():
     ("dt", "0", "dt"),
     ("dt_floor", "2e-3", "dt_floor"),  # not a key: derived from scale_floor
     ("dt_floor", "nan", "dt_floor"),
-    ("scale_floor", "1e-170", "underflows"),  # its step floor is 0
     ("r_max", "inf", "r_max"),
     ("t_end", "nan", "t_end"),
     ("t_end", "-1", "t_end"),
@@ -389,8 +388,9 @@ def _nan_samples(tmp_path):
 
 def test_cli_small_bubble_runs_below_the_old_step_floor(tmp_path):
     # a bubble of scale 1e-5 needs steps near 1e-11, below the fixed step
-    # floor 1e-9 of old; the floor derived from the default scale floor
-    # 10 r_min = 1e-7 is 1e-15, so check accepts dt = 5e-12 with no key
+    # floor 1e-9 of old; check accepts dt = 5e-12 with no key, since it
+    # exceeds sqrt(eps) * t_end, and the provenance records the step floor
+    # at the default scale floor 10 r_min = 1e-7
     path = tmp_path / "small_bubble.cfg"
     path.write_text("m = 2\nr_min = 1e-8\nr_max = 1e2\nn = 2925\n"
                     "dt = 5e-12\nt_end = 5e-9\nsample_every = 1e-9\n"
@@ -402,6 +402,20 @@ def test_cli_small_bubble_runs_below_the_old_step_floor(tmp_path):
     assert summary["classification"] == "ConvergedToQ"
     assert summary["provenance"]["stepper"]["dt_floor"] == step_floor(
         10 * 1e-8)
+
+
+def test_zero_degree_run_does_not_read_scale_floor(tmp_path):
+    # the scale floor decides only a degree-m Blowup, so a zero-degree run
+    # writes the same bytes at any; 1e-170 used to be rejected, because its
+    # step floor underflowed to 0
+    csvs = []
+    for i, over in enumerate([dict(scale_floor="1e-170"), {},
+                              dict(scale_floor="10")]):
+        path = _write_cfg(tmp_path, name=f"{i}.cfg", **over)
+        out = tmp_path / str(i)
+        assert cli_main(["--out", str(out), "run", path]) == 0
+        csvs.append((out / "fast_trajectory.csv").read_bytes())
+    assert csvs[0] == csvs[1] == csvs[2]
 
 
 # each of these used to pass `check` and then fail or misbehave in `run`;
@@ -417,9 +431,14 @@ def test_cli_small_bubble_runs_below_the_old_step_floor(tmp_path):
     pytest.param(dict(n="64", dt="1e-300", t_end="1"), id="dt_below_floor"),
     pytest.param(dict(n="64", dt="1e-300", dt_floor="1e-301", t_end="1"),
                  id="dt_below_dt_floor_line"),
-    # above its step floor 1e-39, but t stops moving once it passes 1e-14
+    # above its old step floor 1e-39, but t stops moving once it passes
+    # 1e-14
     pytest.param(dict(n="64", r_min="1e-20", dt="1e-30", t_end="1"),
                  id="dt_below_spacing_of_t_end"),
+    # above its old step floor 1e-21 and the float spacing at t_end, but
+    # 1e15 steps long: it used to pass check and hang the run
+    pytest.param(dict(n="64", r_min="1e-10", dt="1e-15", t_end="1"),
+                 id="dt_below_clock_edge_deep_grid"),
     # r_min^4 underflows to 0; the run used to end Aborted
     pytest.param(dict(r_min="1e-200"), id="r_min_fourth_power_underflow"),
     pytest.param(dict(ic_family="q_exact", ic_s0="nan"), id="ic_s0_nan"),
@@ -480,7 +499,8 @@ _EDGE_VALUES = {
     "r_min": ["0", "nan", "1e-12", "1e2", "1e-200", "1e-76"],
     "r_max": ["inf", "1e6"],
     "n": ["8", "15"],
-    "dt": ["0", "nan", "1e-9", "1", "1e-300"],
+    # 1e-11 lies below sqrt(eps) * t_end for every drawn t_end
+    "dt": ["0", "nan", "1e-11", "1", "1e-300"],
     # not a key: the step floor is derived from scale_floor
     "dt_floor": ["2e-3", "nan", "-1", "1e-300"],
     "t_end": ["0", "nan", "inf", "1e-9"],
@@ -511,6 +531,11 @@ _EDGE_VALUES = {
 @example(family="e0_bump", m=2, n=64, scheme="IMEX1", t_end=1.0,
          sample_every=0.05, target=None,
          edge={"r_min": "1e-20", "dt": "1e-30"})
+# above its old step floor 1e-21, this dt used to pass check, and the run
+# needed 1e15 steps
+@example(family="e0_bump", m=2, n=64, scheme="IMEX1", t_end=1.0,
+         sample_every=0.05, target=None,
+         edge={"r_min": "1e-10", "dt": "1e-15"})
 def test_checked_configs_execute(family, m, n, scheme, t_end, sample_every,
                                  target, edge):
     raw = dict(_PROPERTY_BASE, ic_family=family, m=str(m), n=str(n),
