@@ -37,6 +37,19 @@ class SectorClass:
     delta1: Optional[float] = None  # margin 2 E(Q) - E(u) for E0 data
 
 
+def sin_terms(offset: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(sin^2 v, sin v cos v) of the offset v from one tangent T = tan v:
+    sin v cos v = T / (1 + T^2), and sin^2 v = T times that.  The step
+    needs both: sin^2 for E_h and F' = (2 m^2/r^2) sin^2 u, sin cos for
+    F = (m^2/r^2)(u - sin u cos u).  A non-finite v gives NaN in both."""
+    t = np.tan(offset)
+    sin_cos = t * t
+    sin_cos += 1.0
+    np.divide(t, sin_cos, out=sin_cos)
+    t *= sin_cos
+    return t, sin_cos
+
+
 def node_energies(grid: RadialGrid, offset: np.ndarray, m: int,
                   inner: float) -> Tuple[np.ndarray, np.ndarray]:
     """Dirichlet and potential halves of E_h at the nodes, for the offset
@@ -48,7 +61,8 @@ def node_energies(grid: RadialGrid, offset: np.ndarray, m: int,
     r_0, r^-m law outside r_{n-1}) are split evenly between the halves, as
     in the continuum.  Every energy the package reports sums these node
     energies, so all agree to the last digit; ``gate_energy`` forms their
-    sum without the node arrays.  Operations are in place.
+    sum without the node arrays.  sin^2 is that of ``sin_terms``, one
+    tangent, as in the gate.  Operations are in place.
     """
     edge = np.diff(offset)
     edge *= edge
@@ -57,8 +71,7 @@ def node_energies(grid: RadialGrid, offset: np.ndarray, m: int,
     dir_e[:-1] = edge
     dir_e[-1] = 0.0
     dir_e[1:] += edge
-    pot_e = np.sin(offset)
-    pot_e *= pot_e
+    pot_e = sin_terms(offset)[0]
     pot_e *= grid._trapz_log
     pot_e *= 0.5 * m * m
     tail0 = 0.25 * m * offset[0].item() ** 2
@@ -73,8 +86,9 @@ def gate_energy(grid: RadialGrid, offset: np.ndarray, edges: np.ndarray,
                 sin_sq: np.ndarray, m: int, inner: float) -> float:
     """E_h, the sum of ``node_energies``, from edges = np.diff(offset) and
     sin_sq = sin^2(offset) by dot products: edge j carries
-    (v_{j+1} - v_j)^2 / (2h).  Equal to the node sum up to rounding, not
-    bit for bit."""
+    (v_{j+1} - v_j)^2 / (2h).  The stepper passes the sin_sq of
+    ``sin_terms``, whose one tangent per trial also gives the next step's
+    F and F'.  Equal to the node sum up to rounding, not bit for bit."""
     v0 = offset[0].item()
     edge_sq = float(np.dot(edges, edges))
     sin_sum = float(np.dot(grid._trapz_log, sin_sq))

@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gaussian_bump
+from conftest import gaussian_bump, same_bits, trig_probe_points
 from hmflow.bubble import BubbleProfile, sample_Q
 from hmflow.energy import (classify, energy, exterior_energy, g_functional,
                            g_inverse, pointwise_bound_check, rlp_norm,
-                           smoothstep, topological_bound_gap, x2_norm,
-                           xp_norm)
+                           sin_terms, smoothstep, topological_bound_gap,
+                           x2_norm, xp_norm)
 from hmflow.errors import ContractViolation, SectorError
 from hmflow.evolve import nonlinearity
 from hmflow.grid import RadialField, apply_delta_m, build_grid
@@ -176,3 +176,45 @@ def test_exterior_energy(default_grid):
     assert all(a >= b for a, b in zip(vals, vals[1:]))
     with pytest.raises(ContractViolation):
         exterior_energy(f, 2, 1e-6)
+
+
+def test_sin_terms_against_mpmath():
+    # sin^2 v and sin v cos v from one tangent, within a few ulp of
+    # 200-bit arithmetic, on small offsets and next to the pole of tan
+    import mpmath
+
+    mpmath.mp.prec = 200
+    v = trig_probe_points()
+    sin_sq, sin_cos = sin_terms(v)
+    want_sq = np.array([float(mpmath.sin(x) ** 2) for x in v.tolist()])
+    want_sc = np.array([float(mpmath.sin(x) * mpmath.cos(x))
+                        for x in v.tolist()])
+    assert np.all(np.abs(sin_sq - want_sq) <= 4 * np.spacing(want_sq))
+    assert np.all(np.abs(sin_cos - want_sc) <= 3 * np.spacing(np.abs(want_sc)))
+
+
+def test_sin_terms_keeps_its_bits_across_layouts():
+    # the stepper calls sin_terms on whole offsets, on spans and on views;
+    # every piece must get the bits it gets inside the whole array
+    rng = np.random.default_rng(21)
+    n = 3072
+    whole = np.concatenate([-rng.uniform(0.0, np.pi, n // 2),
+                            rng.uniform(-1e-3, 1e-3, n // 4),
+                            rng.uniform(-4.0, 4.0, n // 4)])
+    rng.shuffle(whole)
+    want = sin_terms(whole)
+    for _ in range(200):
+        cuts = np.sort(rng.choice(np.arange(1, n), rng.integers(1, 8),
+                                  replace=False))
+        parts = [sin_terms(p) for p in np.split(whole, cuts)]
+        for k in (0, 1):
+            assert same_bits(np.concatenate([p[k] for p in parts]), want[k])
+    # views at odd element offsets, one byte past alignment, and strided
+    views = [np.empty(n + k)[k:] for k in (1, 3)]
+    views.append(np.frombuffer(bytearray(8 * n + 1), offset=1, count=n))
+    assert not views[-1].flags.aligned
+    views.append(np.empty(2 * n)[::2])
+    for data in views:
+        data[...] = whole
+        got = sin_terms(data)
+        assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
