@@ -5,7 +5,15 @@ IMEX1 is linearly implicit in the nonlinearity F as well: F'(u) =
 (m^2/r^2)(1 - cos 2u), which reaches 2 m^2 / r^2 in a bubble core of
 radius s, sits on the diagonal of the same solve, so the stiffness of a
 collapsing core does not slow the computed collapse by a splitting error
-of order dt/s^2.  IMEX2 keeps F explicit.  The stepper works on
+of order dt/s^2.  Since Delta_m + F = -W^-1 grad E_h (W the r dr weights),
+that step is one proximal Newton step on the discrete energy:
+(W + dt grad^2 E_h) delta = -dt grad E_h, u_new = u + delta.  Its right
+side comes from the state's edges v_{i+1} - v_i and sin u cos u, which the
+gate has formed, and its matrix is symmetric positive definite for small
+dt (it tends to W), so one LDL^T solve takes it.  A trial whose matrix is
+not positive definite fails like a trial that raises E_h: only a positive
+definite matrix makes delta a descent direction.  IMEX2 keeps F explicit.
+The stepper works on
 the offset u - inner_limit, for which the equation takes the identical form
 and the offset vanishes like r^m at the origin: the singular
 m^2 * inner_limit / r^2 contributions of Delta_m and F cancel analytically
@@ -18,8 +26,8 @@ beyond rounding fails the step, which is shrunk and retried.  The gate forms
 E_h from two dot products; node energies are built only for the samples.
 Each trial takes one tangent of its new state (``energy.sin_terms``): it
 gives the gate's sin^2, and, once the state is accepted, the next step's
-F' = (2 m^2/r^2) sin^2 u and F = (m^2/r^2)(u - sin u cos u), so no sine
-is taken on the step path.
+F' = (2 m^2/r^2) sin^2 u and, with the gate's edges, its gradient of E_h,
+so no sine is taken on the step path.
 For degree-m data a step is also retried when the bubble's half-turn radius
 falls too far in one step, and a sample is taken each time that radius
 falls by a fixed fraction of a decade, so the step size and the sampling
@@ -105,7 +113,9 @@ class TrajectoryRecord:
 def _f_offset(coef: np.ndarray, off: np.ndarray,
               sin_cos: np.ndarray) -> np.ndarray:
     """coef * (v - sin v cos v), coef = m^2/r^2, from sin_cos = sin v cos v
-    (``sin_terms``), with the series (2/3) v^3 (1 - v^2/5) where
+    (``sin_terms``): F on the offset, for IMEX2's half-steps and
+    ``nonlinearity()`` (IMEX1 reads sin v cos v directly).  It takes the
+    series (2/3) v^3 (1 - v^2/5) where
     |v| < 1e-3, to kill the cubic-order cancellation.  The series is exact
     to 2e-14 relative in that band; the closed form's rounding, a few ulp
     of v over (2/3) v^3, stays below 4e-10 relative outside it.
@@ -143,9 +153,10 @@ def _cubic_series(v: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _rate_coeffs(grid: RadialGrid, m: int):
-    """m^2/r^2 and 2 m^2/r^2 on the nodes, the factors of F and of F'."""
+    """m^2/r^2 and 2 m^2/r^2 on the nodes, the factors of F and of F', and
+    1/(h w), which turns edge differences into rows of W^-1 grad E_h."""
     coef = m * m / grid.nodes**2
-    return coef, 2.0 * coef
+    return coef, 2.0 * coef, 1.0 / (grid.log_step * grid.weights)
 
 
 def nonlinearity(field: RadialField, m: int) -> RadialField:
@@ -158,24 +169,35 @@ def nonlinearity(field: RadialField, m: int) -> RadialField:
 
 
 def _step_offset(grid: RadialGrid, off: np.ndarray, terms, m: int, coeffs,
-                 dt: float, scheme: str, ghost_outer: float) -> np.ndarray:
-    """One step of the offset off; terms is ``sin_terms(off)``, which the
-    energy gate of the step that reached off has formed (sin^2 u and
-    sin u cos u, since u and off differ by a multiple of pi), and coeffs is
-    ``_rate_coeffs(grid, m)``."""
+                 dt: float, scheme: str, ghost_outer: float,
+                 edges: np.ndarray) -> np.ndarray:
+    """One step of the offset off; terms is ``sin_terms(off)`` and edges is
+    ``np.diff(off)``, which the energy gate of the step that reached off
+    has formed (sin^2 u and sin u cos u, since u and off differ by a
+    multiple of pi), and coeffs is ``_rate_coeffs(grid, m)``."""
     msq = float(m * m)
-    coef, fp_coef = coeffs
+    coef, fp_coef, inv_hw = coeffs
     sin_sq, sin_cos = terms
     if scheme == "IMEX1":
-        # linearly implicit: F(u_new) ~ F(u) + F'(u)(u_new - u), with
-        # F'(u) = (m^2/r^2)(1 - cos 2u) = (2 m^2/r^2) sin^2 u; the right
-        # side off + dt (F(u) - F'(u) off) is formed in place
-        fp = fp_coef * sin_sq
-        rhs = _f_offset(coef, off, sin_cos)
-        rhs -= fp * off
+        # (I - dt (Op + F'(u))) delta = dt (Op u + F(u)) = -dt W^-1 grad E_h
+        # with F'(u) = (2 m^2/r^2) sin^2 u and a zero ghost for delta; row i
+        # of the right side is (e_i - e_{i-1})/(h w_i) - (m^2/r_i^2) sin u_i
+        # cos u_i less the tail gradients m v_0/w_0 and m (v_{n-1} -
+        # ghost)/w_{n-1}, formed in place
+        w = grid.weights
+        rhs = np.empty(off.shape[0])
+        np.subtract(edges[1:], edges[:-1], out=rhs[1:-1])
+        rhs[0] = edges[0]
+        rhs[-1] = 0.0 - edges[-1]
+        rhs *= inv_hw
+        rhs -= coef * sin_cos
+        rhs[0] -= m * off[0].item() / w[0].item()
+        rhs[-1] -= m * (off[-1].item() - ghost_outer) / w[-1].item()
         rhs *= dt
-        rhs += off
-        return grid.solve_shifted(rhs, dt, 1.0, msq, ghost_outer, potential=fp)
+        delta = grid.solve_shifted(rhs, dt, 1.0, msq,
+                                   potential=fp_coef * sin_sq)
+        delta += off
+        return delta
     # IMEX2: explicit half-step of F, Crank-Nicolson diffusion, half-step
     # of F, each formed in place
     half = 0.5 * dt
@@ -197,10 +219,11 @@ def step(field: RadialField, m: int, config: StepperConfig) -> RadialField:
     vanishes at the origin and tends to -inner_limit at infinity)."""
     check_degree(m)
     g = field.grid
-    off = _step_offset(g, field.offset, sin_terms(field.offset), m,
-                       _rate_coeffs(g, m), config.dt, config.scheme,
-                       field.outer_ghost_offset())
-    return RadialField(g, off, field.inner_limit)
+    off = field.offset
+    new_off = _step_offset(g, off, sin_terms(off), m, _rate_coeffs(g, m),
+                           config.dt, config.scheme,
+                           field.outer_ghost_offset(), np.diff(off))
+    return RadialField(g, new_off, field.inner_limit)
 
 
 def _half_energy_radius(g: RadialGrid, node_e: np.ndarray) -> float:
@@ -287,9 +310,12 @@ def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
     at a smaller step.
 
     Each trial step works on plain arrays and does only what its gate
-    needs: E_h from one np.diff and two dot products (``gate_energy``),
-    and one tangent of the new state (``sin_terms``), whose sin^2 and
-    sin cos the next step's F' and F reuse.  Node
+    needs: E_h from the edges (one np.diff) and two dot products
+    (``gate_energy``), and one tangent of the new state (``sin_terms``);
+    the next step's F' and its gradient of E_h reuse the edges, sin^2 and
+    sin cos.  A trial whose IMEX1 matrix is not positive definite (the
+    solve raises ``numpy.linalg.LinAlgError``) fails like one that raises
+    E_h.  Node
     energies and fields are built only for the samples (and for the floor
     step size of a zero-degree state after a failed step).  The recorded
     energies and scale estimates equal energy() and scale_estimate() of
@@ -304,11 +330,12 @@ def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
     inner = field.inner_limit
     degree_m = inner == np.pi
     scheme = stepper.scheme
-    # the current state: its offset, its sin_terms and its E_h; no array
-    # is ever written in place, so samples may share off
+    # the current state: its offset, its edges, its sin_terms and its E_h;
+    # no array is ever written in place, so samples may share off
     off = field.offset.copy()
+    edges = np.diff(off)
     terms = sin_terms(off)
-    e_cur = gate_energy(g, off, np.diff(off), terms[0], m, inner)
+    e_cur = gate_energy(g, off, edges, terms[0], m, inner)
     e_tol = ENERGY_INCREASE_TOL * max(e_cur, 1e-30)
     # node energies of the current state (None: not built yet)
     dens_cur = None
@@ -373,16 +400,23 @@ def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
     with np.errstate(over="ignore", invalid="ignore"):
         while t < t_end - 1e-12 * t_end:
             dt_try = min(dt, t_end - t)
-            new_off = _step_offset(g, off, terms, m, coeffs, dt_try, scheme,
-                                   ghost_outer)
-            edges = new_off[1:] - new_off[:-1]
-            new_terms = sin_terms(new_off)
-            e_new = gate_energy(g, new_off, edges, new_terms[0], m, inner)
-            ok = e_new <= e_cur + e_tol
-            if ok and degree_m:
-                s_new = _half_turn_radius(g, new_off)
-                if dt > current_floor():
-                    ok = not (s_new < min_fall * s_cur)
+            try:
+                new_off = _step_offset(g, off, terms, m, coeffs, dt_try,
+                                       scheme, ghost_outer, edges)
+            except np.linalg.LinAlgError:
+                # the trial's matrix is not positive definite, so its
+                # increment need not descend E_h; it tends to W as dt falls
+                ok = False
+            else:
+                new_edges = new_off[1:] - new_off[:-1]
+                new_terms = sin_terms(new_off)
+                e_new = gate_energy(g, new_off, new_edges, new_terms[0], m,
+                                    inner)
+                ok = e_new <= e_cur + e_tol
+                if ok and degree_m:
+                    s_new = _half_turn_radius(g, new_off)
+                    if dt > current_floor():
+                        ok = not (s_new < min_fall * s_cur)
 
             if not ok:
                 floor = current_floor()
@@ -400,7 +434,7 @@ def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
             # slow path of pow
             sq = new_off * new_off
             l4_integral += dt_try * float(np.dot(l4_weights, sq * sq))
-            off, terms, e_cur = new_off, new_terms, e_new
+            off, edges, terms, e_cur = new_off, new_edges, new_terms, e_new
             dens_cur = None
             t += dt_try
 

@@ -12,11 +12,12 @@ law outside r_max), which makes it the gradient of the discrete energy the
 package reports; operators without an inverse-square term are closed by
 zero ghost values.
 
-Shifted systems are solved by LAPACK: ``dgtsv`` where the diagonal carries
+Shifted systems are solved by LAPACK: ``dptsv`` (LDL^T of the system
+scaled by the r dr weights, which is symmetric) where the diagonal carries
 a potential, and ``dgttrs`` on a ``dgttrf`` factorization kept per shifted
 operator where it does not.  One library serves all three routines.  It is
 the OpenBLAS that numpy (>= 2) wheels bundle, found as the symbols
-``scipy_dgtsv_64_``, ``scipy_dgttrf_64_`` and ``scipy_dgttrs_64_`` through
+``scipy_dptsv_64_``, ``scipy_dgttrf_64_`` and ``scipy_dgttrs_64_`` through
 ``numpy.linalg._umath_linalg``'s shared library, so ``import hmflow`` loads
 numpy and no scipy module.  Where that module or any of the three symbols
 is missing (numpy 1.x wheels, numpy built on a system LAPACK) all three
@@ -40,16 +41,16 @@ def _address(array):
 
 
 def _openblas_lapack():
-    """``(gtsv, gttrf)`` on the OpenBLAS that numpy bundles (64-bit
+    """``(ptsv, gttrf)`` on the OpenBLAS that numpy bundles (64-bit
     integers), or None unless it exports all three routines."""
     try:
         from numpy.linalg import _umath_linalg
         lib = ctypes.CDLL(_umath_linalg.__file__)
-        sv, trf, trs = (getattr(lib, f"scipy_dgt{name}_64_")
-                        for name in ("sv", "trf", "trs"))
+        sv, trf, trs = (getattr(lib, f"scipy_d{name}_64_")
+                        for name in ("ptsv", "gttrf", "gttrs"))
     except (ImportError, OSError, AttributeError):
         return None
-    sv.argtypes = [ctypes.c_void_p] * 8
+    sv.argtypes = [ctypes.c_void_p] * 7
     trf.argtypes = [ctypes.c_void_p] * 7
     # the last argument is the hidden length of the character TRANS
     trs.argtypes = [ctypes.c_void_p] * 11 + [ctypes.c_size_t]
@@ -57,17 +58,16 @@ def _openblas_lapack():
     trans = ctypes.c_char(b"N")
     sizes = {}  # n -> (n, nrhs, ldb); the routines only read them
 
-    def gtsv(bands, b):
+    def ptsv(d, e, b):
         n = b.shape[0]
         try:
             size = sizes[n]
         except KeyError:
             size = sizes.setdefault(n, (ctypes.c_int64 * 3)(n, 1, n))
         s = ctypes.addressof(size)
-        a = _address(bands)
         info = ctypes.c_int64()
-        sv(s, s + 8, a, a + 8 * (n - 1), a + 8 * (2 * n - 1), _address(b),
-           s + 16, ctypes.addressof(info))
+        sv(s, s + 8, _address(d), _address(e), _address(b), s + 16,
+           ctypes.addressof(info))
         return b, info.value
 
     def gttrf(dl, d, du):
@@ -92,18 +92,16 @@ def _openblas_lapack():
         gttrs.arrays = (lu, ipiv)
         return gttrs, info.value
 
-    return gtsv, gttrf
+    return ptsv, gttrf
 
 
 def _scipy_lapack():
-    """``(gtsv, gttrf)`` on ``scipy.linalg.lapack``."""
-    from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
+    """``(ptsv, gttrf)`` on ``scipy.linalg.lapack``."""
+    from scipy.linalg.lapack import dgttrf, dgttrs, dptsv
 
-    def gtsv(bands, b):
-        n = b.shape[0]
-        *_, u, info = dgtsv(bands[:n - 1], bands[n - 1:2 * n - 1],
-                            bands[2 * n - 1:], b, overwrite_dl=1,
-                            overwrite_d=1, overwrite_du=1, overwrite_b=1)
+    def ptsv(d, e, b):
+        *_, u, info = dptsv(d, e, b, overwrite_d=1, overwrite_e=1,
+                            overwrite_b=1)
         return u, info
 
     def gttrf(dl, d, du):
@@ -114,15 +112,16 @@ def _scipy_lapack():
 
         return gttrs, info
 
-    return gtsv, gttrf
+    return ptsv, gttrf
 
 
-# _gtsv(bands, b) solves the system with the bands packed in bands as
-# dl | d | du and the right side b, and returns (solution, info); dgtsv
-# overwrites both arrays.  _gttrf(dl, d, du) factors a system and returns
-# (gttrs, info): gttrs(b) returns the solution for the right side b, which
-# it may overwrite, and never writes the factors.
-_gtsv, _gttrf = _openblas_lapack() or _scipy_lapack()
+# _ptsv(d, e, b) solves the symmetric system with diagonal d, off-diagonal
+# e and right side b, and returns (solution, info); dptsv overwrites all
+# three arrays, and info > 0 means the matrix is not positive definite.
+# _gttrf(dl, d, du) factors a system and returns (gttrs, info): gttrs(b)
+# returns the solution for the right side b, which it may overwrite, and
+# never writes the factors.
+_ptsv, _gttrf = _openblas_lapack() or _scipy_lapack()
 
 
 class RadialGrid:
@@ -247,7 +246,9 @@ class RadialGrid:
                       ghost_outer=0.0, potential=None):
         """Solve (I - alpha*(Op + potential)) u = rhs, with Op the operator
         of ``operator_bands`` and ghost_outer its outer ghost value; the
-        optional potential is a nodal array added to the diagonal of Op.
+        optional potential is a nodal array added to the diagonal of Op,
+        and only the degree-m operator (advection 1, inv_square > 0) takes
+        one: it is the operator that the r dr weights make symmetric.
 
         For the degree-m operator without a potential and for alpha > 0
         the system is strictly diagonally dominant, hence nonsingular: its
@@ -257,18 +258,26 @@ class RadialGrid:
 
         One cache entry is kept, for the latest (alpha, advection,
         inv_square): a run's step size moves only on rejections and
-        regrowth.  It holds the shifted bands packed as dl | d | du, the
-        coefficient of the ghost value, and, once a call without a
-        potential has asked for it, the LAPACK ``dgttrf`` factorization of
-        the shifted operator.  A call without a potential (IMEX2's
-        Crank-Nicolson solve, ``solve_helmholtz``) is then one ``dgttrs``
-        on a copy of the right side.  A call with a potential (IMEX1) copies
-        the packed bands into a new buffer, writes the shifted diagonal into
-        it and solves by ``dgtsv``, which overwrites that buffer and the
-        copy of the right side.  Neither the bands nor the factors are
-        written after they are built, so the instance stays safe to share
-        across threads.  The module docstring names the LAPACK library.
-        Raises ``numpy.linalg.LinAlgError`` when the system is singular.
+        regrowth.  It holds the coefficient of the ghost value and, once a
+        call has asked for it, the LAPACK ``dgttrf`` factorization of the
+        shifted operator (calls without a potential) or the bands of the
+        shifted operator scaled by the r dr weights W (calls with one).  A
+        call without a potential (IMEX2's Crank-Nicolson solve,
+        ``solve_helmholtz``) is one ``dgttrs`` on a copy of the right side.
+        A call with a potential (IMEX1) solves W (I - alpha*(Op +
+        potential)) u = W rhs, whose matrix is symmetric, by ``dptsv``
+        (LDL^T, no pivoting): the diagonal is w - alpha w diag - alpha w
+        potential, the off-diagonal -alpha w_i sup_i, both built in new
+        buffers that ``dptsv`` overwrites with the right side W rhs.  That
+        matrix is positive definite at every alpha > 0 where the potential
+        stays at or below inv_square/r^2, and for any bounded potential at
+        small enough alpha; ``dptsv`` requires it to be.  Neither the bands
+        nor the factors are written after they are built, so the instance
+        stays safe to share across threads.  The module docstring names the
+        LAPACK library.
+        Raises ``numpy.linalg.LinAlgError`` when the system without a
+        potential is singular, or the one with a potential is not positive
+        definite.
         """
         n = self.n
         if np.shape(rhs) != (n,) or (potential is not None
@@ -276,33 +285,49 @@ class RadialGrid:
             # LAPACK is handed addresses into arrays sized from the grid
             raise ContractViolation(
                 "rhs and potential need one value per node")
+        if potential is not None and not (advection == 1.0
+                                          and inv_square > 0):
+            raise ContractViolation(
+                "a potential needs the degree-m operator (advection 1, "
+                f"inv_square > 0), got advection={advection}, "
+                f"inv_square={inv_square}")
         key = (alpha, advection, inv_square)
         cached = self._cache.get("shifted")
         if cached is None or cached[0] != key:
-            sub, diag, sup = self.operator_bands(advection, inv_square)
-            bands = np.concatenate((-alpha * sub[1:], 1.0 - alpha * diag,
-                                    -alpha * sup[:-1]))
-            cached = (key, bands, alpha * sup[-1], None)
+            sup_end = self.operator_bands(advection, inv_square)[2][-1]
+            cached = (key, alpha * sup_end, None, None)
             self._cache["shifted"] = cached
-        _, bands, ghost_coeff, gttrs = cached
-        u = np.array(rhs, dtype=float)
-        if ghost_outer != 0.0:
-            u[-1] += ghost_coeff * ghost_outer
+        _, ghost_coeff, gttrs, spd = cached
         if potential is None:
             if gttrs is None:
-                gttrs, info = _gttrf(bands[:n - 1], bands[n - 1:2 * n - 1],
-                                     bands[2 * n - 1:])
+                sub, diag, sup = self.operator_bands(advection, inv_square)
+                gttrs, info = _gttrf(-alpha * sub[1:], 1.0 - alpha * diag,
+                                     -alpha * sup[:-1])
                 if info > 0:
                     raise np.linalg.LinAlgError("singular shifted operator")
-                self._cache["shifted"] = (key, bands, ghost_coeff, gttrs)
+                self._cache["shifted"] = (key, ghost_coeff, gttrs, spd)
+            u = np.array(rhs, dtype=float)
+            if ghost_outer != 0.0:
+                u[-1] += ghost_coeff * ghost_outer
             return gttrs(u)
-        buf = bands.copy()
-        d = buf[n - 1:2 * n - 1]
-        np.multiply(potential, alpha, out=d)
-        np.subtract(bands[n - 1:2 * n - 1], d, out=d)
-        u, info = _gtsv(buf, u)
+        w = self.weights
+        if spd is None:
+            # W times the shifted operator without its potential: alpha w,
+            # its diagonal and its off-diagonal (w_i sup_i = w_{i+1} sub_{i+1})
+            _, diag, sup = self.operator_bands(advection, inv_square)
+            aw = alpha * w
+            spd = (aw, w - aw * diag, -aw[:-1] * sup[:-1])
+            self._cache["shifted"] = (key, ghost_coeff, gttrs, spd)
+        aw, d_free, e = spd
+        d = np.multiply(aw, potential)
+        np.subtract(d_free, d, out=d)
+        b = np.multiply(w, rhs)
+        if ghost_outer != 0.0:
+            b[-1] += w[-1] * (ghost_coeff * ghost_outer)
+        u, info = _ptsv(d, e.copy(), b)
         if info > 0:
-            raise np.linalg.LinAlgError("singular shifted operator")
+            raise np.linalg.LinAlgError(
+                "shifted operator is not positive definite")
         return u
 
     def derivative(self, values: np.ndarray) -> np.ndarray:

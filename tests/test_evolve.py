@@ -612,10 +612,10 @@ def test_f_offset_keeps_the_bits_of_the_masked_formula(n):
             assert same_bits(got, want)
 
 
-def _parent_step(grid, off, sin_sq, m, dt, scheme, ghost):
-    """The step with the arithmetic it had before its temporaries were
-    dropped: concatenated operator apply, masked F on one tangent, one
-    packed dgtsv."""
+def _parent_step(grid, off, m, dt, ghost):
+    """The IMEX2 step with the arithmetic it had before its temporaries
+    were dropped: concatenated operator apply, masked F on one tangent,
+    one packed dgtsv."""
     from scipy.linalg.lapack import dgtsv
 
     msq = float(m * m)
@@ -627,10 +627,8 @@ def _parent_step(grid, off, sin_sq, m, dt, scheme, ghost):
         vp = np.concatenate((v[1:], [ghost]))
         return sub * vm + diag * v + sup * vp
 
-    def solve(rhs, alpha, potential=None):
+    def solve(rhs, alpha):
         d = 1.0 - alpha * diag
-        if potential is not None:
-            d = d - alpha * potential
         b = np.array(rhs, dtype=float)
         if ghost != 0.0:
             b[-1] += alpha * sup[-1] * ghost
@@ -638,20 +636,39 @@ def _parent_step(grid, off, sin_sq, m, dt, scheme, ghost):
         assert info == 0
         return u
 
-    if scheme == "IMEX1":
-        fp = 2.0 * coef * sin_sq
-        rhs = off + dt * (_f_offset_masked(coef, off) - fp * off)
-        return solve(rhs, dt, fp)
     a = off + 0.5 * dt * _f_offset_masked(coef, off)
     rhs = a + 0.5 * dt * apply(a)
     b = solve(rhs, 0.5 * dt)
     return b + 0.5 * dt * _f_offset_masked(coef, b)
 
 
+def _newton_step(grid, off, sin_sq, sin_cos, m, dt, ghost):
+    """The IMEX1 step as one proximal Newton step on E_h, from scratch:
+    (W - dt W (Op + F')) delta = -dt grad E_h, with grad E_h from the
+    edges and sin cos and the tail energies, solved by scipy's dptsv."""
+    from scipy.linalg.lapack import dptsv
+
+    h, w = grid.log_step, grid.weights
+    coef = m * m / grid.nodes**2
+    _, diag, sup = grid.operator_bands(1.0, float(m * m))
+    e = off[1:] - off[:-1]
+    rhs = ((np.concatenate((e, [0.0])) - np.concatenate(([0.0], e)))
+           * (1.0 / (h * w)) - coef * sin_cos)
+    rhs[0] -= m * off[0] / w[0]
+    rhs[-1] -= m * (off[-1] - ghost) / w[-1]
+    rhs = rhs * dt
+    aw = dt * w
+    d = (w - aw * diag) - aw * (2.0 * coef * sin_sq)
+    *_, delta, info = dptsv(d, -aw[:-1] * sup[:-1], w * rhs)
+    assert info == 0
+    return off + delta
+
+
 @pytest.mark.parametrize("scheme", ["IMEX1", "IMEX2"])
 @pytest.mark.parametrize("m, inner", [(2, 0.0), (3, np.pi)])
 def test_step_keeps_the_bits_of_the_packed_dgtsv_step(scheme, m, inner):
-    # guards every artifact's bits against trims of the step
+    # guards every artifact's bits against trims of the step: IMEX2
+    # against the packed dgtsv step, IMEX1 against the Newton form
     g = build_grid(1e-4, 1e3, 512)
     if inner == 0.0:
         off = gaussian_bump(g, 1.2, 0.5, m)
@@ -663,9 +680,13 @@ def test_step_keeps_the_bits_of_the_packed_dgtsv_step(scheme, m, inner):
         t = np.tan(off)
         sin_cos = t / (1.0 + t * t)
         sin_sq = t * sin_cos
-        want = _parent_step(g, off, sin_sq, m, dt, scheme, ghost)
+        if scheme == "IMEX1":
+            want = _newton_step(g, off, sin_sq, sin_cos, m, dt, ghost)
+        else:
+            want = _parent_step(g, off, m, dt, ghost)
         got = evolve_module._step_offset(g, off, (sin_sq, sin_cos), m,
-                                         coeffs, dt, scheme, ghost)
+                                         coeffs, dt, scheme, ghost,
+                                         np.diff(off))
         assert np.isfinite(got).all()
         assert same_bits(got, want)
         off = got
@@ -715,3 +736,91 @@ def test_a_trial_with_a_non_finite_node_is_rejected(default_grid, monkeypatch,
     assert trials[:2] == [1e-3, 5e-4]
     assert rec.times[-1] == pytest.approx(4e-3)
     assert all(np.isfinite(f.offset).all() for f in rec.fields)
+
+
+def _failing_solve(grid, fails):
+    """solve_shifted of grid that raises LinAlgError on the trials for
+    which fails(k) holds, k counting from 0; returns the list of alphas."""
+    real_solve = grid.solve_shifted
+    alphas = []
+
+    def solve(rhs, alpha, *args, **kwargs):
+        alphas.append(alpha)
+        if fails(len(alphas) - 1):
+            raise np.linalg.LinAlgError(
+                "shifted operator is not positive definite")
+        return real_solve(rhs, alpha, *args, **kwargs)
+
+    return solve, alphas
+
+
+def test_a_trial_whose_solve_raises_is_retried_at_half_the_dt(monkeypatch):
+    # a non positive definite IMEX1 matrix fails the trial like an energy
+    # rise; the LinAlgError used to escape evolve
+    g = build_grid(1e-4, 1e3, 256)
+    solve, alphas = _failing_solve(g, lambda k: k == 0)
+    monkeypatch.setattr(g, "solve_shifted", solve)
+    rec = evolve(RadialField(g, gaussian_bump(g)), 2, t_end=4e-3,
+                 stepper=StepperConfig(dt=1e-3), sample_every=1e-3)
+    assert rec.status == STATUS_GLOBAL
+    assert alphas[:2] == [1e-3, 5e-4]
+    assert rec.times[-1] == pytest.approx(4e-3)
+
+
+@pytest.mark.parametrize("data", [_bump(1.0), _bubble(0.05)],
+                         ids=["zero_degree", "degree_m"])
+def test_a_solve_that_raises_at_the_floor_step_aborts(monkeypatch, data):
+    # halving from dt = 1e-3 takes 20 attempts to reach the floor step size
+    # 1e-9, and the failure there ends the run
+    g = build_grid(1e-4, 1e3, 256)
+    solve, alphas = _failing_solve(g, lambda k: True)
+    monkeypatch.setattr(g, "solve_shifted", solve)
+    rec = evolve(data(g), 2, t_end=1.0, stepper=StepperConfig(dt=1e-3),
+                 sample_every=0.1, scale_floor=1e-3)
+    assert rec.status == STATUS_ABORTED
+    assert rec.times == [0.0]
+    assert len(alphas) == 20 + 1
+    assert alphas[-1] == 1e-9
+
+
+def _energy_gradient(g, off, m, inner):
+    """grad E_h = -W (Delta_m + F) of the offset, by the operator and the
+    nonlinearity (not by the step's own edge form)."""
+    u = RadialField(g, off, inner)
+    return -g.weights * (apply_delta_m(u, m).values
+                         + nonlinearity(u, m).values)
+
+
+@pytest.mark.parametrize("m", [1, 2, 4])
+@pytest.mark.parametrize("inner", [0.0, np.pi], ids=["zero_degree",
+                                                     "degree_m"])
+def test_every_imex1_increment_descends_the_energy(m, inner):
+    # with W + dt grad^2 E_h positive definite, delta = -dt (W + dt
+    # grad^2 E_h)^-1 grad E_h has grad E_h . delta < 0; a solve that finds
+    # the matrix indefinite raises instead
+    g = build_grid(1e-4, 1e3, 256)
+    rng = np.random.default_rng(10 * m + int(inner))
+    r = g.nodes
+    coeffs = evolve_module._rate_coeffs(g, m)
+    ghost = 0.0 - inner
+    solved = 0
+    for _ in range(8):
+        s = 10.0 ** rng.uniform(-2.0, 1.0)
+        rho = (r / s) ** m
+        rough = rng.normal(size=g.n) * rho / (1.0 + rho * rho)
+        if inner == 0.0:
+            off = rng.uniform(0.5, 2.5) * rho * np.exp(-(r / s) ** 2)
+        else:
+            off = -2.0 * np.arctan(rho)
+        off = off + rng.uniform(0.0, 0.5) * rough
+        grad = _energy_gradient(g, off, m, inner)
+        for dt in (1e-4, 1e-3, 1e-2, 1e-1):
+            try:
+                new_off = evolve_module._step_offset(
+                    g, off, sin_terms(off), m, coeffs, dt, "IMEX1", ghost,
+                    np.diff(off))
+            except np.linalg.LinAlgError:
+                continue
+            solved += 1
+            assert float(np.dot(grad, new_off - off)) < 0.0
+    assert solved >= 16

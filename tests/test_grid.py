@@ -230,32 +230,60 @@ def test_shifted_band_cache_matches_fresh_grid():
     dt, m, d = 1e-2, 2, 6
     keys = [(dt, 1.0, float(m * m)), (0.5 * dt, 1.0, float(m * m)),
             (dt, float(d - 1), 0.0)]
+    # the lift key (the Laplacian in d dimensions) takes no potential
     calls = [(key, p, ghost) for key in keys + keys[::-1]
-             for p in (None, pot) for ghost in (0.0, -np.pi)]
+             for p in ((None, pot) if key[1] == 1.0 else (None,))
+             for ghost in (0.0, -np.pi)]
     for (alpha, adv, inv_sq), p, ghost in calls:
         got = g.solve_shifted(rhs, alpha, adv, inv_sq, ghost, potential=p)
         want = build_grid(*args).solve_shifted(rhs, alpha, adv, inv_sq, ghost,
                                                potential=p)
         assert np.array_equal(got, want)
-    # consecutive calls share a key, so bands dgtsv had overwritten in
+    # consecutive calls share a key, so bands dptsv had overwritten in
     # the cache would have shown above
     assert np.array_equal(rhs, np.exp(-g.nodes) * np.sin(g.nodes))
+    # the r dr weights make only the degree-m operator symmetric
+    with pytest.raises(ContractViolation, match="degree-m operator"):
+        g.solve_shifted(rhs, dt, float(d - 1), 0.0, potential=pot)
+
+
+def _backend(name):
+    """``(ptsv, gttrf)`` of a fresh backend; the OpenBLAS one only where
+    numpy bundles it."""
+    backend = getattr(grid_module, f"_{name}_lapack")()
+    if backend is None:
+        pytest.skip("numpy bundles no OpenBLAS with the scipy_dptsv_64_, "
+                    "scipy_dgttrf_64_ and scipy_dgttrs_64_ routines")
+    return backend
 
 
 def _use_backend(name, monkeypatch):
-    """Route every solve through a fresh backend: dgtsv and dgttrf/dgttrs
-    alike, from one library; the OpenBLAS one only where numpy bundles
-    it."""
-    backend = getattr(grid_module, f"_{name}_lapack")()
-    if backend is None:
-        pytest.skip("numpy bundles no OpenBLAS with the scipy_dgt*_64_ "
-                    "routines")
-    monkeypatch.setattr(grid_module, "_gtsv", backend[0])
+    """Route every solve through a fresh backend: dptsv and dgttrf/dgttrs
+    alike, from one library."""
+    backend = _backend(name)
+    monkeypatch.setattr(grid_module, "_ptsv", backend[0])
     monkeypatch.setattr(grid_module, "_gttrf", backend[1])
 
 
 @pytest.mark.parametrize("n", [16, 512, 2048, 8192])
-def test_dgtsv_backends_give_the_same_bits(n, monkeypatch):
+def test_dptsv_backends_give_the_same_bits(n, monkeypatch):
+    # random symmetric diagonally dominant systems, straight to each
+    # backend's dptsv, then the solves of a grid
+    rng = np.random.default_rng(n)
+    systems = []
+    for _ in range(5):
+        e = rng.normal(size=n - 1)
+        ends = np.abs(np.concatenate(([0.0], e))) + np.abs(np.append(e, 0.0))
+        systems.append((ends + rng.uniform(0.1, 2.0, n), e,
+                        rng.normal(size=n)))
+    raw = {}
+    for name in ("openblas", "scipy"):
+        ptsv = _backend(name)[0]
+        raw[name] = [ptsv(d.copy(), e.copy(), b.copy())
+                     for d, e, b in systems]
+    for (a, info_a), (b, info_b) in zip(raw["openblas"], raw["scipy"]):
+        assert info_a == info_b == 0
+        assert np.array_equal(a, b)
     solutions = {}
     for name in ("openblas", "scipy"):
         _use_backend(name, monkeypatch)
@@ -282,8 +310,56 @@ def test_singular_shifted_system_raises_on_each_backend(backend, monkeypatch):
         g.solve_shifted(np.ones(17), 1.0, 1.0, 4.0, potential=1.0 - diag)
 
 
+def _dense_shifted(g, alpha, inv_square, potential):
+    """I - alpha (Op + potential) as a dense matrix."""
+    sub, diag, sup = g.operator_bands(1.0, inv_square)
+    return (np.diag(1.0 - alpha * (diag + potential))
+            + np.diag(-alpha * sup[:-1], 1) + np.diag(-alpha * sub[1:], -1))
+
+
+@pytest.mark.parametrize("m", [1, 2, 4])
+@pytest.mark.parametrize("ghost", [0.0, -np.pi])
+def test_solve_shifted_with_a_potential_matches_the_dense_solve(m, ghost):
+    g = build_grid(1e-4, 1e3, 256)
+    rng = np.random.default_rng(m)
+    rhs = rng.normal(size=g.n) * np.exp(-0.1 * g.nodes)
+    msq = float(m * m)
+    sup_end = g.operator_bands(1.0, msq)[2][-1]
+    # F' = (2 m^2/r^2) sin^2 u of a bubble, and a random potential in
+    # [0, m^2/r^2]
+    off = -2.0 * np.arctan((g.nodes / 0.1) ** m)
+    for pot in (2.0 * msq * np.sin(off) ** 2 / g.nodes**2,
+                msq * rng.uniform(size=g.n) / g.nodes**2):
+        for alpha in (1e-3, 1e-2):
+            b = rhs.copy()
+            b[-1] += alpha * sup_end * ghost
+            want = np.linalg.solve(_dense_shifted(g, alpha, msq, pot), b)
+            got = g.solve_shifted(rhs, alpha, 1.0, msq, ghost, potential=pot)
+            assert (np.linalg.norm(got - want)
+                    <= 1e-10 * np.linalg.norm(want))
+
+
+@pytest.mark.parametrize("backend", ["openblas", "scipy"])
+def test_indefinite_shifted_system_raises_on_each_backend(backend,
+                                                          monkeypatch):
+    _use_backend(backend, monkeypatch)
+    # a potential above 1/alpha - diag on one node makes that diagonal
+    # entry of the weighted matrix negative, so the matrix is indefinite
+    # (but not singular, as the dense determinant shows)
+    g = build_grid(1e-3, 1e2, 64)
+    _, diag, _ = g.operator_bands(1.0, 4.0)
+    alpha = 1e-2
+    pot = np.zeros(g.n)
+    pot[30] = 2.0 / alpha - diag[30]
+    assert np.linalg.slogdet(_dense_shifted(g, alpha, 4.0, pot))[0] != 0.0
+    with pytest.raises(np.linalg.LinAlgError, match="positive definite"):
+        g.solve_shifted(np.ones(g.n), alpha, 1.0, 4.0, potential=pot)
+    # the potential-free system of the same key still solves
+    assert np.isfinite(g.solve_shifted(np.ones(g.n), alpha, 1.0, 4.0)).all()
+
+
 def test_solve_shifted_rejects_rhs_of_wrong_length():
-    # dgtsv gets addresses into one buffer sized from the grid
+    # dgttrs gets addresses into one buffer sized from the grid
     g = build_grid(1e-3, 1e2, 32)
     for rhs in (np.ones(31), np.ones(33)):
         with pytest.raises(ContractViolation):
@@ -314,14 +390,15 @@ def test_apply_operator_keeps_the_bits_of_the_concatenation(advection,
 
 
 def _fresh_dgtsv(g, rhs, alpha, advection, inv_square, ghost):
-    """The shifted system packed anew and solved by the current dgtsv."""
+    """The shifted system built anew and solved by scipy's dgtsv."""
+    from scipy.linalg.lapack import dgtsv
+
     sub, diag, sup = g.operator_bands(advection, inv_square)
-    bands = np.concatenate((-alpha * sub[1:], 1.0 - alpha * diag,
-                            -alpha * sup[:-1]))
     b = np.array(rhs, dtype=float)
     if ghost != 0.0:
         b[-1] += alpha * sup[-1] * ghost
-    u, info = grid_module._gtsv(bands, b)
+    *_, u, info = dgtsv(-alpha * sub[1:], 1.0 - alpha * diag,
+                        -alpha * sup[:-1], b)
     assert info == 0
     return u
 
@@ -378,20 +455,20 @@ _IMPORT_PROBE = """
 import ctypes, json, sys
 sys.path.insert(0, sys.argv[1])
 if sys.argv[2] == "no-symbol":
-    # a numpy whose linalg library lacks scipy_dgtsv_64_ (numpy 1.x wheels)
+    # a numpy whose linalg library lacks scipy_dptsv_64_ (numpy 1.x wheels)
     ctypes.CDLL = lambda path: object()
-elif sys.argv[2] == "dgtsv-only":
-    # a library that exports scipy_dgtsv_64_ but not dgttrf or dgttrs
+elif sys.argv[2] == "dptsv-only":
+    # a library that exports scipy_dptsv_64_ but not dgttrf or dgttrs
     cdll = ctypes.CDLL
 
-    class DgtsvOnly:
+    class DptsvOnly:
         def __init__(self, path):
-            self.scipy_dgtsv_64_ = cdll(path).scipy_dgtsv_64_
+            self.scipy_dptsv_64_ = cdll(path).scipy_dptsv_64_
 
-    ctypes.CDLL = DgtsvOnly
+    ctypes.CDLL = DptsvOnly
 import hmflow
 print(json.dumps([[f.__qualname__.split(".")[0]
-                   for f in (hmflow.grid._gtsv, hmflow.grid._gttrf)],
+                   for f in (hmflow.grid._ptsv, hmflow.grid._gttrf)],
                   sorted(k for k in sys.modules if k.split(".")[0] == "scipy")]))
 """
 
@@ -408,7 +485,7 @@ def _public_scipy_subpackages(modules):
             if "." in k and not k.split(".")[1].startswith("_")}
 
 
-@pytest.mark.parametrize("mode", ["default", "no-symbol", "dgtsv-only"])
+@pytest.mark.parametrize("mode", ["default", "no-symbol", "dptsv-only"])
 def test_import_loads_scipy_only_for_the_fallback_backend(mode):
     backends, scipy_modules = _import_in_fresh_interpreter(mode)
     # a partial symbol set falls back as a whole
