@@ -42,11 +42,18 @@ def sin_terms(offset: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     sin v cos v = T / (1 + T^2), and sin^2 v = T times that.  The step
     needs both: sin^2 for E_h and F' = (2 m^2/r^2) sin^2 u, sin cos for
     F = (m^2/r^2)(u - sin u cos u).  A non-finite v gives NaN in both."""
+    t, sin_cos = _tan_sin_cos(offset)
+    t *= sin_cos
+    return t, sin_cos
+
+
+def _tan_sin_cos(offset: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(tan v, sin v cos v): ``sin_terms`` before it forms sin^2, for a
+    caller that needs sin v cos v alone."""
     t = np.tan(offset)
     sin_cos = t * t
     sin_cos += 1.0
     np.divide(t, sin_cos, out=sin_cos)
-    t *= sin_cos
     return t, sin_cos
 
 

@@ -7,12 +7,18 @@ radius s, sits on the diagonal of the same solve, so the stiffness of a
 collapsing core does not slow the computed collapse by a splitting error
 of order dt/s^2.  Since Delta_m + F = -W^-1 grad E_h (W the r dr weights),
 that step is one proximal Newton step on the discrete energy:
-(W + dt grad^2 E_h) delta = -dt grad E_h, u_new = u + delta.  Its right
-side comes from the state's edges v_{i+1} - v_i and sin u cos u, which the
-gate has formed, and its matrix is symmetric positive definite for small
-dt (it tends to W), so one LDL^T solve takes it.  A trial whose matrix is
-not positive definite fails like a trial that raises E_h: only a positive
-definite matrix makes delta a descent direction.  IMEX2 keeps F explicit.
+(W/dt + grad^2 E_h) delta = -grad E_h, u_new = u + delta, which
+``RadialGrid.solve_shifted`` takes as it stands.  Its right side comes
+from the state's edges v_{i+1} - v_i and sin u cos u, which the gate has
+formed, and its matrix is symmetric positive definite for small dt (dt
+times it tends to W), so one LDL^T solve takes it.  A trial whose matrix
+is not positive definite fails like a trial that raises E_h: only a
+positive definite matrix makes delta a descent direction.  IMEX2 keeps F
+explicit in two half-steps around a Crank-Nicolson step whose explicit
+half is folded into its solve: (I + (dt/2) Op) a = 2a - (I - (dt/2) Op) a,
+so the step solves (I - (dt/2) Op)(a + b) = 2a on the cached LDL^T of the
+W-scaled matrix and applies no operator.  Each step returns its increment
+delta with the new state, and the ledger books ||delta||_W^2 / dt.
 The stepper works on
 the offset u - inner_limit, for which the equation takes the identical form
 and the offset vanishes like r^m at the origin: the singular
@@ -51,8 +57,8 @@ from typing import List, Optional
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolation
-from .energy import (EnergyBreakdown, _half_turn_radius, gate_energy,
-                     integrate_density, node_energies, sin_terms)
+from .energy import (EnergyBreakdown, _half_turn_radius, _tan_sin_cos,
+                     gate_energy, integrate_density, node_energies, sin_terms)
 from .grid import RadialField, RadialGrid, check_degree
 
 STATUS_GLOBAL = "Global"
@@ -111,7 +117,7 @@ class TrajectoryRecord:
 
 
 def _f_offset(coef: np.ndarray, off: np.ndarray,
-              sin_cos: np.ndarray) -> np.ndarray:
+              sin_cos: Optional[np.ndarray] = None) -> np.ndarray:
     """coef * (v - sin v cos v), coef = m^2/r^2, from sin_cos = sin v cos v
     (``sin_terms``): F on the offset, for IMEX2's half-steps and
     ``nonlinearity()`` (IMEX1 reads sin v cos v directly).  It takes the
@@ -123,13 +129,17 @@ def _f_offset(coef: np.ndarray, off: np.ndarray,
     The closed form runs over the span from the first to the last node
     outside that band, the series over the nodes before and after the span
     and over any small nodes inside it, so no array is gathered by a mask.
+    Without sin_cos, sin v cos v is taken (``sin_terms``' one tangent) over
+    that span only.
     """
     n = off.shape[0]
     out = np.empty(n)
     small = np.abs(off) < 1e-3
     lo = int(small.argmin())
     hi = lo if small[lo] else n - int(small[::-1].argmin())
-    np.subtract(off[lo:hi], sin_cos[lo:hi], out=out[lo:hi])
+    span = off[lo:hi]
+    sc = _tan_sin_cos(span)[1] if sin_cos is None else sin_cos[lo:hi]
+    np.subtract(span, sc, out=out[lo:hi])
     if lo > 0:
         _cubic_series(off[:lo], out[:lo])
     if hi < n:
@@ -153,16 +163,17 @@ def _cubic_series(v: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _rate_coeffs(grid: RadialGrid, m: int):
-    """m^2/r^2 and 2 m^2/r^2 on the nodes, the factors of F and of F', and
-    1/(h w), which turns edge differences into rows of W^-1 grad E_h."""
-    coef = m * m / grid.nodes**2
-    return coef, 2.0 * coef, 1.0 / (grid.log_step * grid.weights)
+    """m^2/r^2, the factor of F on the nodes (IMEX2), and m^2 tw and
+    2 m^2 tw, tw the log-trapezoid weights, which turn sin u cos u and
+    sin^2 u into the rows of grad E_h and of W F' (IMEX1)."""
+    msq_tw = m * m * grid._trapz_log
+    return m * m / grid.nodes**2, msq_tw, 2.0 * msq_tw
 
 
 def nonlinearity(field: RadialField, m: int) -> RadialField:
     """F(u) = (m^2/r^2)(u - sin(2u)/2) on the true angle."""
     r = field.grid.nodes
-    out = _f_offset(m * m / r**2, field.offset, sin_terms(field.offset)[1])
+    out = _f_offset(m * m / r**2, field.offset)
     if field.inner_limit != 0.0:
         out = out + m * m * field.inner_limit / r**2
     return RadialField(field.grid, out)
@@ -170,48 +181,46 @@ def nonlinearity(field: RadialField, m: int) -> RadialField:
 
 def _step_offset(grid: RadialGrid, off: np.ndarray, terms, m: int, coeffs,
                  dt: float, scheme: str, ghost_outer: float,
-                 edges: np.ndarray) -> np.ndarray:
-    """One step of the offset off; terms is ``sin_terms(off)`` and edges is
-    ``np.diff(off)``, which the energy gate of the step that reached off
-    has formed (sin^2 u and sin u cos u, since u and off differ by a
-    multiple of pi), and coeffs is ``_rate_coeffs(grid, m)``."""
+                 edges: np.ndarray):
+    """One step of the offset off, as (delta, off + delta); terms is
+    ``sin_terms(off)`` and edges is ``np.diff(off)``, which the energy gate
+    of the step that reached off has formed (sin^2 u and sin u cos u, since
+    u and off differ by a multiple of pi), and coeffs is
+    ``_rate_coeffs(grid, m)``."""
     msq = float(m * m)
-    coef, fp_coef, inv_hw = coeffs
+    coef, msq_tw, fp_tw = coeffs
     sin_sq, sin_cos = terms
     if scheme == "IMEX1":
-        # (I - dt (Op + F'(u))) delta = dt (Op u + F(u)) = -dt W^-1 grad E_h
-        # with F'(u) = (2 m^2/r^2) sin^2 u and a zero ghost for delta; row i
-        # of the right side is (e_i - e_{i-1})/(h w_i) - (m^2/r_i^2) sin u_i
-        # cos u_i less the tail gradients m v_0/w_0 and m (v_{n-1} -
-        # ghost)/w_{n-1}, formed in place
-        w = grid.weights
+        # the Newton system (W/dt + grad^2 E_h) delta = -grad E_h as it
+        # stands, with W F'(u) = 2 m^2 tw sin^2 u and a zero ghost for
+        # delta; row i of -grad E_h is (e_i - e_{i-1})/h - m^2 tw_i sin u_i
+        # cos u_i less the tail gradients m v_0 and m (v_{n-1} - ghost),
+        # formed in place
         rhs = np.empty(off.shape[0])
         np.subtract(edges[1:], edges[:-1], out=rhs[1:-1])
         rhs[0] = edges[0]
         rhs[-1] = 0.0 - edges[-1]
-        rhs *= inv_hw
-        rhs -= coef * sin_cos
-        rhs[0] -= m * off[0].item() / w[0].item()
-        rhs[-1] -= m * (off[-1].item() - ghost_outer) / w[-1].item()
-        rhs *= dt
+        rhs *= 1.0 / grid.log_step
+        rhs -= msq_tw * sin_cos
+        rhs[0] -= m * off[0].item()
+        rhs[-1] -= m * (off[-1].item() - ghost_outer)
         delta = grid.solve_shifted(rhs, dt, 1.0, msq,
-                                   potential=fp_coef * sin_sq)
-        delta += off
-        return delta
+                                   potential=fp_tw * sin_sq)
+        return delta, off + delta
     # IMEX2: explicit half-step of F, Crank-Nicolson diffusion, half-step
-    # of F, each formed in place
+    # of F, each formed in place; Crank-Nicolson's explicit half is folded
+    # into its solve, (I + half Op) a = 2a - (I - half Op) a, so b solves
+    # (I - half Op)(a + b) = 2a with the ghost term doubled
     half = 0.5 * dt
     a = _f_offset(coef, off, sin_cos)
     a *= half
     a += off
-    rhs = grid.apply_operator(a, 1.0, msq, ghost_outer)
-    rhs *= half
-    rhs += a
-    b = grid.solve_shifted(rhs, half, 1.0, msq, ghost_outer)
-    out = _f_offset(coef, b, sin_terms(b)[1])
+    b = grid.solve_shifted(a + a, half, 1.0, msq, 2.0 * ghost_outer)
+    b -= a
+    out = _f_offset(coef, b)
     out *= half
     out += b
-    return out
+    return out - off, out
 
 
 def step(field: RadialField, m: int, config: StepperConfig) -> RadialField:
@@ -220,9 +229,9 @@ def step(field: RadialField, m: int, config: StepperConfig) -> RadialField:
     check_degree(m)
     g = field.grid
     off = field.offset
-    new_off = _step_offset(g, off, sin_terms(off), m, _rate_coeffs(g, m),
-                           config.dt, config.scheme,
-                           field.outer_ghost_offset(), np.diff(off))
+    _, new_off = _step_offset(g, off, sin_terms(off), m, _rate_coeffs(g, m),
+                              config.dt, config.scheme,
+                              field.outer_ghost_offset(), np.diff(off))
     return RadialField(g, new_off, field.inner_limit)
 
 
@@ -313,13 +322,14 @@ def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
     needs: E_h from the edges (one np.diff) and two dot products
     (``gate_energy``), and one tangent of the new state (``sin_terms``);
     the next step's F' and its gradient of E_h reuse the edges, sin^2 and
-    sin cos.  A trial whose IMEX1 matrix is not positive definite (the
+    sin cos.  An accepted step books ||delta||_W^2 / dt from the step's
+    own increment, squared in place, and then forms the L4 squares in the
+    same buffer.  A trial whose IMEX1 matrix is not positive definite (the
     solve raises ``numpy.linalg.LinAlgError``) fails like one that raises
-    E_h.  Node
-    energies and fields are built only for the samples (and for the floor
-    step size of a zero-degree state after a failed step).  The recorded
-    energies and scale estimates equal energy() and scale_estimate() of
-    the sampled fields exactly.
+    E_h.  Node energies and fields are built only for the samples (and
+    for the floor step size of a zero-degree state after a failed step).
+    The recorded energies and scale estimates equal energy() and
+    scale_estimate() of the sampled fields exactly.
     """
     check_degree(m)
     g = field.grid
@@ -401,8 +411,9 @@ def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
         while t < t_end - 1e-12 * t_end:
             dt_try = min(dt, t_end - t)
             try:
-                new_off = _step_offset(g, off, terms, m, coeffs, dt_try,
-                                       scheme, ghost_outer, edges)
+                delta, new_off = _step_offset(g, off, terms, m, coeffs,
+                                              dt_try, scheme, ghost_outer,
+                                              edges)
             except np.linalg.LinAlgError:
                 # the trial's matrix is not positive definite, so its
                 # increment need not descend E_h; it tends to W as dt falls
@@ -427,13 +438,14 @@ def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
                 rec.status = STATUS_ABORTED
                 break
 
-            # accepted
-            du = new_off - off
-            dissipated += float(np.dot(g.weights, du * du)) / dt_try
-            # squares, not new_off**4: a power of a negative base takes the
-            # slow path of pow
-            sq = new_off * new_off
-            l4_integral += dt_try * float(np.dot(l4_weights, sq * sq))
+            # accepted: ||delta||_W^2 / dt, then the L4 squares, in delta's
+            # buffer; squares, not new_off**4: a power of a negative base
+            # takes the slow path of pow
+            np.multiply(delta, delta, out=delta)
+            dissipated += float(np.dot(g.weights, delta)) / dt_try
+            np.multiply(new_off, new_off, out=delta)
+            delta *= delta
+            l4_integral += dt_try * float(np.dot(l4_weights, delta))
             off, edges, terms, e_cur = new_off, new_edges, new_terms, e_new
             dens_cur = None
             t += dt_try

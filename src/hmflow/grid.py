@@ -12,15 +12,18 @@ law outside r_max), which makes it the gradient of the discrete energy the
 package reports; operators without an inverse-square term are closed by
 zero ghost values.
 
-Shifted systems are solved by LAPACK: ``dptsv`` (LDL^T of the system
-scaled by the r dr weights, which is symmetric) where the diagonal carries
-a potential, and ``dgttrs`` on a ``dgttrf`` factorization kept per shifted
-operator where it does not.  One library serves all three routines.  It is
+Shifted systems are solved by LAPACK.  The degree-m operator is symmetric
+in the r dr weights, so its systems are scaled by them and solved by LDL^T
+(no pivoting): ``dptsv`` where the diagonal carries a potential, and
+``dpttrs`` on a ``dpttrf`` factorization kept per shifted operator where it
+does not.  The Laplacian in d dimensions is not, and keeps ``dgttrs`` on a
+``dgttrf`` factorization.  One library serves all five routines.  It is
 the OpenBLAS that numpy (>= 2) wheels bundle, found as the symbols
-``scipy_dptsv_64_``, ``scipy_dgttrf_64_`` and ``scipy_dgttrs_64_`` through
+``scipy_dptsv_64_``, ``scipy_dpttrf_64_``, ``scipy_dpttrs_64_``,
+``scipy_dgttrf_64_`` and ``scipy_dgttrs_64_`` through
 ``numpy.linalg._umath_linalg``'s shared library, so ``import hmflow`` loads
-numpy and no scipy module.  Where that module or any of the three symbols
-is missing (numpy 1.x wheels, numpy built on a system LAPACK) all three
+numpy and no scipy module.  Where that module or any of the five symbols
+is missing (numpy 1.x wheels, numpy built on a system LAPACK) all five
 come from ``scipy.linalg.lapack``, which is then imported once, when this
 module is.  Both libraries, and both routes, give the same bits.
 """
@@ -41,41 +44,60 @@ def _address(array):
 
 
 def _openblas_lapack():
-    """``(ptsv, gttrf)`` on the OpenBLAS that numpy bundles (64-bit
-    integers), or None unless it exports all three routines."""
+    """``(ptsv, pttrf, gttrf)`` on the OpenBLAS that numpy bundles (64-bit
+    integers), or None unless it exports all five routines."""
     try:
         from numpy.linalg import _umath_linalg
         lib = ctypes.CDLL(_umath_linalg.__file__)
-        sv, trf, trs = (getattr(lib, f"scipy_d{name}_64_")
-                        for name in ("ptsv", "gttrf", "gttrs"))
+        sv, ptrf, ptrs, trf, trs = (
+            getattr(lib, f"scipy_d{name}_64_")
+            for name in ("ptsv", "pttrf", "pttrs", "gttrf", "gttrs"))
     except (ImportError, OSError, AttributeError):
         return None
-    sv.argtypes = [ctypes.c_void_p] * 7
-    trf.argtypes = [ctypes.c_void_p] * 7
+    sv.argtypes = ptrs.argtypes = trf.argtypes = [ctypes.c_void_p] * 7
+    ptrf.argtypes = [ctypes.c_void_p] * 4
     # the last argument is the hidden length of the character TRANS
     trs.argtypes = [ctypes.c_void_p] * 11 + [ctypes.c_size_t]
-    sv.restype = trf.restype = trs.restype = None
+    sv.restype = ptrf.restype = ptrs.restype = trf.restype = trs.restype = None
     trans = ctypes.c_char(b"N")
     sizes = {}  # n -> (n, nrhs, ldb); the routines only read them
 
-    def ptsv(d, e, b):
-        n = b.shape[0]
+    def size_of(n):
         try:
-            size = sizes[n]
+            return sizes[n]
         except KeyError:
-            size = sizes.setdefault(n, (ctypes.c_int64 * 3)(n, 1, n))
-        s = ctypes.addressof(size)
+            return sizes.setdefault(n, (ctypes.c_int64 * 3)(n, 1, n))
+
+    def ptsv(d, e, b):
+        s = ctypes.addressof(size_of(b.shape[0]))
         info = ctypes.c_int64()
         sv(s, s + 8, _address(d), _address(e), _address(b), s + 16,
            ctypes.addressof(info))
         return b, info.value
+
+    def pttrf(d, e):
+        size = size_of(d.shape[0])
+        s = ctypes.addressof(size)
+        factors = (_address(d), _address(e))
+        info = ctypes.c_int64()
+        ptrf(s, *factors, ctypes.addressof(info))
+        head = (s, s + 8, *factors)
+
+        def pttrs(b):
+            info = ctypes.c_int64()
+            ptrs(*head, _address(b), s + 16, ctypes.addressof(info))
+            return b
+
+        # pttrs holds only addresses; this keeps the factors and sizes alive
+        pttrs.arrays = (d, e, size)
+        return pttrs, info.value
 
     def gttrf(dl, d, du):
         n = d.shape[0]
         # dl | d | du | du2, overwritten by the factors, and the pivots
         lu = np.concatenate((dl, d, du, np.empty(n - 2)))
         ipiv = np.empty(n, dtype=np.int64)
-        size = sizes.setdefault(n, (ctypes.c_int64 * 3)(n, 1, n))
+        size = size_of(n)
         s, a = ctypes.addressof(size), _address(lu)
         factors = (a, a + 8 * (n - 1), a + 8 * (2 * n - 1),
                    a + 8 * (3 * n - 2), _address(ipiv))
@@ -88,21 +110,29 @@ def _openblas_lapack():
             trs(*head, _address(b), s + 16, ctypes.addressof(info), 1)
             return b
 
-        # gttrs holds only addresses; this keeps the factors alive
-        gttrs.arrays = (lu, ipiv)
+        # gttrs holds only addresses; this keeps the factors and sizes alive
+        gttrs.arrays = (lu, ipiv, size)
         return gttrs, info.value
 
-    return ptsv, gttrf
+    return ptsv, pttrf, gttrf
 
 
 def _scipy_lapack():
-    """``(ptsv, gttrf)`` on ``scipy.linalg.lapack``."""
-    from scipy.linalg.lapack import dgttrf, dgttrs, dptsv
+    """``(ptsv, pttrf, gttrf)`` on ``scipy.linalg.lapack``."""
+    from scipy.linalg.lapack import dgttrf, dgttrs, dptsv, dpttrf, dpttrs
 
     def ptsv(d, e, b):
         *_, u, info = dptsv(d, e, b, overwrite_d=1, overwrite_e=1,
                             overwrite_b=1)
         return u, info
+
+    def pttrf(d, e):
+        *ldl, info = dpttrf(d, e, overwrite_d=1, overwrite_e=1)
+
+        def pttrs(b):
+            return dpttrs(*ldl, b, overwrite_b=1)[0]
+
+        return pttrs, info
 
     def gttrf(dl, d, du):
         *lu, info = dgttrf(dl, d, du)
@@ -112,16 +142,18 @@ def _scipy_lapack():
 
         return gttrs, info
 
-    return ptsv, gttrf
+    return ptsv, pttrf, gttrf
 
 
 # _ptsv(d, e, b) solves the symmetric system with diagonal d, off-diagonal
 # e and right side b, and returns (solution, info); dptsv overwrites all
 # three arrays, and info > 0 means the matrix is not positive definite.
-# _gttrf(dl, d, du) factors a system and returns (gttrs, info): gttrs(b)
-# returns the solution for the right side b, which it may overwrite, and
-# never writes the factors.
-_ptsv, _gttrf = _openblas_lapack() or _scipy_lapack()
+# _pttrf(d, e) factors such a system in the arrays d and e, which it keeps,
+# and _gttrf(dl, d, du) a general one; each returns (solve, info), where
+# solve(b) returns the solution for the right side b, which it may
+# overwrite, and never writes the factors.  info > 0 means the matrix is
+# not positive definite (_pttrf) or singular (_gttrf).
+_ptsv, _pttrf, _gttrf = _openblas_lapack() or _scipy_lapack()
 
 
 class RadialGrid:
@@ -242,42 +274,62 @@ class RadialGrid:
         out[-1] += sup[-1] * ghost_outer
         return out
 
+    def _weighted_bands(self, inv_square):
+        """Bands of W times the degree-m operator, W the r dr weights: its
+        diagonal w diag, its off-diagonal negated, -w_i sup_i (which equals
+        -w_{i+1} sub_{i+1}, the symmetry of ``operator_bands``), and the
+        coefficient w_{n-1} sup_{n-1} of the outer ghost value."""
+        key = ("weighted", inv_square)
+        try:
+            return self._cache[key]
+        except KeyError:
+            pass
+        _, diag, sup = self.operator_bands(1.0, inv_square)
+        w = self.weights
+        bands = (w * diag, -(w[:-1] * sup[:-1]), w[-1].item() * sup[-1].item())
+        self._cache[key] = bands
+        return bands
+
     def solve_shifted(self, rhs, alpha, advection, inv_square,
                       ghost_outer=0.0, potential=None):
-        """Solve (I - alpha*(Op + potential)) u = rhs, with Op the operator
-        of ``operator_bands`` and ghost_outer its outer ghost value; the
-        optional potential is a nodal array added to the diagonal of Op,
-        and only the degree-m operator (advection 1, inv_square > 0) takes
-        one: it is the operator that the r dr weights make symmetric.
+        """Solve a shifted system of the operator Op of ``operator_bands``,
+        with ghost_outer its outer ghost value, under one of three
+        contracts; W is the diagonal of the r dr weights w.
 
-        For the degree-m operator without a potential and for alpha > 0
-        the system is strictly diagonally dominant, hence nonsingular: its
-        off-diagonal entries are positive for any log step.  For the
-        Laplacian in d dimensions the sub-diagonal is positive only for
-        log step < 2/(d - 2).
+        - The degree-m operator (advection 1, inv_square > 0) with a
+          potential: (W/alpha - W Op - diag(potential)) u = rhs, with the
+          ghost term w_{n-1} sup_{n-1} ghost_outer added to the last row of
+          rhs.  This is IMEX1's Newton system as it stands (rhs = -grad
+          E_h, potential = W F'); its matrix is symmetric, and ``dptsv``
+          (LDL^T, no pivoting) solves it on a diagonal d_free - potential
+          built in a new array, with d_free = w/alpha - w diag kept per
+          key.  The matrix is positive definite at every alpha > 0 where
+          the potential stays at or below w inv_square/r^2, and for any
+          bounded potential at small enough alpha; ``dptsv`` requires it
+          to be.
+        - The degree-m operator without a potential: (I - alpha Op) u =
+          rhs (IMEX2's Crank-Nicolson solve, ``solve_helmholtz``).  The
+          system is solved as W (I - alpha Op) u = W rhs, whose matrix is
+          symmetric and, for alpha > 0, strictly diagonally dominant with
+          a positive diagonal, hence positive definite: its LDL^T is
+          factored by ``dpttrf`` once per key, and each call is one
+          ``dpttrs`` on W rhs, a new array.
+        - Any other operator (the Laplacian in d dimensions) without a
+          potential: (I - alpha Op) u = rhs, by ``dgttrs`` on a ``dgttrf``
+          factorization kept per key, applied to a copy of rhs.  The r dr
+          weights do not make it symmetric, and its sub-diagonal is
+          positive only for log step < 2/(d - 2).
 
         One cache entry is kept, for the latest (alpha, advection,
         inv_square): a run's step size moves only on rejections and
-        regrowth.  It holds the coefficient of the ghost value and, once a
-        call has asked for it, the LAPACK ``dgttrf`` factorization of the
-        shifted operator (calls without a potential) or the bands of the
-        shifted operator scaled by the r dr weights W (calls with one).  A
-        call without a potential (IMEX2's Crank-Nicolson solve,
-        ``solve_helmholtz``) is one ``dgttrs`` on a copy of the right side.
-        A call with a potential (IMEX1) solves W (I - alpha*(Op +
-        potential)) u = W rhs, whose matrix is symmetric, by ``dptsv``
-        (LDL^T, no pivoting): the diagonal is w - alpha w diag - alpha w
-        potential, the off-diagonal -alpha w_i sup_i, both built in new
-        buffers that ``dptsv`` overwrites with the right side W rhs.  That
-        matrix is positive definite at every alpha > 0 where the potential
-        stays at or below inv_square/r^2, and for any bounded potential at
-        small enough alpha; ``dptsv`` requires it to be.  Neither the bands
-        nor the factors are written after they are built, so the instance
-        stays safe to share across threads.  The module docstring names the
-        LAPACK library.
-        Raises ``numpy.linalg.LinAlgError`` when the system without a
-        potential is singular, or the one with a potential is not positive
-        definite.
+        regrowth.  It holds, once a call has asked for them, the
+        factorization and d_free; the weighted off-diagonal -w_i sup_i
+        does not depend on alpha and is kept per operator.  No argument is
+        written, and neither the bands nor the factors are written after
+        they are built, so the instance stays safe to share across
+        threads.  The module docstring names the LAPACK library.
+        Raises ``numpy.linalg.LinAlgError`` when a symmetric system is
+        not positive definite or the general one is singular.
         """
         n = self.n
         if np.shape(rhs) != (n,) or (potential is not None
@@ -285,8 +337,8 @@ class RadialGrid:
             # LAPACK is handed addresses into arrays sized from the grid
             raise ContractViolation(
                 "rhs and potential need one value per node")
-        if potential is not None and not (advection == 1.0
-                                          and inv_square > 0):
+        degree_m = advection == 1.0 and inv_square > 0
+        if potential is not None and not degree_m:
             raise ContractViolation(
                 "a potential needs the degree-m operator (advection 1, "
                 f"inv_square > 0), got advection={advection}, "
@@ -294,36 +346,41 @@ class RadialGrid:
         key = (alpha, advection, inv_square)
         cached = self._cache.get("shifted")
         if cached is None or cached[0] != key:
-            sup_end = self.operator_bands(advection, inv_square)[2][-1]
-            cached = (key, alpha * sup_end, None, None)
+            cached = (key, None, None)
             self._cache["shifted"] = cached
-        _, ghost_coeff, gttrs, spd = cached
-        if potential is None:
-            if gttrs is None:
-                sub, diag, sup = self.operator_bands(advection, inv_square)
-                gttrs, info = _gttrf(-alpha * sub[1:], 1.0 - alpha * diag,
+        _, solve, d_free = cached
+        if not degree_m:
+            sub, diag, sup = self.operator_bands(advection, inv_square)
+            if solve is None:
+                solve, info = _gttrf(-alpha * sub[1:], 1.0 - alpha * diag,
                                      -alpha * sup[:-1])
                 if info > 0:
                     raise np.linalg.LinAlgError("singular shifted operator")
-                self._cache["shifted"] = (key, ghost_coeff, gttrs, spd)
+                self._cache["shifted"] = (key, solve, d_free)
             u = np.array(rhs, dtype=float)
             if ghost_outer != 0.0:
-                u[-1] += ghost_coeff * ghost_outer
-            return gttrs(u)
+                u[-1] += alpha * sup[-1] * ghost_outer
+            return solve(u)
         w = self.weights
-        if spd is None:
-            # W times the shifted operator without its potential: alpha w,
-            # its diagonal and its off-diagonal (w_i sup_i = w_{i+1} sub_{i+1})
-            _, diag, sup = self.operator_bands(advection, inv_square)
-            aw = alpha * w
-            spd = (aw, w - aw * diag, -aw[:-1] * sup[:-1])
-            self._cache["shifted"] = (key, ghost_coeff, gttrs, spd)
-        aw, d_free, e = spd
-        d = np.multiply(aw, potential)
-        np.subtract(d_free, d, out=d)
-        b = np.multiply(w, rhs)
+        w_diag, e, ghost_coeff = self._weighted_bands(inv_square)
+        if potential is None:
+            if solve is None:
+                solve, info = _pttrf(w - alpha * w_diag, alpha * e)
+                if info > 0:
+                    raise np.linalg.LinAlgError(
+                        "shifted operator is not positive definite")
+                self._cache["shifted"] = (key, solve, d_free)
+            b = np.multiply(w, rhs)
+            if ghost_outer != 0.0:
+                b[-1] += (alpha * ghost_coeff) * ghost_outer
+            return solve(b)
+        if d_free is None:
+            d_free = w / alpha - w_diag
+            self._cache["shifted"] = (key, solve, d_free)
+        d = np.subtract(d_free, potential)
+        b = np.array(rhs, dtype=float)
         if ghost_outer != 0.0:
-            b[-1] += w[-1] * (ghost_coeff * ghost_outer)
+            b[-1] += ghost_coeff * ghost_outer
         u, info = _ptsv(d, e.copy(), b)
         if info > 0:
             raise np.linalg.LinAlgError(

@@ -453,7 +453,8 @@ def test_failures_at_the_floor_step_end_the_run(default_grid, monkeypatch, bad,
 
     def failing_step(grid, off, *args):
         calls.append(1)
-        return bad(off)
+        new_off = bad(off)
+        return new_off - off, new_off
 
     monkeypatch.setattr("hmflow.evolve._step_offset", failing_step)
     g = build_grid(1e-8, 1e2, 1024) if deep else default_grid
@@ -482,10 +483,10 @@ def test_a_dt_below_the_step_of_the_state_keeps_retries(monkeypatch,
 
     def step_once_bad(grid, off, sin_sq, m, coeffs, dt, *args):
         trials.append(dt)
-        new_off = real_step(grid, off, sin_sq, m, coeffs, dt, *args)
+        delta, new_off = real_step(grid, off, sin_sq, m, coeffs, dt, *args)
         if failure == "non_finite" and len(trials) == 1:
-            return np.full_like(new_off, np.nan)
-        return new_off
+            return delta, np.full_like(new_off, np.nan)
+        return delta, new_off
 
     def radius_once_halved(grid, off):
         s = real_radius(grid, off)
@@ -612,63 +613,56 @@ def test_f_offset_keeps_the_bits_of_the_masked_formula(n):
             assert same_bits(got, want)
 
 
-def _parent_step(grid, off, m, dt, ghost):
-    """The IMEX2 step with the arithmetic it had before its temporaries
-    were dropped: concatenated operator apply, masked F on one tangent,
-    one packed dgtsv."""
-    from scipy.linalg.lapack import dgtsv
+def _cn_step(grid, off, m, dt, ghost):
+    """The IMEX2 step from scratch: half-step of F (masked formula on one
+    tangent), Crank-Nicolson with its explicit half folded in, b = x - a
+    with W (I - (dt/2) Op) x = W 2a and the ghost term doubled, solved by
+    scipy's dpttrf and dpttrs, then the second half-step of F; returns
+    (out - off, out)."""
+    from scipy.linalg.lapack import dpttrf, dpttrs
 
-    msq = float(m * m)
+    half = 0.5 * dt
     coef = m * m / grid.nodes**2
-    sub, diag, sup = grid.operator_bands(1.0, msq)
-
-    def apply(v):
-        vm = np.concatenate(([0.0], v[:-1]))
-        vp = np.concatenate((v[1:], [ghost]))
-        return sub * vm + diag * v + sup * vp
-
-    def solve(rhs, alpha):
-        d = 1.0 - alpha * diag
-        b = np.array(rhs, dtype=float)
-        if ghost != 0.0:
-            b[-1] += alpha * sup[-1] * ghost
-        *_, u, info = dgtsv(-alpha * sub[1:], d, -alpha * sup[:-1], b)
-        assert info == 0
-        return u
-
-    a = off + 0.5 * dt * _f_offset_masked(coef, off)
-    rhs = a + 0.5 * dt * apply(a)
-    b = solve(rhs, 0.5 * dt)
-    return b + 0.5 * dt * _f_offset_masked(coef, b)
+    _, diag, sup = grid.operator_bands(1.0, float(m * m))
+    w = grid.weights
+    a = off + half * _f_offset_masked(coef, off)
+    rhs = w * (a + a)
+    rhs[-1] += (half * (w[-1] * sup[-1])) * (2.0 * ghost)
+    d, e, info = dpttrf(w - half * (w * diag), half * -(w[:-1] * sup[:-1]))
+    assert info == 0
+    x, info = dpttrs(d, e, rhs)
+    assert info == 0
+    b = x - a
+    out = b + half * _f_offset_masked(coef, b)
+    return out - off, out
 
 
 def _newton_step(grid, off, sin_sq, sin_cos, m, dt, ghost):
     """The IMEX1 step as one proximal Newton step on E_h, from scratch:
-    (W - dt W (Op + F')) delta = -dt grad E_h, with grad E_h from the
-    edges and sin cos and the tail energies, solved by scipy's dptsv."""
+    (W/dt - W Op + diag(W F')) delta = -grad E_h, with grad E_h from the
+    edges and sin cos and the tail energies and W F' = 2 m^2 tw sin^2 u
+    (tw the log-trapezoid weights), solved by scipy's dptsv; returns
+    (delta, off + delta)."""
     from scipy.linalg.lapack import dptsv
 
-    h, w = grid.log_step, grid.weights
-    coef = m * m / grid.nodes**2
+    h, w, tw = grid.log_step, grid.weights, grid._trapz_log
     _, diag, sup = grid.operator_bands(1.0, float(m * m))
     e = off[1:] - off[:-1]
     rhs = ((np.concatenate((e, [0.0])) - np.concatenate(([0.0], e)))
-           * (1.0 / (h * w)) - coef * sin_cos)
-    rhs[0] -= m * off[0] / w[0]
-    rhs[-1] -= m * (off[-1] - ghost) / w[-1]
-    rhs = rhs * dt
-    aw = dt * w
-    d = (w - aw * diag) - aw * (2.0 * coef * sin_sq)
-    *_, delta, info = dptsv(d, -aw[:-1] * sup[:-1], w * rhs)
+           * (1.0 / h) - (m * m * tw) * sin_cos)
+    rhs[0] -= m * off[0]
+    rhs[-1] -= m * (off[-1] - ghost)
+    d = (w / dt - w * diag) - (2.0 * (m * m * tw)) * sin_sq
+    *_, delta, info = dptsv(d, -(w[:-1] * sup[:-1]), rhs)
     assert info == 0
-    return off + delta
+    return delta, off + delta
 
 
 @pytest.mark.parametrize("scheme", ["IMEX1", "IMEX2"])
 @pytest.mark.parametrize("m, inner", [(2, 0.0), (3, np.pi)])
 def test_step_keeps_the_bits_of_the_packed_dgtsv_step(scheme, m, inner):
-    # guards every artifact's bits against trims of the step: IMEX2
-    # against the packed dgtsv step, IMEX1 against the Newton form
+    # guards every artifact's bits against trims of the step: both schemes
+    # against from-scratch references of their energy-metric solves
     g = build_grid(1e-4, 1e3, 512)
     if inner == 0.0:
         off = gaussian_bump(g, 1.2, 0.5, m)
@@ -683,13 +677,14 @@ def test_step_keeps_the_bits_of_the_packed_dgtsv_step(scheme, m, inner):
         if scheme == "IMEX1":
             want = _newton_step(g, off, sin_sq, sin_cos, m, dt, ghost)
         else:
-            want = _parent_step(g, off, m, dt, ghost)
+            want = _cn_step(g, off, m, dt, ghost)
         got = evolve_module._step_offset(g, off, (sin_sq, sin_cos), m,
                                          coeffs, dt, scheme, ghost,
                                          np.diff(off))
-        assert np.isfinite(got).all()
-        assert same_bits(got, want)
-        off = got
+        assert np.isfinite(got[1]).all()
+        assert same_bits(got[0], want[0])
+        assert same_bits(got[1], want[1])
+        off = got[1]
 
 
 def test_f_offset_against_mpmath():
@@ -724,10 +719,10 @@ def test_a_trial_with_a_non_finite_node_is_rejected(default_grid, monkeypatch,
 
     def step_once_bad(grid, off, terms, m, coeffs, dt, *args):
         trials.append(dt)
-        new_off = real_step(grid, off, terms, m, coeffs, dt, *args)
+        delta, new_off = real_step(grid, off, terms, m, coeffs, dt, *args)
         if len(trials) == 1:
             new_off[node] = bad
-        return new_off
+        return delta, new_off
 
     monkeypatch.setattr("hmflow.evolve._step_offset", step_once_bad)
     rec = evolve(RadialField(g, gaussian_bump(g)), 2, t_end=4e-3,
@@ -816,7 +811,7 @@ def test_every_imex1_increment_descends_the_energy(m, inner):
         grad = _energy_gradient(g, off, m, inner)
         for dt in (1e-4, 1e-3, 1e-2, 1e-1):
             try:
-                new_off = evolve_module._step_offset(
+                _, new_off = evolve_module._step_offset(
                     g, off, sin_terms(off), m, coeffs, dt, "IMEX1", ghost,
                     np.diff(off))
             except np.linalg.LinAlgError:
@@ -824,3 +819,98 @@ def test_every_imex1_increment_descends_the_energy(m, inner):
             solved += 1
             assert float(np.dot(grad, new_off - off)) < 0.0
     assert solved >= 16
+
+
+def _seeded_states(g, m, inner, rng, count):
+    """Offsets of count seeded states: a bump (zero-degree) or a bubble
+    (degree-m) of random scale, plus a rough perturbation."""
+    r = g.nodes
+    for _ in range(count):
+        s = 10.0 ** rng.uniform(-2.0, 1.0)
+        rho = (r / s) ** m
+        if inner == 0.0:
+            off = rng.uniform(0.5, 2.5) * rho * np.exp(-(r / s) ** 2)
+        else:
+            off = -2.0 * np.arctan(rho)
+        yield off + (rng.uniform(0.0, 0.3) * rng.normal(size=g.n)
+                     * rho / (1.0 + rho * rho))
+
+
+@pytest.mark.parametrize("m", [1, 2, 4])
+@pytest.mark.parametrize("inner", [0.0, np.pi], ids=["zero_degree",
+                                                     "degree_m"])
+def test_folded_imex2_step_matches_the_unfolded_one(m, inner):
+    # Crank-Nicolson's explicit half folded into its solve, b = (I -
+    # half Op)^-1 (2a) - a, against the operator applied and then solved
+    g = build_grid(1e-4, 1e3, 512)
+    rng = np.random.default_rng(100 * m + int(inner))
+    coeffs = evolve_module._rate_coeffs(g, m)
+    coef = m * m / g.nodes**2
+    msq = float(m * m)
+    ghost = 0.0 - inner
+    for off in _seeded_states(g, m, inner, rng, 6):
+        for dt in (1e-4, 1e-3, 1e-2):
+            half = 0.5 * dt
+            a = off + half * _f_offset_masked(coef, off)
+            rhs = a + half * g.apply_operator(a, 1.0, msq, ghost)
+            b = g.solve_shifted(rhs, half, 1.0, msq, ghost)
+            want = b + half * _f_offset_masked(coef, b)
+            delta, got = evolve_module._step_offset(
+                g, off, sin_terms(off), m, coeffs, dt, "IMEX2", ghost,
+                np.diff(off))
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(got - want)) <= 1e-12 * scale
+            assert np.array_equal(delta, got - off)
+
+
+class _Retried(Exception):
+    """Raised by a step wrapper on a run's second trial."""
+
+
+@pytest.mark.parametrize("scheme", ["IMEX1", "IMEX2"])
+@pytest.mark.parametrize("inner", [0.0, np.pi], ids=["zero_degree",
+                                                     "degree_m"])
+def test_booked_dissipation_is_the_squared_step(scheme, inner, monkeypatch):
+    # an accepted step books ||delta||_W^2 / dt from the step's own
+    # increment; IMEX2's delta is out - off, so it books ||new - off||^2
+    # to rounding, and IMEX1's is the solve's, which new - off holds up to
+    # the rounding r of off + delta, |r| <= eps/2 |new|:
+    # | ||delta||^2 - ||new - off||^2 | <= 2 ||new - off|| ||r|| + ||r||^2
+    g = build_grid(1e-4, 1e3, 512)
+    eps = np.finfo(float).eps
+    real_step = evolve_module._step_offset
+    trials = []
+
+    def first_trial_only(*args):
+        # a run to t_end = dt whose first trial is accepted makes no other
+        if trials:
+            raise _Retried
+        trials.append(1)
+        return real_step(*args)
+
+    monkeypatch.setattr(evolve_module, "_step_offset", first_trial_only)
+    checked = 0
+    for m in (1, 2, 4):
+        rng = np.random.default_rng(m + 10 * int(inner))
+        for off in _seeded_states(g, m, inner, rng, 4):
+            for dt in (1e-4, 1e-3, 1e-2):
+                trials.clear()
+                try:
+                    rec = evolve(RadialField(g, off, inner), m, t_end=dt,
+                                 stepper=StepperConfig(dt=dt, scheme=scheme),
+                                 sample_every=dt)
+                except _Retried:
+                    continue
+                assert rec.times == [0.0, dt]
+                checked += 1
+                new = rec.fields[-1].offset
+                du = new - off
+                want = float(np.dot(g.weights, du * du)) / dt
+                booked = rec.dissipated[-1]
+                if scheme == "IMEX2":
+                    assert booked == pytest.approx(want, rel=1e-14, abs=0.0)
+                else:
+                    rounding = (2.0 * eps * np.sqrt(g.inner(new, new))
+                                * np.sqrt(g.inner(du, du)) / dt)
+                    assert abs(booked - want) <= 1e-14 * want + rounding
+    assert checked >= 20

@@ -226,7 +226,8 @@ def test_shifted_band_cache_matches_fresh_grid():
     args = (1e-3, 1e2, 256)
     g = build_grid(*args)
     rhs = np.exp(-g.nodes) * np.sin(g.nodes)
-    pot = 2.0 / (1.0 + g.nodes**2)
+    # a potential in the r dr-weighted units of the degree-m contract
+    pot = 2.0 * g.weights / (1.0 + g.nodes**2)
     dt, m, d = 1e-2, 2, 6
     keys = [(dt, 1.0, float(m * m)), (0.5 * dt, 1.0, float(m * m)),
             (dt, float(d - 1), 0.0)]
@@ -248,21 +249,23 @@ def test_shifted_band_cache_matches_fresh_grid():
 
 
 def _backend(name):
-    """``(ptsv, gttrf)`` of a fresh backend; the OpenBLAS one only where
-    numpy bundles it."""
+    """``(ptsv, pttrf, gttrf)`` of a fresh backend; the OpenBLAS one only
+    where numpy bundles it."""
     backend = getattr(grid_module, f"_{name}_lapack")()
     if backend is None:
         pytest.skip("numpy bundles no OpenBLAS with the scipy_dptsv_64_, "
-                    "scipy_dgttrf_64_ and scipy_dgttrs_64_ routines")
+                    "scipy_dpttrf_64_, scipy_dpttrs_64_, scipy_dgttrf_64_ "
+                    "and scipy_dgttrs_64_ routines")
     return backend
 
 
 def _use_backend(name, monkeypatch):
-    """Route every solve through a fresh backend: dptsv and dgttrf/dgttrs
-    alike, from one library."""
+    """Route every solve through a fresh backend: dptsv, dpttrf/dpttrs and
+    dgttrf/dgttrs alike, from one library."""
     backend = _backend(name)
     monkeypatch.setattr(grid_module, "_ptsv", backend[0])
-    monkeypatch.setattr(grid_module, "_gttrf", backend[1])
+    monkeypatch.setattr(grid_module, "_pttrf", backend[1])
+    monkeypatch.setattr(grid_module, "_gttrf", backend[2])
 
 
 @pytest.mark.parametrize("n", [16, 512, 2048, 8192])
@@ -290,7 +293,8 @@ def test_dptsv_backends_give_the_same_bits(n, monkeypatch):
         # a fresh grid, so the factors cached by one backend are not reused
         g = build_grid(1e-4, 1e3, n)
         rhs = np.exp(-g.nodes) * np.sin(g.nodes)
-        pot = 2.0 / (1.0 + g.nodes**2)
+        # a potential in the r dr-weighted units of the degree-m contract
+        pot = 2.0 * g.weights / (1.0 + g.nodes**2)
         solutions[name] = [g.solve_shifted(rhs, 1e-2, 1.0, 4.0, ghost,
                                            potential=p)
                            for p in (None, pot) for ghost in (0.0, -np.pi)]
@@ -302,12 +306,27 @@ def test_dptsv_backends_give_the_same_bits(n, monkeypatch):
 @pytest.mark.parametrize("backend", ["openblas", "scipy"])
 def test_singular_shifted_system_raises_on_each_backend(backend, monkeypatch):
     _use_backend(backend, monkeypatch)
-    # alpha = 1 and potential = 1 - diag zero the diagonal exactly; a
-    # tridiagonal matrix with zero diagonal and odd order is singular
     g = build_grid(1e-3, 1e2, 17)
+    # the dgttrf path (the Laplacian in d dimensions): a unit diagonal with
+    # alpha = 1 zeroes the shifted diagonal exactly, and a tridiagonal
+    # matrix with zero diagonal and odd order is singular
+    sub, _, sup = g.operator_bands(5.0, 0.0)
+    bands = g.operator_bands
+    monkeypatch.setattr(
+        g, "operator_bands",
+        lambda advection, inv_square: ((sub, np.ones(17), sup)
+                                       if advection == 5.0
+                                       else bands(advection, inv_square)))
+    with pytest.raises(np.linalg.LinAlgError, match="singular"):
+        g.solve_shifted(np.ones(17), 1.0, 5.0, 0.0)
+    # the dpttrf path (the degree-m operator, no potential): alpha = -1
+    # gives W (I + Op), whose diagonal w (1 + diag) is negative on the
+    # inner nodes, where diag ~ -(2/h^2 + m^2)/r^2; a positive definite
+    # matrix has a positive diagonal
     _, diag, _ = g.operator_bands(1.0, 4.0)
-    with pytest.raises(np.linalg.LinAlgError):
-        g.solve_shifted(np.ones(17), 1.0, 1.0, 4.0, potential=1.0 - diag)
+    assert (1.0 + diag[0]) < 0.0
+    with pytest.raises(np.linalg.LinAlgError, match="positive definite"):
+        g.solve_shifted(np.ones(17), -1.0, 1.0, 4.0)
 
 
 def _dense_shifted(g, alpha, inv_square, potential):
@@ -315,6 +334,15 @@ def _dense_shifted(g, alpha, inv_square, potential):
     sub, diag, sup = g.operator_bands(1.0, inv_square)
     return (np.diag(1.0 - alpha * (diag + potential))
             + np.diag(-alpha * sup[:-1], 1) + np.diag(-alpha * sub[1:], -1))
+
+
+def _dense_newton(g, alpha, inv_square, potential):
+    """W/alpha - W Op - diag(potential) as a dense matrix, W the r dr
+    weights: the matrix that ``solve_shifted`` solves with a potential."""
+    sub, diag, sup = g.operator_bands(1.0, inv_square)
+    w = g.weights
+    return (np.diag(w / alpha - w * diag - potential)
+            + np.diag(-w[:-1] * sup[:-1], 1) + np.diag(-w[1:] * sub[1:], -1))
 
 
 @pytest.mark.parametrize("m", [1, 2, 4])
@@ -325,18 +353,39 @@ def test_solve_shifted_with_a_potential_matches_the_dense_solve(m, ghost):
     rhs = rng.normal(size=g.n) * np.exp(-0.1 * g.nodes)
     msq = float(m * m)
     sup_end = g.operator_bands(1.0, msq)[2][-1]
-    # F' = (2 m^2/r^2) sin^2 u of a bubble, and a random potential in
-    # [0, m^2/r^2]
+    # W F' = 2 m^2 tw sin^2 u of a bubble (tw the log-trapezoid weights),
+    # and a random potential in [0, w m^2/r^2]
     off = -2.0 * np.arctan((g.nodes / 0.1) ** m)
-    for pot in (2.0 * msq * np.sin(off) ** 2 / g.nodes**2,
-                msq * rng.uniform(size=g.n) / g.nodes**2):
+    for pot in (2.0 * msq * g._trapz_log * np.sin(off) ** 2,
+                msq * g.weights * rng.uniform(size=g.n) / g.nodes**2):
         for alpha in (1e-3, 1e-2):
             b = rhs.copy()
-            b[-1] += alpha * sup_end * ghost
-            want = np.linalg.solve(_dense_shifted(g, alpha, msq, pot), b)
+            b[-1] += g.weights[-1] * sup_end * ghost
+            want = np.linalg.solve(_dense_newton(g, alpha, msq, pot), b)
             got = g.solve_shifted(rhs, alpha, 1.0, msq, ghost, potential=pot)
             assert (np.linalg.norm(got - want)
                     <= 1e-10 * np.linalg.norm(want))
+
+
+@pytest.mark.parametrize("m", [1, 2, 4])
+@pytest.mark.parametrize("ghost", [0.0, -np.pi])
+def test_solve_shifted_without_a_potential_matches_the_dense_solve(m, ghost):
+    # the degree-m system without a potential goes through the cached
+    # dpttrf and one dpttrs on W rhs; it must still solve I - alpha Op
+    g = build_grid(1e-4, 1e3, 256)
+    rng = np.random.default_rng(10 + m)
+    rhs = rng.normal(size=g.n) * np.exp(-0.1 * g.nodes)
+    msq = float(m * m)
+    sup_end = g.operator_bands(1.0, msq)[2][-1]
+    for alpha in (1e-3, 1e-2, 5e-3, 1e-3):
+        b = rhs.copy()
+        b[-1] += alpha * sup_end * ghost
+        want = np.linalg.solve(_dense_shifted(g, alpha, msq, 0.0), b)
+        got = g.solve_shifted(rhs, alpha, 1.0, msq, ghost)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+        helm = solve_helmholtz(RadialField(g, rhs), m, alpha).values
+        if ghost == 0.0:
+            assert np.array_equal(helm, got)
 
 
 @pytest.mark.parametrize("backend", ["openblas", "scipy"])
@@ -389,6 +438,24 @@ def test_apply_operator_keeps_the_bits_of_the_concatenation(advection,
                          want)
 
 
+def _fresh_dpttrs(g, rhs, alpha, inv_square, ghost):
+    """The degree-m shifted system scaled by the r dr weights,
+    W (I - alpha Op) u = W rhs, built anew and solved by scipy's dpttrf
+    and dpttrs."""
+    from scipy.linalg.lapack import dpttrf, dpttrs
+
+    _, diag, sup = g.operator_bands(1.0, inv_square)
+    w = g.weights
+    b = w * rhs
+    if ghost != 0.0:
+        b[-1] += (alpha * (w[-1] * sup[-1])) * ghost
+    d, e, info = dpttrf(w - alpha * (w * diag), alpha * -(w[:-1] * sup[:-1]))
+    assert info == 0
+    u, info = dpttrs(d, e, b)
+    assert info == 0
+    return u
+
+
 def _fresh_dgtsv(g, rhs, alpha, advection, inv_square, ghost):
     """The shifted system built anew and solved by scipy's dgtsv."""
     from scipy.linalg.lapack import dgtsv
@@ -407,23 +474,24 @@ def _fresh_dgtsv(g, rhs, alpha, advection, inv_square, ghost):
 @pytest.mark.parametrize("n", [16, 512, 2048, 8192])
 def test_cached_factorization_gives_the_bits_of_dgtsv(backend, n,
                                                       monkeypatch):
+    # the degree-m key against a fresh dpttrf/dpttrs of the W-scaled
+    # system, the lift key (not symmetric in W) against a fresh dgtsv
     _use_backend(backend, monkeypatch)
     factorizations = []
-    gttrf = grid_module._gttrf
+    for name in ("_pttrf", "_gttrf"):
+        def counted(*bands, factor=getattr(grid_module, name)):
+            factorizations.append(bands)
+            return factor(*bands)
 
-    def counted_gttrf(*bands):
-        factorizations.append(bands)
-        return gttrf(*bands)
-
-    monkeypatch.setattr(grid_module, "_gttrf", counted_gttrf)
+        monkeypatch.setattr(grid_module, name, counted)
     g = build_grid(1e-4, 1e3, n)
     rhs = np.exp(-g.nodes) * np.sin(g.nodes)
-    pot = 2.0 / (1.0 + g.nodes**2)
+    pot = 2.0 * g.weights / (1.0 + g.nodes**2)
     # alpha changes, and potential calls on the same key between the
     # potential-free ones, which must not disturb the stored factors
     for alpha in (1e-2, 5e-3, 1e-2, 2e-3):
         for ghost in (0.0, -np.pi, 0.0):
-            want = _fresh_dgtsv(g, rhs, alpha, 1.0, 4.0, ghost)
+            want = _fresh_dpttrs(g, rhs, alpha, 4.0, ghost)
             assert same_bits(g.solve_shifted(rhs, alpha, 1.0, 4.0, ghost),
                              want)
             g.solve_shifted(rhs, alpha, 1.0, 4.0, ghost, potential=pot)
@@ -499,3 +567,64 @@ def test_import_loads_scipy_only_for_the_fallback_backend(mode):
         assert "scipy.linalg" in scipy_modules
         assert _public_scipy_subpackages(scipy_modules) <= {"linalg",
                                                             "version"}
+
+
+@pytest.mark.parametrize("n", [16, 512, 2048, 8192])
+def test_dpttrf_backends_give_the_same_bits(n):
+    # random symmetric diagonally dominant systems, factored by each
+    # backend's dpttrf and solved by its dpttrs; the grid's potential-free
+    # solves on both backends are compared above
+    rng = np.random.default_rng(n + 1)
+    raw = {"openblas": [], "scipy": []}
+    for _ in range(5):
+        e = rng.normal(size=n - 1)
+        ends = np.abs(np.concatenate(([0.0], e))) + np.abs(np.append(e, 0.0))
+        d = ends + rng.uniform(0.1, 2.0, n)
+        rhs = [rng.normal(size=n) for _ in range(3)]
+        for name, out in raw.items():
+            solve, info = _backend(name)[1](d.copy(), e.copy())
+            assert info == 0
+            out.extend(solve(b.copy()) for b in rhs)
+    for a, b in zip(raw["openblas"], raw["scipy"]):
+        assert np.isfinite(a).all()
+        assert same_bits(a, b)
+
+
+_PARTIAL_LIBRARY_PROBE = """
+import ctypes, json, sys
+sys.path.insert(0, sys.argv[1])
+cdll = ctypes.CDLL
+
+
+class Without:
+    # numpy's linalg library less the one symbol named by argv[2]
+    def __init__(self, path):
+        self.lib = cdll(path)
+
+    def __getattr__(self, name):
+        if name == sys.argv[2]:
+            raise AttributeError(name)
+        return getattr(self.lib, name)
+
+
+ctypes.CDLL = Without
+import hmflow
+print(json.dumps([f.__qualname__.split(".")[0]
+                  for f in (hmflow.grid._ptsv, hmflow.grid._pttrf,
+                            hmflow.grid._gttrf)]))
+"""
+
+
+@pytest.mark.parametrize("missing", ["none", "scipy_dptsv_64_",
+                                     "scipy_dpttrf_64_", "scipy_dpttrs_64_",
+                                     "scipy_dgttrf_64_", "scipy_dgttrs_64_"])
+def test_a_library_without_one_of_the_five_routines_falls_back_as_a_whole(
+        missing):
+    if grid_module._openblas_lapack() is None:
+        pytest.skip("numpy bundles no OpenBLAS with the five routines")
+    src = str(Path(hmflow.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", _PARTIAL_LIBRARY_PROBE, src,
+                          missing],
+                         check=True, capture_output=True, text=True).stdout
+    backend = "_openblas_lapack" if missing == "none" else "_scipy_lapack"
+    assert json.loads(out) == [backend] * 3

@@ -252,7 +252,8 @@ def test_scenario_failure_exit_code(tmp_path, capsys):
 def test_solver_abort_exit_code(tmp_path, capsys, monkeypatch):
     # every step is non-finite, so the run aborts once dt reaches its floor
     monkeypatch.setattr("hmflow.evolve._step_offset",
-                        lambda grid, off, *args: np.full_like(off, np.nan))
+                        lambda grid, off, *args:
+                        (np.full_like(off, np.nan),) * 2)
     path = _write_cfg(tmp_path)
     assert cli_main(["--out", str(tmp_path), "run", path]) == 2
     assert "run aborted by the solver" in capsys.readouterr().err
