@@ -29,8 +29,7 @@ from .modulation import (BlowupRateFit, ModulationState, ScaleTrack,
                          fit_blowup_rate, fit_scale, orthogonality_ok,
                          potential_inequality_margin, track_modulation)
 from .lift import (LiftedField, apply_radial_laplacian, commutation_residual,
-                   heat_step_lifted, lift, norm_identity_check,
-                   sphere_area_constant, unlift)
+                   lift, norm_identity_check, sphere_area_constant, unlift)
 from .runner import (RunConfig, RunResult, build_initial_condition,
                      build_run_config, execute, parse_config_text,
                      parse_grid_file, run, sweep)

@@ -204,8 +204,7 @@ def _step_offset(grid: RadialGrid, off: np.ndarray, terms, m: int, coeffs,
         rhs -= msq_tw * sin_cos
         rhs[0] -= m * off[0].item()
         rhs[-1] -= m * (off[-1].item() - ghost_outer)
-        delta = grid.solve_shifted(rhs, dt, 1.0, msq,
-                                   potential=fp_tw * sin_sq)
+        delta = grid.solve_shifted(rhs, dt, msq, potential=fp_tw * sin_sq)
         return delta, off + delta
     # IMEX2: explicit half-step of F, Crank-Nicolson diffusion, half-step
     # of F, each formed in place; Crank-Nicolson's explicit half is folded
@@ -215,7 +214,7 @@ def _step_offset(grid: RadialGrid, off: np.ndarray, terms, m: int, coeffs,
     a = _f_offset(coef, off, sin_cos)
     a *= half
     a += off
-    b = grid.solve_shifted(a + a, half, 1.0, msq, 2.0 * ghost_outer)
+    b = grid.solve_shifted(a + a, half, msq, 2.0 * ghost_outer)
     b -= a
     out = _f_offset(coef, b)
     out *= half

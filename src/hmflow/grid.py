@@ -12,20 +12,19 @@ law outside r_max), which makes it the gradient of the discrete energy the
 package reports; operators without an inverse-square term are closed by
 zero ghost values.
 
-Shifted systems are solved by LAPACK.  The degree-m operator is symmetric
-in the r dr weights, so its systems are scaled by them and solved by LDL^T
-(no pivoting): ``dptsv`` where the diagonal carries a potential, and
-``dpttrs`` on a ``dpttrf`` factorization kept per shifted operator where it
-does not.  The Laplacian in d dimensions is not, and keeps ``dgttrs`` on a
-``dgttrf`` factorization.  One library serves all five routines.  It is
-the OpenBLAS that numpy (>= 2) wheels bundle, found as the symbols
-``scipy_dptsv_64_``, ``scipy_dpttrf_64_``, ``scipy_dpttrs_64_``,
-``scipy_dgttrf_64_`` and ``scipy_dgttrs_64_`` through
-``numpy.linalg._umath_linalg``'s shared library, so ``import hmflow`` loads
-numpy and no scipy module.  Where that module or any of the five symbols
-is missing (numpy 1.x wheels, numpy built on a system LAPACK) all five
-come from ``scipy.linalg.lapack``, which is then imported once, when this
-module is.  Both libraries, and both routes, give the same bits.
+Shifted systems are solved by LAPACK.  Every one is on the degree-m
+operator, which is symmetric in the r dr weights, so its systems are scaled
+by them and solved by LDL^T (no pivoting): ``dptsv`` where the diagonal
+carries a potential, and ``dpttrs`` on a ``dpttrf`` factorization kept per
+shifted operator where it does not.  One library serves all three
+routines.  It is the OpenBLAS that numpy (>= 2) wheels bundle, found as
+the symbols ``scipy_dptsv_64_``, ``scipy_dpttrf_64_`` and
+``scipy_dpttrs_64_`` through ``numpy.linalg._umath_linalg``'s shared
+library, so ``import hmflow`` loads numpy and no scipy module.  Where that
+module or any of the three symbols is missing (numpy 1.x wheels, numpy
+built on a system LAPACK) all three come from ``scipy.linalg.lapack``,
+which is then imported once, when this module is.  Both libraries, and
+both routes, give the same bits.
 """
 
 from __future__ import annotations
@@ -44,22 +43,18 @@ def _address(array):
 
 
 def _openblas_lapack():
-    """``(ptsv, pttrf, gttrf)`` on the OpenBLAS that numpy bundles (64-bit
-    integers), or None unless it exports all five routines."""
+    """``(ptsv, pttrf)`` on the OpenBLAS that numpy bundles (64-bit
+    integers), or None unless it exports all three routines."""
     try:
         from numpy.linalg import _umath_linalg
         lib = ctypes.CDLL(_umath_linalg.__file__)
-        sv, ptrf, ptrs, trf, trs = (
-            getattr(lib, f"scipy_d{name}_64_")
-            for name in ("ptsv", "pttrf", "pttrs", "gttrf", "gttrs"))
+        sv, ptrf, ptrs = (getattr(lib, f"scipy_d{name}_64_")
+                          for name in ("ptsv", "pttrf", "pttrs"))
     except (ImportError, OSError, AttributeError):
         return None
-    sv.argtypes = ptrs.argtypes = trf.argtypes = [ctypes.c_void_p] * 7
+    sv.argtypes = ptrs.argtypes = [ctypes.c_void_p] * 7
     ptrf.argtypes = [ctypes.c_void_p] * 4
-    # the last argument is the hidden length of the character TRANS
-    trs.argtypes = [ctypes.c_void_p] * 11 + [ctypes.c_size_t]
-    sv.restype = ptrf.restype = ptrs.restype = trf.restype = trs.restype = None
-    trans = ctypes.c_char(b"N")
+    sv.restype = ptrf.restype = ptrs.restype = None
     sizes = {}  # n -> (n, nrhs, ldb); the routines only read them
 
     def size_of(n):
@@ -92,34 +87,12 @@ def _openblas_lapack():
         pttrs.arrays = (d, e, size)
         return pttrs, info.value
 
-    def gttrf(dl, d, du):
-        n = d.shape[0]
-        # dl | d | du | du2, overwritten by the factors, and the pivots
-        lu = np.concatenate((dl, d, du, np.empty(n - 2)))
-        ipiv = np.empty(n, dtype=np.int64)
-        size = size_of(n)
-        s, a = ctypes.addressof(size), _address(lu)
-        factors = (a, a + 8 * (n - 1), a + 8 * (2 * n - 1),
-                   a + 8 * (3 * n - 2), _address(ipiv))
-        info = ctypes.c_int64()
-        trf(s, *factors, ctypes.addressof(info))
-        head = (ctypes.addressof(trans), s, s + 8, *factors)
-
-        def gttrs(b):
-            info = ctypes.c_int64()
-            trs(*head, _address(b), s + 16, ctypes.addressof(info), 1)
-            return b
-
-        # gttrs holds only addresses; this keeps the factors and sizes alive
-        gttrs.arrays = (lu, ipiv, size)
-        return gttrs, info.value
-
-    return ptsv, pttrf, gttrf
+    return ptsv, pttrf
 
 
 def _scipy_lapack():
-    """``(ptsv, pttrf, gttrf)`` on ``scipy.linalg.lapack``."""
-    from scipy.linalg.lapack import dgttrf, dgttrs, dptsv, dpttrf, dpttrs
+    """``(ptsv, pttrf)`` on ``scipy.linalg.lapack``."""
+    from scipy.linalg.lapack import dptsv, dpttrf, dpttrs
 
     def ptsv(d, e, b):
         *_, u, info = dptsv(d, e, b, overwrite_d=1, overwrite_e=1,
@@ -134,26 +107,17 @@ def _scipy_lapack():
 
         return pttrs, info
 
-    def gttrf(dl, d, du):
-        *lu, info = dgttrf(dl, d, du)
-
-        def gttrs(b):
-            return dgttrs(*lu, b, overwrite_b=1)[0]
-
-        return gttrs, info
-
-    return ptsv, pttrf, gttrf
+    return ptsv, pttrf
 
 
 # _ptsv(d, e, b) solves the symmetric system with diagonal d, off-diagonal
 # e and right side b, and returns (solution, info); dptsv overwrites all
 # three arrays, and info > 0 means the matrix is not positive definite.
-# _pttrf(d, e) factors such a system in the arrays d and e, which it keeps,
-# and _gttrf(dl, d, du) a general one; each returns (solve, info), where
-# solve(b) returns the solution for the right side b, which it may
-# overwrite, and never writes the factors.  info > 0 means the matrix is
-# not positive definite (_pttrf) or singular (_gttrf).
-_ptsv, _pttrf, _gttrf = _openblas_lapack() or _scipy_lapack()
+# _pttrf(d, e) factors such a system by dpttrf in the arrays d and e, which
+# it keeps, and returns (solve, info), where solve(b) returns the solution
+# for the right side b by dpttrs, may overwrite b, and never writes the
+# factors; info > 0 means the matrix is not positive definite.
+_ptsv, _pttrf = _openblas_lapack() or _scipy_lapack()
 
 
 class RadialGrid:
@@ -290,37 +254,32 @@ class RadialGrid:
         self._cache[key] = bands
         return bands
 
-    def solve_shifted(self, rhs, alpha, advection, inv_square,
-                      ghost_outer=0.0, potential=None):
-        """Solve a shifted system of the operator Op of ``operator_bands``,
-        with ghost_outer its outer ghost value, under one of three
-        contracts; W is the diagonal of the r dr weights w.
+    def solve_shifted(self, rhs, alpha, inv_square, ghost_outer=0.0,
+                      potential=None):
+        """Solve a shifted system of the degree-m operator Op of
+        ``operator_bands`` (advection 1, inv_square = m^2 > 0), with
+        ghost_outer its outer ghost value, under one of two contracts; W is
+        the diagonal of the r dr weights w.
 
-        - The degree-m operator (advection 1, inv_square > 0) with a
-          potential: (W/alpha - W Op - diag(potential)) u = rhs, with the
-          ghost term w_{n-1} sup_{n-1} ghost_outer added to the last row of
-          rhs.  This is IMEX1's Newton system as it stands (rhs = -grad
-          E_h, potential = W F'); its matrix is symmetric, and ``dptsv``
-          (LDL^T, no pivoting) solves it on a diagonal d_free - potential
-          built in a new array, with d_free = w/alpha - w diag kept per
-          key.  The matrix is positive definite at every alpha > 0 where
-          the potential stays at or below w inv_square/r^2, and for any
-          bounded potential at small enough alpha; ``dptsv`` requires it
-          to be.
-        - The degree-m operator without a potential: (I - alpha Op) u =
-          rhs (IMEX2's Crank-Nicolson solve, ``solve_helmholtz``).  The
-          system is solved as W (I - alpha Op) u = W rhs, whose matrix is
-          symmetric and, for alpha > 0, strictly diagonally dominant with
-          a positive diagonal, hence positive definite: its LDL^T is
-          factored by ``dpttrf`` once per key, and each call is one
-          ``dpttrs`` on W rhs, a new array.
-        - Any other operator (the Laplacian in d dimensions) without a
-          potential: (I - alpha Op) u = rhs, by ``dgttrs`` on a ``dgttrf``
-          factorization kept per key, applied to a copy of rhs.  The r dr
-          weights do not make it symmetric, and its sub-diagonal is
-          positive only for log step < 2/(d - 2).
+        - With a potential: (W/alpha - W Op - diag(potential)) u = rhs,
+          with the ghost term w_{n-1} sup_{n-1} ghost_outer added to the
+          last row of rhs.  This is IMEX1's Newton system as it stands
+          (rhs = -grad E_h, potential = W F'); its matrix is symmetric, and
+          ``dptsv`` (LDL^T, no pivoting) solves it on a diagonal d_free -
+          potential built in a new array, with d_free = w/alpha - w diag
+          kept per key.  The matrix is positive definite at every alpha > 0
+          where the potential stays at or below w inv_square/r^2, and for
+          any bounded potential at small enough alpha; ``dptsv`` requires
+          it to be.
+        - Without a potential: (I - alpha Op) u = rhs (IMEX2's
+          Crank-Nicolson solve, ``solve_helmholtz``).  The system is solved
+          as W (I - alpha Op) u = W rhs, whose matrix is symmetric and, for
+          alpha > 0, strictly diagonally dominant with a positive diagonal,
+          hence positive definite: its LDL^T is factored by ``dpttrf`` once
+          per key, and each call is one ``dpttrs`` on W rhs, a new array.
 
-        One cache entry is kept, for the latest (alpha, advection,
+        Both need inv_square > 0: the tail rows it brings make Op
+        symmetric in W.  One cache entry is kept, for the latest (alpha,
         inv_square): a run's step size moves only on rejections and
         regrowth.  It holds, once a call has asked for them, the
         factorization and d_free; the weighted off-diagonal -w_i sup_i
@@ -328,8 +287,8 @@ class RadialGrid:
         written, and neither the bands nor the factors are written after
         they are built, so the instance stays safe to share across
         threads.  The module docstring names the LAPACK library.
-        Raises ``numpy.linalg.LinAlgError`` when a symmetric system is
-        not positive definite or the general one is singular.
+        Raises ``numpy.linalg.LinAlgError`` when the system is not
+        positive definite.
         """
         n = self.n
         if np.shape(rhs) != (n,) or (potential is not None
@@ -337,30 +296,16 @@ class RadialGrid:
             # LAPACK is handed addresses into arrays sized from the grid
             raise ContractViolation(
                 "rhs and potential need one value per node")
-        degree_m = advection == 1.0 and inv_square > 0
-        if potential is not None and not degree_m:
+        if not inv_square > 0:
             raise ContractViolation(
-                "a potential needs the degree-m operator (advection 1, "
-                f"inv_square > 0), got advection={advection}, "
-                f"inv_square={inv_square}")
-        key = (alpha, advection, inv_square)
+                "shifted solves need the degree-m operator (inv_square > 0), "
+                f"got inv_square={inv_square}")
+        key = (alpha, inv_square)
         cached = self._cache.get("shifted")
         if cached is None or cached[0] != key:
             cached = (key, None, None)
             self._cache["shifted"] = cached
         _, solve, d_free = cached
-        if not degree_m:
-            sub, diag, sup = self.operator_bands(advection, inv_square)
-            if solve is None:
-                solve, info = _gttrf(-alpha * sub[1:], 1.0 - alpha * diag,
-                                     -alpha * sup[:-1])
-                if info > 0:
-                    raise np.linalg.LinAlgError("singular shifted operator")
-                self._cache["shifted"] = (key, solve, d_free)
-            u = np.array(rhs, dtype=float)
-            if ghost_outer != 0.0:
-                u[-1] += alpha * sup[-1] * ghost_outer
-            return solve(u)
         w = self.weights
         w_diag, e, ghost_coeff = self._weighted_bands(inv_square)
         if potential is None:
@@ -496,7 +441,7 @@ def solve_helmholtz(rhs: RadialField, m: int, alpha: float) -> RadialField:
     if alpha <= 0:
         raise ContractViolation(f"alpha must be positive, got {alpha}")
     check_degree(m)
-    u = rhs.grid.solve_shifted(rhs.values, alpha, 1.0, float(m * m))
+    u = rhs.grid.solve_shifted(rhs.values, alpha, float(m * m))
     return RadialField(rhs.grid, u)
 
 

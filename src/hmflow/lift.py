@@ -60,12 +60,6 @@ def commutation_residual(u: RadialField, m: int) -> float:
     return float(np.max(np.abs(lhs[win] - rhs[win])))
 
 
-def heat_step_lifted(v: LiftedField, dt: float) -> LiftedField:
-    """Implicit Euler step of the d-dimensional radial heat equation."""
-    out = v.grid.solve_shifted(v.values, dt, float(v.dimension - 1), 0.0)
-    return LiftedField(v.grid, out, v.dimension)
-
-
 def sphere_area_constant(d: int) -> float:
     """Surface area of the unit sphere in R^d (the angular constant between
     half-line r^{d-1} dr integrals and full R^d integrals)."""

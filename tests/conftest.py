@@ -1,7 +1,18 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from hmflow.grid import build_grid
+
+# Hypothesis imports this module from its report hook when a property test
+# fails, and the import raises mypy_extensions' DeprecationWarning, which
+# the suite's filterwarnings = error turns into an INTERNALERROR that ends
+# the session.  Importing it here once, with that one warning ignored,
+# lets the session report every test.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 
 @pytest.fixture(scope="session")

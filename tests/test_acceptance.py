@@ -220,7 +220,7 @@ def test_criterion_09_lift_oracle():
         off = g.nodes**m * np.exp(-g.nodes**2)
         steps = round(0.1 / dt)
         for _ in range(steps):
-            off = g.solve_shifted(off, dt, 1.0, m * m)
+            off = g.solve_shifted(off, dt, m * m)
         d = 2 * m + 2
         s2 = 1.0 + 4.0 * steps * dt
         exact = (1.0 / s2) ** (d / 2.0) * g.nodes**m * np.exp(-g.nodes**2 / s2)

@@ -220,52 +220,49 @@ def test_origin_exponent(default_grid):
 
 
 def test_shifted_band_cache_matches_fresh_grid():
-    # one grid keeps the shifted bands of its latest (alpha, advection,
-    # inv_square); interleaved keys, potentials and ghost values must give
-    # exactly what a fresh grid gives
+    # one grid keeps the shifted bands of its latest (alpha, inv_square);
+    # interleaved keys, potentials and ghost values must give exactly what
+    # a fresh grid gives
     args = (1e-3, 1e2, 256)
     g = build_grid(*args)
     rhs = np.exp(-g.nodes) * np.sin(g.nodes)
     # a potential in the r dr-weighted units of the degree-m contract
     pot = 2.0 * g.weights / (1.0 + g.nodes**2)
-    dt, m, d = 1e-2, 2, 6
-    keys = [(dt, 1.0, float(m * m)), (0.5 * dt, 1.0, float(m * m)),
-            (dt, float(d - 1), 0.0)]
-    # the lift key (the Laplacian in d dimensions) takes no potential
+    dt = 1e-2
+    keys = [(dt, 4.0), (0.5 * dt, 4.0), (dt, 1.0)]
     calls = [(key, p, ghost) for key in keys + keys[::-1]
-             for p in ((None, pot) if key[1] == 1.0 else (None,))
-             for ghost in (0.0, -np.pi)]
-    for (alpha, adv, inv_sq), p, ghost in calls:
-        got = g.solve_shifted(rhs, alpha, adv, inv_sq, ghost, potential=p)
-        want = build_grid(*args).solve_shifted(rhs, alpha, adv, inv_sq, ghost,
+             for p in (None, pot) for ghost in (0.0, -np.pi)]
+    for (alpha, inv_sq), p, ghost in calls:
+        got = g.solve_shifted(rhs, alpha, inv_sq, ghost, potential=p)
+        want = build_grid(*args).solve_shifted(rhs, alpha, inv_sq, ghost,
                                                potential=p)
         assert np.array_equal(got, want)
     # consecutive calls share a key, so bands dptsv had overwritten in
     # the cache would have shown above
     assert np.array_equal(rhs, np.exp(-g.nodes) * np.sin(g.nodes))
-    # the r dr weights make only the degree-m operator symmetric
-    with pytest.raises(ContractViolation, match="degree-m operator"):
-        g.solve_shifted(rhs, dt, float(d - 1), 0.0, potential=pot)
+    # only the tail rows of inv_square > 0 make Op symmetric in the r dr
+    # weights, so both contracts refuse inv_square = 0
+    for p in (None, pot):
+        with pytest.raises(ContractViolation, match="degree-m operator"):
+            g.solve_shifted(rhs, dt, 0.0, potential=p)
 
 
 def _backend(name):
-    """``(ptsv, pttrf, gttrf)`` of a fresh backend; the OpenBLAS one only
-    where numpy bundles it."""
+    """``(ptsv, pttrf)`` of a fresh backend; the OpenBLAS one only where
+    numpy bundles it."""
     backend = getattr(grid_module, f"_{name}_lapack")()
     if backend is None:
         pytest.skip("numpy bundles no OpenBLAS with the scipy_dptsv_64_, "
-                    "scipy_dpttrf_64_, scipy_dpttrs_64_, scipy_dgttrf_64_ "
-                    "and scipy_dgttrs_64_ routines")
+                    "scipy_dpttrf_64_ and scipy_dpttrs_64_ routines")
     return backend
 
 
 def _use_backend(name, monkeypatch):
-    """Route every solve through a fresh backend: dptsv, dpttrf/dpttrs and
-    dgttrf/dgttrs alike, from one library."""
+    """Route every solve through a fresh backend: dptsv and dpttrf/dpttrs
+    alike, from one library."""
     backend = _backend(name)
     monkeypatch.setattr(grid_module, "_ptsv", backend[0])
     monkeypatch.setattr(grid_module, "_pttrf", backend[1])
-    monkeypatch.setattr(grid_module, "_gttrf", backend[2])
 
 
 @pytest.mark.parametrize("n", [16, 512, 2048, 8192])
@@ -295,8 +292,7 @@ def test_dptsv_backends_give_the_same_bits(n, monkeypatch):
         rhs = np.exp(-g.nodes) * np.sin(g.nodes)
         # a potential in the r dr-weighted units of the degree-m contract
         pot = 2.0 * g.weights / (1.0 + g.nodes**2)
-        solutions[name] = [g.solve_shifted(rhs, 1e-2, 1.0, 4.0, ghost,
-                                           potential=p)
+        solutions[name] = [g.solve_shifted(rhs, 1e-2, 4.0, ghost, potential=p)
                            for p in (None, pot) for ghost in (0.0, -np.pi)]
     for a, b in zip(solutions["openblas"], solutions["scipy"]):
         assert np.isfinite(a).all()
@@ -307,32 +303,20 @@ def test_dptsv_backends_give_the_same_bits(n, monkeypatch):
 def test_singular_shifted_system_raises_on_each_backend(backend, monkeypatch):
     _use_backend(backend, monkeypatch)
     g = build_grid(1e-3, 1e2, 17)
-    # the dgttrf path (the Laplacian in d dimensions): a unit diagonal with
-    # alpha = 1 zeroes the shifted diagonal exactly, and a tridiagonal
-    # matrix with zero diagonal and odd order is singular
-    sub, _, sup = g.operator_bands(5.0, 0.0)
-    bands = g.operator_bands
-    monkeypatch.setattr(
-        g, "operator_bands",
-        lambda advection, inv_square: ((sub, np.ones(17), sup)
-                                       if advection == 5.0
-                                       else bands(advection, inv_square)))
-    with pytest.raises(np.linalg.LinAlgError, match="singular"):
-        g.solve_shifted(np.ones(17), 1.0, 5.0, 0.0)
-    # the dpttrf path (the degree-m operator, no potential): alpha = -1
-    # gives W (I + Op), whose diagonal w (1 + diag) is negative on the
-    # inner nodes, where diag ~ -(2/h^2 + m^2)/r^2; a positive definite
-    # matrix has a positive diagonal
+    # the dpttrf path (no potential): alpha = -1 gives W (I + Op), whose
+    # diagonal w (1 + diag) is negative on the inner nodes, where diag ~
+    # -(2/h^2 + m^2)/r^2; a positive definite matrix has a positive
+    # diagonal
     _, diag, _ = g.operator_bands(1.0, 4.0)
     assert (1.0 + diag[0]) < 0.0
     with pytest.raises(np.linalg.LinAlgError, match="positive definite"):
-        g.solve_shifted(np.ones(17), -1.0, 1.0, 4.0)
+        g.solve_shifted(np.ones(17), -1.0, 4.0)
 
 
-def _dense_shifted(g, alpha, inv_square, potential):
-    """I - alpha (Op + potential) as a dense matrix."""
+def _dense_shifted(g, alpha, inv_square):
+    """I - alpha Op as a dense matrix."""
     sub, diag, sup = g.operator_bands(1.0, inv_square)
-    return (np.diag(1.0 - alpha * (diag + potential))
+    return (np.diag(1.0 - alpha * diag)
             + np.diag(-alpha * sup[:-1], 1) + np.diag(-alpha * sub[1:], -1))
 
 
@@ -362,7 +346,7 @@ def test_solve_shifted_with_a_potential_matches_the_dense_solve(m, ghost):
             b = rhs.copy()
             b[-1] += g.weights[-1] * sup_end * ghost
             want = np.linalg.solve(_dense_newton(g, alpha, msq, pot), b)
-            got = g.solve_shifted(rhs, alpha, 1.0, msq, ghost, potential=pot)
+            got = g.solve_shifted(rhs, alpha, msq, ghost, potential=pot)
             assert (np.linalg.norm(got - want)
                     <= 1e-10 * np.linalg.norm(want))
 
@@ -380,8 +364,8 @@ def test_solve_shifted_without_a_potential_matches_the_dense_solve(m, ghost):
     for alpha in (1e-3, 1e-2, 5e-3, 1e-3):
         b = rhs.copy()
         b[-1] += alpha * sup_end * ghost
-        want = np.linalg.solve(_dense_shifted(g, alpha, msq, 0.0), b)
-        got = g.solve_shifted(rhs, alpha, 1.0, msq, ghost)
+        want = np.linalg.solve(_dense_shifted(g, alpha, msq), b)
+        got = g.solve_shifted(rhs, alpha, msq, ghost)
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
         helm = solve_helmholtz(RadialField(g, rhs), m, alpha).values
         if ghost == 0.0:
@@ -392,27 +376,32 @@ def test_solve_shifted_without_a_potential_matches_the_dense_solve(m, ghost):
 def test_indefinite_shifted_system_raises_on_each_backend(backend,
                                                           monkeypatch):
     _use_backend(backend, monkeypatch)
-    # a potential above 1/alpha - diag on one node makes that diagonal
-    # entry of the weighted matrix negative, so the matrix is indefinite
-    # (but not singular, as the dense determinant shows)
+    # a potential (in W units) just above d_free = w/alpha - w diag on one
+    # node makes that diagonal entry of the Newton matrix negative, so the
+    # matrix is indefinite (but not singular, as the dense determinant
+    # shows)
     g = build_grid(1e-3, 1e2, 64)
     _, diag, _ = g.operator_bands(1.0, 4.0)
     alpha = 1e-2
+    w = g.weights
     pot = np.zeros(g.n)
-    pot[30] = 2.0 / alpha - diag[30]
-    assert np.linalg.slogdet(_dense_shifted(g, alpha, 4.0, pot))[0] != 0.0
+    pot[30] = 1.001 * (w[30] / alpha - w[30] * diag[30])
+    newton = _dense_newton(g, alpha, 4.0, pot)
+    assert newton[30, 30] < 0.0
+    assert np.linalg.slogdet(newton)[0] != 0.0
     with pytest.raises(np.linalg.LinAlgError, match="positive definite"):
-        g.solve_shifted(np.ones(g.n), alpha, 1.0, 4.0, potential=pot)
+        g.solve_shifted(np.ones(g.n), alpha, 4.0, potential=pot)
     # the potential-free system of the same key still solves
-    assert np.isfinite(g.solve_shifted(np.ones(g.n), alpha, 1.0, 4.0)).all()
+    assert np.isfinite(g.solve_shifted(np.ones(g.n), alpha, 4.0)).all()
 
 
 def test_solve_shifted_rejects_rhs_of_wrong_length():
-    # dgttrs gets addresses into one buffer sized from the grid
+    # dptsv and dpttrs get addresses into arrays sized from the grid
     g = build_grid(1e-3, 1e2, 32)
-    for rhs in (np.ones(31), np.ones(33)):
+    for rhs, pot in ((np.ones(31), None), (np.ones(33), None),
+                     (np.ones(32), np.ones(31))):
         with pytest.raises(ContractViolation):
-            g.solve_shifted(rhs, 1e-2, 1.0, 4.0)
+            g.solve_shifted(rhs, 1e-2, 4.0, potential=pot)
 
 
 @pytest.mark.parametrize("advection, inv_square",
@@ -456,34 +445,19 @@ def _fresh_dpttrs(g, rhs, alpha, inv_square, ghost):
     return u
 
 
-def _fresh_dgtsv(g, rhs, alpha, advection, inv_square, ghost):
-    """The shifted system built anew and solved by scipy's dgtsv."""
-    from scipy.linalg.lapack import dgtsv
-
-    sub, diag, sup = g.operator_bands(advection, inv_square)
-    b = np.array(rhs, dtype=float)
-    if ghost != 0.0:
-        b[-1] += alpha * sup[-1] * ghost
-    *_, u, info = dgtsv(-alpha * sub[1:], 1.0 - alpha * diag,
-                        -alpha * sup[:-1], b)
-    assert info == 0
-    return u
-
-
 @pytest.mark.parametrize("backend", ["openblas", "scipy"])
 @pytest.mark.parametrize("n", [16, 512, 2048, 8192])
-def test_cached_factorization_gives_the_bits_of_dgtsv(backend, n,
-                                                      monkeypatch):
-    # the degree-m key against a fresh dpttrf/dpttrs of the W-scaled
-    # system, the lift key (not symmetric in W) against a fresh dgtsv
+def test_cached_factorization_gives_the_bits_of_a_fresh_dpttrs(backend, n,
+                                                              monkeypatch):
+    # each key against a fresh dpttrf/dpttrs of the W-scaled system
     _use_backend(backend, monkeypatch)
     factorizations = []
-    for name in ("_pttrf", "_gttrf"):
-        def counted(*bands, factor=getattr(grid_module, name)):
-            factorizations.append(bands)
-            return factor(*bands)
 
-        monkeypatch.setattr(grid_module, name, counted)
+    def counted(*bands, factor=grid_module._pttrf):
+        factorizations.append(bands)
+        return factor(*bands)
+
+    monkeypatch.setattr(grid_module, "_pttrf", counted)
     g = build_grid(1e-4, 1e3, n)
     rhs = np.exp(-g.nodes) * np.sin(g.nodes)
     pot = 2.0 * g.weights / (1.0 + g.nodes**2)
@@ -492,15 +466,11 @@ def test_cached_factorization_gives_the_bits_of_dgtsv(backend, n,
     for alpha in (1e-2, 5e-3, 1e-2, 2e-3):
         for ghost in (0.0, -np.pi, 0.0):
             want = _fresh_dpttrs(g, rhs, alpha, 4.0, ghost)
-            assert same_bits(g.solve_shifted(rhs, alpha, 1.0, 4.0, ghost),
-                             want)
-            g.solve_shifted(rhs, alpha, 1.0, 4.0, ghost, potential=pot)
-            assert same_bits(g.solve_shifted(rhs, alpha, 1.0, 4.0, ghost),
-                             want)
-    want = _fresh_dgtsv(g, rhs, 1e-3, 5.0, 0.0, 0.0)
-    assert same_bits(g.solve_shifted(rhs, 1e-3, 5.0, 0.0), want)
+            assert same_bits(g.solve_shifted(rhs, alpha, 4.0, ghost), want)
+            g.solve_shifted(rhs, alpha, 4.0, ghost, potential=pot)
+            assert same_bits(g.solve_shifted(rhs, alpha, 4.0, ghost), want)
     # one factorization per key
-    assert len(factorizations) == 5
+    assert len(factorizations) == 4
     assert np.array_equal(rhs, np.exp(-g.nodes) * np.sin(g.nodes))
 
 
@@ -516,7 +486,7 @@ def test_singular_potential_free_system_raises_on_each_backend(backend,
                         lambda advection, inv_square: (sub, np.ones(17), sup))
     for _ in range(2):
         with pytest.raises(np.linalg.LinAlgError):
-            g.solve_shifted(np.ones(17), 1.0, 1.0, 4.0)
+            g.solve_shifted(np.ones(17), 1.0, 4.0)
 
 
 _IMPORT_PROBE = """
@@ -526,7 +496,7 @@ if sys.argv[2] == "no-symbol":
     # a numpy whose linalg library lacks scipy_dptsv_64_ (numpy 1.x wheels)
     ctypes.CDLL = lambda path: object()
 elif sys.argv[2] == "dptsv-only":
-    # a library that exports scipy_dptsv_64_ but not dgttrf or dgttrs
+    # a library that exports scipy_dptsv_64_ but not dpttrf or dpttrs
     cdll = ctypes.CDLL
 
     class DptsvOnly:
@@ -536,7 +506,7 @@ elif sys.argv[2] == "dptsv-only":
     ctypes.CDLL = DptsvOnly
 import hmflow
 print(json.dumps([[f.__qualname__.split(".")[0]
-                   for f in (hmflow.grid._ptsv, hmflow.grid._gttrf)],
+                   for f in (hmflow.grid._ptsv, hmflow.grid._pttrf)],
                   sorted(k for k in sys.modules if k.split(".")[0] == "scipy")]))
 """
 
@@ -610,21 +580,19 @@ class Without:
 ctypes.CDLL = Without
 import hmflow
 print(json.dumps([f.__qualname__.split(".")[0]
-                  for f in (hmflow.grid._ptsv, hmflow.grid._pttrf,
-                            hmflow.grid._gttrf)]))
+                  for f in (hmflow.grid._ptsv, hmflow.grid._pttrf)]))
 """
 
 
 @pytest.mark.parametrize("missing", ["none", "scipy_dptsv_64_",
-                                     "scipy_dpttrf_64_", "scipy_dpttrs_64_",
-                                     "scipy_dgttrf_64_", "scipy_dgttrs_64_"])
-def test_a_library_without_one_of_the_five_routines_falls_back_as_a_whole(
+                                     "scipy_dpttrf_64_", "scipy_dpttrs_64_"])
+def test_a_library_without_one_of_the_three_routines_falls_back_as_a_whole(
         missing):
     if grid_module._openblas_lapack() is None:
-        pytest.skip("numpy bundles no OpenBLAS with the five routines")
+        pytest.skip("numpy bundles no OpenBLAS with the three routines")
     src = str(Path(hmflow.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", _PARTIAL_LIBRARY_PROBE, src,
                           missing],
                          check=True, capture_output=True, text=True).stdout
     backend = "_openblas_lapack" if missing == "none" else "_scipy_lapack"
-    assert json.loads(out) == [backend] * 3
+    assert json.loads(out) == [backend] * 2

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from hmflow.errors import SectorError
-from hmflow.grid import RadialField, build_grid
-from hmflow.lift import (apply_radial_laplacian, commutation_residual,
-                         heat_step_lifted, lift, norm_identity_check,
-                         sphere_area_constant, unlift)
+from hmflow.grid import RadialField, build_grid, solve_helmholtz
+from hmflow.lift import (apply_radial_laplacian, commutation_residual, lift,
+                         norm_identity_check, sphere_area_constant, unlift)
 
 
 def _smooth_field(grid, m, sigma=1.0):
@@ -57,13 +56,13 @@ def _gaussian_heat_exact(grid, m, sigma, t):
     return amp * grid.nodes**m * np.exp(-grid.nodes**2 / s2)
 
 
-def test_heat_step_lifted_consistency(default_grid):
-    # one implicit Euler step ~ exact solution + O(dt^2)
+def test_helmholtz_step_matches_the_lifted_heat_flow(default_grid):
+    # one implicit Euler step of Delta_m ~ the lifted d = 6 Gaussian heat
+    # solution + O(dt^2)
     u = _smooth_field(default_grid, 2)
     dt = 1e-4
-    v1 = heat_step_lifted(lift(u, 2), dt)
     exact = _gaussian_heat_exact(default_grid, 2, 1.0, dt)
-    got = unlift(v1, 2).values
+    got = solve_helmholtz(u, 2, dt).values
     win = (default_grid.nodes > 1e-3) & (default_grid.nodes < 1e2)
     assert np.max(np.abs(got[win] - exact[win])) < 5e-6
 
@@ -84,7 +83,7 @@ def _forced_linear_error(dt, n=2048, m=2, t_end=0.1):
     off = _smooth_field(g, m).offset
     steps = round(t_end / dt)
     for _ in range(steps):
-        off = g.solve_shifted(off, dt, 1.0, m * m)
+        off = g.solve_shifted(off, dt, m * m)
     exact = _gaussian_heat_exact(g, m, 1.0, steps * dt)
     win = (g.nodes > 10 * g.r_min) & (g.nodes < g.r_max / 10)
     return float(np.max(np.abs(off[win] - exact[win])))
