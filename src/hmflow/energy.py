@@ -2,8 +2,9 @@
 
 Every energy is the discrete E_h of ``node_energies``, whose exact gradient
 in the r dr weights is the discrete Delta_m + F that the flow steps; norms
-integrate against r dr.  The degree m enters every functional and is passed
-explicitly (fields do not carry it).
+integrate against r dr.  E_h's value, its gradient (``neg_gradient``) and
+its Hessian diagonal (``hessian_potential``) live here.  The degree m
+enters every functional and is passed explicitly (fields do not carry it).
 """
 
 from __future__ import annotations
@@ -102,6 +103,40 @@ def gate_energy(grid: RadialGrid, offset: np.ndarray, edges: np.ndarray,
     tail_sq = v0 * v0 + (offset[-1].item() + inner) ** 2
     return ((0.5 / grid.log_step) * edge_sq + 0.5 * m * m * sin_sum
             + 0.5 * m * tail_sq)
+
+
+def gradient_weights(grid: RadialGrid,
+                     m: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(m^2 tw, 2 m^2 tw), tw the log-trapezoid weights, which turn sin v cos v
+    and sin^2 v into rows of ``neg_gradient`` and ``hessian_potential``."""
+    msq_tw = m * m * grid._trapz_log
+    return msq_tw, 2.0 * msq_tw
+
+
+def neg_gradient(grid: RadialGrid, offset: np.ndarray, edges: np.ndarray,
+                 sin_cos: np.ndarray, m: int, ghost: float,
+                 msq_tw: np.ndarray) -> np.ndarray:
+    """-grad E_h of the offset v, in a new array, from edges = np.diff(v),
+    sin_cos of ``sin_terms``, msq_tw of ``gradient_weights`` and ghost =
+    -inner: row i is (e_i - e_{i-1})/h - m^2 tw_i sin v_i cos v_i less the
+    tail gradients m v_0 and m (v_{n-1} - ghost).  It equals the operator
+    form W (Delta_m + F) (``RadialGrid.operator_bands``) up to rounding."""
+    out = np.empty(offset.shape[0])
+    np.subtract(edges[1:], edges[:-1], out=out[1:-1])
+    out[0] = edges[0]
+    out[-1] = 0.0 - edges[-1]
+    out *= 1.0 / grid.log_step
+    out -= msq_tw * sin_cos
+    out[0] -= m * offset[0].item()
+    out[-1] -= m * (offset[-1].item() - ghost)
+    return out
+
+
+def hessian_potential(sin_sq: np.ndarray, fp_tw: np.ndarray) -> np.ndarray:
+    """W F'(u) = 2 m^2 tw sin^2 u (fp_tw of ``gradient_weights``): with Op
+    of ``RadialGrid.operator_bands``, the Jacobian of ``neg_gradient`` is
+    -grad^2 E_h = W Op + diag(W F')."""
+    return fp_tw * sin_sq
 
 
 def integrate_density(dir_e: np.ndarray, pot_e: np.ndarray) -> EnergyBreakdown:

@@ -8,22 +8,21 @@ collapsing core does not slow the computed collapse by a splitting error
 of order dt/s^2.  Since Delta_m + F = -W^-1 grad E_h (W the r dr weights),
 that step is one proximal Newton step on the discrete energy:
 (W/dt + grad^2 E_h) delta = -grad E_h, u_new = u + delta, which
-``RadialGrid.solve_shifted`` takes as it stands.  Its right side comes
-from the state's edges v_{i+1} - v_i and sin u cos u, which the gate has
-formed, and its matrix is symmetric positive definite for small dt (dt
-times it tends to W), so one LDL^T solve takes it.  A trial whose matrix
-is not positive definite fails like a trial that raises E_h: only a
-positive definite matrix makes delta a descent direction.  IMEX2 keeps F
-explicit in two half-steps around a Crank-Nicolson step whose explicit
-half is folded into its solve: (I + (dt/2) Op) a = 2a - (I - (dt/2) Op) a,
-so the step solves (I - (dt/2) Op)(a + b) = 2a on the cached LDL^T of the
-W-scaled matrix and applies no operator.  Each step returns its increment
-delta with the new state, and the ledger books ||delta||_W^2 / dt.
-The stepper works on
-the offset u - inner_limit, for which the equation takes the identical form
-and the offset vanishes like r^m at the origin: the singular
-m^2 * inner_limit / r^2 contributions of Delta_m and F cancel analytically
-and are never formed.
+``RadialGrid.solve_shifted`` takes as it stands, from the gate's edges
+and trig terms by ``energy.neg_gradient`` and ``hessian_potential``.  Its
+matrix is symmetric positive definite for small dt (dt times it tends to
+W), so one LDL^T solve takes it.  A trial whose matrix is not positive
+definite fails like a trial that raises E_h: only a positive definite
+matrix makes delta a descent direction.  IMEX2 keeps F explicit in two
+half-steps around a Crank-Nicolson step whose explicit half is folded
+into its solve: (I + (dt/2) Op) a = 2a - (I - (dt/2) Op) a, so the step
+solves (I - (dt/2) Op)(a + b) = 2a on the cached LDL^T of the W-scaled
+matrix and applies no operator.  Each step returns its increment delta
+with the new state, and the ledger books ||delta||_W^2 / dt.  The
+stepper works on the offset u - inner_limit, for which the equation takes
+the identical form and the offset vanishes like r^m at the origin: the
+singular m^2 * inner_limit / r^2 contributions of Delta_m and F cancel
+analytically and are never formed.
 
 Step-size control is tied to the flow's defining monotonicity: Delta_m + F
 is the exact gradient of the discrete energy E_h (``energy.node_energies``),
@@ -58,7 +57,9 @@ import numpy as np
 
 from .errors import ConfigurationError, ContractViolation
 from .energy import (EnergyBreakdown, _half_turn_radius, _tan_sin_cos,
-                     gate_energy, integrate_density, node_energies, sin_terms)
+                     gate_energy, gradient_weights, hessian_potential,
+                     integrate_density, neg_gradient, node_energies,
+                     sin_terms)
 from .grid import RadialField, RadialGrid, check_degree
 
 STATUS_GLOBAL = "Global"
@@ -163,11 +164,9 @@ def _cubic_series(v: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _rate_coeffs(grid: RadialGrid, m: int):
-    """m^2/r^2, the factor of F on the nodes (IMEX2), and m^2 tw and
-    2 m^2 tw, tw the log-trapezoid weights, which turn sin u cos u and
-    sin^2 u into the rows of grad E_h and of W F' (IMEX1)."""
-    msq_tw = m * m * grid._trapz_log
-    return m * m / grid.nodes**2, msq_tw, 2.0 * msq_tw
+    """m^2/r^2, the factor of F on the nodes (IMEX2), and the m^2 tw and
+    2 m^2 tw of ``energy.gradient_weights`` (IMEX1)."""
+    return (m * m / grid.nodes**2, *gradient_weights(grid, m))
 
 
 def nonlinearity(field: RadialField, m: int) -> RadialField:
@@ -192,19 +191,10 @@ def _step_offset(grid: RadialGrid, off: np.ndarray, terms, m: int, coeffs,
     sin_sq, sin_cos = terms
     if scheme == "IMEX1":
         # the Newton system (W/dt + grad^2 E_h) delta = -grad E_h as it
-        # stands, with W F'(u) = 2 m^2 tw sin^2 u and a zero ghost for
-        # delta; row i of -grad E_h is (e_i - e_{i-1})/h - m^2 tw_i sin u_i
-        # cos u_i less the tail gradients m v_0 and m (v_{n-1} - ghost),
-        # formed in place
-        rhs = np.empty(off.shape[0])
-        np.subtract(edges[1:], edges[:-1], out=rhs[1:-1])
-        rhs[0] = edges[0]
-        rhs[-1] = 0.0 - edges[-1]
-        rhs *= 1.0 / grid.log_step
-        rhs -= msq_tw * sin_cos
-        rhs[0] -= m * off[0].item()
-        rhs[-1] -= m * (off[-1].item() - ghost_outer)
-        delta = grid.solve_shifted(rhs, dt, msq, potential=fp_tw * sin_sq)
+        # stands, with a zero ghost for delta
+        delta = grid.solve_shifted(
+            neg_gradient(grid, off, edges, sin_cos, m, ghost_outer, msq_tw),
+            dt, msq, potential=hessian_potential(sin_sq, fp_tw))
         return delta, off + delta
     # IMEX2: explicit half-step of F, Crank-Nicolson diffusion, half-step
     # of F, each formed in place; Crank-Nicolson's explicit half is folded

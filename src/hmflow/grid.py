@@ -138,11 +138,15 @@ class RadialGrid:
         self.r_min = float(r_min)
         self.r_max = float(r_max)
         # the package divides by r^2 (the operator bands) and by r^4 (the
-        # L4 monitor); r_min^4 must be a normal float
+        # L4 monitor); r_min^4 must be a normal float, and r_max^4 finite
         if not (r_min * r_min) * (r_min * r_min) >= np.finfo(float).tiny:
             raise ConfigurationError(
                 f"r_min = {r_min:g} is too small: r_min^4 is below the "
                 f"smallest normal float")
+        r4 = (self.r_max * self.r_max) * (self.r_max * self.r_max)
+        if not r4 < np.inf:
+            raise ConfigurationError(
+                f"r_max = {r_max:g} is too large: r_max^4 overflows")
         self.n = int(n)
         x = np.linspace(np.log(r_min), np.log(r_max), n)
         self.log_step = x[1] - x[0]
@@ -193,10 +197,10 @@ class RadialGrid:
         law outside r_{n-1}, ghost the offset at infinity): row 0 is
         r_0^-2 [2 (v_1 - v_0)/h^2 - (2m/h + m^2) v_0], row n-1 is
         r^-2 [2 (v_{n-2} - v_{n-1})/h^2 - (2m/h + m^2) v_{n-1} + (2m/h) ghost].
-        So w_i (Op v + F(v))_i = -dE_h/dv_i for E_h of
-        ``energy.node_energies`` and w the r dr weights; Op is symmetric in
-        w.  Row n-1's sup entry multiplies the outer ghost value; row 0's
-        sub entry is not used.
+        So w_i (Op v + F(v))_i = -dE_h/dv_i, with w the r dr weights, for
+        E_h of ``energy.node_energies``; ``energy.neg_gradient`` is the edge
+        form of the same gradient.  Op is symmetric in w.  Row n-1's sup
+        entry multiplies the outer ghost value; row 0's sub entry is unused.
         """
         key = ("bands", advection, inv_square)
         try:

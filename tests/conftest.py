@@ -32,6 +32,21 @@ def gaussian_bump(grid, amplitude=1.0, sigma=1.0, m=2):
     return amplitude * rho**m * np.exp(-(rho**2))
 
 
+def seeded_states(g, m, inner, rng, count):
+    """Offsets of count seeded states: a bump (zero-degree) or a bubble
+    (degree-m) of random scale, plus a rough perturbation."""
+    r = g.nodes
+    for _ in range(count):
+        s = 10.0 ** rng.uniform(-2.0, 1.0)
+        rho = (r / s) ** m
+        if inner == 0.0:
+            off = rng.uniform(0.5, 2.5) * rho * np.exp(-(r / s) ** 2)
+        else:
+            off = -2.0 * np.arctan(rho)
+        yield off + (rng.uniform(0.0, 0.3) * rng.normal(size=g.n)
+                     * rho / (1.0 + rho * rho))
+
+
 def same_bits(a, b):
     """Equal values and equal signs of zeros."""
     return np.array_equal(a, b) and np.array_equal(np.signbit(a),

@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gaussian_bump, same_bits, trig_probe_points
+from conftest import (gaussian_bump, same_bits, seeded_states,
+                      trig_probe_points)
 from hmflow.bubble import BubbleProfile, sample_Q
 from hmflow.energy import (classify, energy, exterior_energy, g_functional,
-                           g_inverse, pointwise_bound_check, rlp_norm,
+                           g_inverse, gradient_weights, hessian_potential,
+                           neg_gradient, pointwise_bound_check, rlp_norm,
                            sin_terms, smoothstep, topological_bound_gap,
                            x2_norm, xp_norm)
 from hmflow.errors import ContractViolation, SectorError
@@ -27,13 +29,21 @@ def test_energy_of_bubble_sample(default_grid):
     assert energy(f, 2).total == pytest.approx(4.0, rel=1e-4)
 
 
+def _neg_gradient(g, off, m, inner):
+    """-grad E_h of the offset by ``neg_gradient``'s edge form, from
+    fresh edges and trig terms."""
+    return neg_gradient(g, off, np.diff(off), sin_terms(off)[1], m,
+                        0.0 - inner, gradient_weights(g, m)[0])
+
+
 @pytest.mark.parametrize("inner", [0.0, np.pi], ids=["zero_degree",
                                                      "degree_m"])
 @pytest.mark.parametrize("m", [1, 2, 4])
 def test_operator_is_the_gradient_of_the_energy(m, inner):
     # w_i (Delta_m u + F(u))_i = -dE_h/du_i with w the r dr weights: the
-    # scheme's operator is the exact gradient of the energy it reports, so
-    # central differences of E_h match it to their own error
+    # scheme's operator, and the edge form IMEX1 solves with, are the
+    # exact gradient of the energy it reports, so central differences of
+    # E_h match both to their own error
     g = build_grid(1e-3, 1e2, 64)
     rng = np.random.default_rng(7 * m + int(inner))
     off = 0.5 * rng.standard_normal(g.n)
@@ -49,6 +59,53 @@ def test_operator_is_the_gradient_of_the_energy(m, inner):
         grad[i] = (e_plus - e_minus) / (2 * eps)
     ref = -grad / g.weights
     assert np.max(np.abs(flow - ref)) <= 1e-6 * np.max(np.abs(ref))
+    # the edge form is in W units, -grad E_h itself
+    edge = _neg_gradient(g, off, m, inner)
+    assert np.max(np.abs(edge + grad)) <= 1e-6 * np.max(np.abs(grad))
+
+
+@pytest.mark.parametrize("inner", [0.0, np.pi], ids=["zero_degree",
+                                                     "degree_m"])
+@pytest.mark.parametrize("m", [1, 2, 4])
+def test_hessian_is_the_jacobian_of_the_gradient(m, inner):
+    # -grad^2 E_h = W Op + diag(W F') (IMEX1 solves with W/dt minus it)
+    # is the central-difference Jacobian of neg_gradient; a change to a
+    # tail of the gradient or to the potential's Hessian breaks it
+    g = build_grid(1e-3, 1e2, 64)
+    rng = np.random.default_rng(11 * m + int(inner))
+    off = 0.5 * rng.standard_normal(g.n)
+    sub, diag, sup = g.operator_bands(1.0, float(m * m))
+    w = g.weights
+    want = (np.diag(w * diag) + np.diag(w[1:] * sub[1:], -1)
+            + np.diag(w[:-1] * sup[:-1], 1))
+    want += np.diag(hessian_potential(sin_terms(off)[0],
+                                      gradient_weights(g, m)[1]))
+    eps = 1e-6
+    jac = np.empty((g.n, g.n))
+    for j in range(g.n):
+        step = np.zeros(g.n)
+        step[j] = eps
+        jac[:, j] = (_neg_gradient(g, off + step, m, inner)
+                     - _neg_gradient(g, off - step, m, inner)) / (2 * eps)
+    assert np.max(np.abs(jac - want)) <= 1e-6 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("inner", [0.0, np.pi], ids=["zero_degree",
+                                                     "degree_m"])
+@pytest.mark.parametrize("m", [1, 2, 4])
+def test_edge_gradient_matches_the_operator_form(m, inner):
+    # the two spellings of -grad E_h, neg_gradient's edges and sin cos and
+    # W (Delta_m + F) of the operator bands and F, agree to rounding on
+    # seeded bumps and bubbles at three resolutions
+    for n in (64, 256, 2048):
+        g = build_grid(1e-4, 1e3, n)
+        rng = np.random.default_rng(n + 10 * m + int(inner))
+        for off in seeded_states(g, m, inner, rng, 4):
+            u = RadialField(g, off, inner)
+            want = g.weights * (apply_delta_m(u, m).values
+                                + nonlinearity(u, m).values)
+            got = _neg_gradient(g, off, m, inner)
+            assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
 
 def test_energy_window_additivity(default_grid):

@@ -80,6 +80,17 @@ def test_grid_construction_validation():
     for r_min in (1.2e-77, 1e-200):
         with pytest.raises(ConfigurationError, match="r_min"):
             build_grid(r_min, 1e2, 64)
+    # and r_max^4 must be finite, which holds up to r_max = 1.15e77;
+    # r_max = 1e200 used to pass check and end the run Aborted
+    for n in (16, 64, 2048):
+        g = build_grid(1e-3, 1.1e77, n)
+        for bands in (g.operator_bands(1.0, 16.0), g.operator_bands(2.0, 0.0)):
+            assert all(np.isfinite(b).all() for b in bands)
+        assert np.isfinite(g.weights).all()
+        assert np.isfinite(g.weights / g.nodes**4).all()
+    for r_max in (1.2e77, 1e200):
+        with pytest.raises(ConfigurationError, match="r_max"):
+            build_grid(1e-3, r_max, 64)
 
 
 def test_field_contract(default_grid):

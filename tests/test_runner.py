@@ -442,6 +442,8 @@ def test_zero_degree_run_does_not_read_scale_floor(tmp_path):
                  id="dt_below_clock_edge_deep_grid"),
     # r_min^4 underflows to 0; the run used to end Aborted
     pytest.param(dict(r_min="1e-200"), id="r_min_fourth_power_underflow"),
+    # r_max^4 overflows; the run used to end Aborted
+    pytest.param(dict(r_max="1e200"), id="r_max_fourth_power_overflow"),
     pytest.param(dict(ic_family="q_exact", ic_s0="nan"), id="ic_s0_nan"),
     pytest.param(dict(r_max="inf"), id="r_max_inf"),
     pytest.param(dict(ic_A="50"), id="e0_energy_window"),
@@ -498,7 +500,7 @@ _PROPERTY_BASE = dict(r_min="1e-3", r_max="1e2", dt="2e-3", ic_A="0.5",
 _EDGE_VALUES = {
     "m": ["0", "1"],
     "r_min": ["0", "nan", "1e-12", "1e2", "1e-200", "1e-76"],
-    "r_max": ["inf", "1e6"],
+    "r_max": ["inf", "1e6", "1e200"],
     "n": ["8", "15"],
     # 1e-11 lies below sqrt(eps) * t_end for every drawn t_end
     "dt": ["0", "nan", "1e-11", "1", "1e-300"],
