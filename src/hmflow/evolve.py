@@ -15,8 +15,8 @@ W), so one LDL^T solve takes it.  A trial whose matrix is not positive
 definite fails like a trial that raises E_h: only a positive definite
 matrix makes delta a descent direction.  IMEX2 keeps F explicit in two
 half-steps around a Crank-Nicolson step whose explicit half is folded
-into its solve: (I + (dt/2) Op) a = 2a - (I - (dt/2) Op) a, so the step
-solves (I - (dt/2) Op)(a + b) = 2a on the cached LDL^T of the W-scaled
+into its solve: (I + h Op) a = 2a - (I - h Op) a with h = dt/2, so the
+step solves (W/h - W Op)(a + b) = (2/h) W a on the cached LDL^T of that
 matrix and applies no operator.  Each step returns its increment delta
 with the new state, and the ledger books ||delta||_W^2 / dt.  The
 stepper works on the offset u - inner_limit, for which the equation takes
@@ -199,12 +199,14 @@ def _step_offset(grid: RadialGrid, off: np.ndarray, terms, m: int, coeffs,
     # IMEX2: explicit half-step of F, Crank-Nicolson diffusion, half-step
     # of F, each formed in place; Crank-Nicolson's explicit half is folded
     # into its solve, (I + half Op) a = 2a - (I - half Op) a, so b solves
-    # (I - half Op)(a + b) = 2a with the ghost term doubled
+    # (W/half - W Op)(a + b) = (2/half) W a with the ghost term doubled
     half = 0.5 * dt
     a = _f_offset(coef, off, sin_cos)
     a *= half
     a += off
-    b = grid.solve_shifted(a + a, half, msq, 2.0 * ghost_outer)
+    rhs = grid.weights * a
+    rhs *= 2.0 / half
+    b = grid.solve_shifted(rhs, half, msq, 2.0 * ghost_outer)
     b -= a
     out = _f_offset(coef, b)
     out *= half

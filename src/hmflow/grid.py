@@ -13,18 +13,17 @@ package reports; operators without an inverse-square term are closed by
 zero ghost values.
 
 Shifted systems are solved by LAPACK.  Every one is on the degree-m
-operator, which is symmetric in the r dr weights, so its systems are scaled
-by them and solved by LDL^T (no pivoting): ``dptsv`` where the diagonal
-carries a potential, and ``dpttrs`` on a ``dpttrf`` factorization kept per
-shifted operator where it does not.  One library serves all three
-routines.  It is the OpenBLAS that numpy (>= 2) wheels bundle, found as
-the symbols ``scipy_dptsv_64_``, ``scipy_dpttrf_64_`` and
-``scipy_dpttrs_64_`` through ``numpy.linalg._umath_linalg``'s shared
-library, so ``import hmflow`` loads numpy and no scipy module.  Where that
-module or any of the three symbols is missing (numpy 1.x wheels, numpy
-built on a system LAPACK) all three come from ``scipy.linalg.lapack``,
-which is then imported once, when this module is.  Both libraries, and
-both routes, give the same bits.
+operator, which is symmetric in the r dr weights, so every one is scaled by
+them and solved by LDL^T (no pivoting): ``dpttrf`` factors it and
+``dpttrs`` solves on the factors, which are kept per shifted operator where
+the diagonal carries no potential.  One library serves both routines.  It
+is the OpenBLAS that numpy (>= 2) wheels bundle, found as the symbols
+``scipy_dpttrf_64_`` and ``scipy_dpttrs_64_`` through
+``numpy.linalg._umath_linalg``'s shared library, so ``import hmflow`` loads
+numpy and no scipy module.  Where that module or either symbol is missing
+(numpy 1.x wheels, numpy built on a system LAPACK) both come from
+``scipy.linalg.lapack``, which is then imported once, when this module is.
+Both libraries, and both routes, give the same bits.
 """
 
 from __future__ import annotations
@@ -43,81 +42,73 @@ def _address(array):
 
 
 def _openblas_lapack():
-    """``(ptsv, pttrf)`` on the OpenBLAS that numpy bundles (64-bit
-    integers), or None unless it exports all three routines."""
+    """``(pttrf, pttrs)`` on the OpenBLAS that numpy bundles (64-bit
+    integers), or None unless it exports both routines."""
     try:
         from numpy.linalg import _umath_linalg
         lib = ctypes.CDLL(_umath_linalg.__file__)
-        sv, ptrf, ptrs = (getattr(lib, f"scipy_d{name}_64_")
-                          for name in ("ptsv", "pttrf", "pttrs"))
+        ptrf, ptrs = (getattr(lib, f"scipy_d{name}_64_")
+                      for name in ("pttrf", "pttrs"))
     except (ImportError, OSError, AttributeError):
         return None
-    sv.argtypes = ptrs.argtypes = [ctypes.c_void_p] * 7
     ptrf.argtypes = [ctypes.c_void_p] * 4
-    sv.restype = ptrf.restype = ptrs.restype = None
+    ptrs.argtypes = [ctypes.c_void_p] * 7
+    ptrf.restype = ptrs.restype = None
     sizes = {}  # n -> (n, nrhs, ldb); the routines only read them
 
     def size_of(n):
         try:
-            return sizes[n]
+            return ctypes.addressof(sizes[n])
         except KeyError:
-            return sizes.setdefault(n, (ctypes.c_int64 * 3)(n, 1, n))
-
-    def ptsv(d, e, b):
-        s = ctypes.addressof(size_of(b.shape[0]))
-        info = ctypes.c_int64()
-        sv(s, s + 8, _address(d), _address(e), _address(b), s + 16,
-           ctypes.addressof(info))
-        return b, info.value
+            return ctypes.addressof(
+                sizes.setdefault(n, (ctypes.c_int64 * 3)(n, 1, n)))
 
     def pttrf(d, e):
-        size = size_of(d.shape[0])
-        s = ctypes.addressof(size)
-        factors = (_address(d), _address(e))
         info = ctypes.c_int64()
-        ptrf(s, *factors, ctypes.addressof(info))
-        head = (s, s + 8, *factors)
+        ptrf(size_of(d.shape[0]), _address(d), _address(e),
+             ctypes.addressof(info))
+        return info.value
 
-        def pttrs(b):
-            info = ctypes.c_int64()
-            ptrs(*head, _address(b), s + 16, ctypes.addressof(info))
-            return b
+    def pttrs(d, e, b):
+        s = size_of(b.shape[0])
+        info = ctypes.c_int64()
+        ptrs(s, s + 8, _address(d), _address(e), _address(b), s + 16,
+             ctypes.addressof(info))
+        return b
 
-        # pttrs holds only addresses; this keeps the factors and sizes alive
-        pttrs.arrays = (d, e, size)
-        return pttrs, info.value
-
-    return ptsv, pttrf
+    return pttrf, pttrs
 
 
 def _scipy_lapack():
-    """``(ptsv, pttrf)`` on ``scipy.linalg.lapack``."""
-    from scipy.linalg.lapack import dptsv, dpttrf, dpttrs
-
-    def ptsv(d, e, b):
-        *_, u, info = dptsv(d, e, b, overwrite_d=1, overwrite_e=1,
-                            overwrite_b=1)
-        return u, info
+    """``(pttrf, pttrs)`` on ``scipy.linalg.lapack``."""
+    from scipy.linalg.lapack import dpttrf, dpttrs
 
     def pttrf(d, e):
-        *ldl, info = dpttrf(d, e, overwrite_d=1, overwrite_e=1)
+        # factors in d and e themselves, which solve_shifted makes as new
+        # contiguous float64 arrays; f2py would factor a copy of any other
+        return dpttrf(d, e, overwrite_d=1, overwrite_e=1)[2]
 
-        def pttrs(b):
-            return dpttrs(*ldl, b, overwrite_b=1)[0]
+    def pttrs(d, e, b):
+        return dpttrs(d, e, b, overwrite_b=1)[0]
 
-        return pttrs, info
-
-    return ptsv, pttrf
+    return pttrf, pttrs
 
 
-# _ptsv(d, e, b) solves the symmetric system with diagonal d, off-diagonal
-# e and right side b, and returns (solution, info); dptsv overwrites all
-# three arrays, and info > 0 means the matrix is not positive definite.
-# _pttrf(d, e) factors such a system by dpttrf in the arrays d and e, which
-# it keeps, and returns (solve, info), where solve(b) returns the solution
-# for the right side b by dpttrs, may overwrite b, and never writes the
-# factors; info > 0 means the matrix is not positive definite.
-_ptsv, _pttrf = _openblas_lapack() or _scipy_lapack()
+# _pttrf(d, e) factors the symmetric tridiagonal matrix with diagonal d and
+# off-diagonal e as LDL^T by dpttrf, in place, and returns info; info > 0
+# means the matrix is not positive definite.  _pttrs(d, e, b) solves for
+# the right side b by dpttrs on those factors, in b, and returns the
+# solution; it never writes the factors.
+_pttrf, _pttrs = _openblas_lapack() or _scipy_lapack()
+
+
+def _factor(d, e):
+    """(d, e) after ``_pttrf`` has factored them in place; raises
+    ``numpy.linalg.LinAlgError`` if the matrix is not positive definite."""
+    if _pttrf(d, e) > 0:
+        raise np.linalg.LinAlgError(
+            "shifted operator is not positive definite")
+    return d, e
 
 
 class RadialGrid:
@@ -135,6 +126,9 @@ class RadialGrid:
                 f"need r_min < r_max < inf, got r_min={r_min}, r_max={r_max}")
         if n < 16:
             raise ConfigurationError(f"need at least 16 nodes, got {n}")
+        if n > np.iinfo(np.intp).max // np.dtype(float).itemsize:
+            raise ConfigurationError(
+                f"n = {n} is too large: an array of n floats cannot be sized")
         self.r_min = float(r_min)
         self.r_max = float(r_max)
         # the package divides by r^2 (the operator bands) and by r^4 (the
@@ -260,39 +254,35 @@ class RadialGrid:
 
     def solve_shifted(self, rhs, alpha, inv_square, ghost_outer=0.0,
                       potential=None):
-        """Solve a shifted system of the degree-m operator Op of
-        ``operator_bands`` (advection 1, inv_square = m^2 > 0), with
-        ghost_outer its outer ghost value, under one of two contracts; W is
-        the diagonal of the r dr weights w.
+        """Solve (W/alpha - W Op - diag(potential)) u = rhs, with the ghost
+        term w_{n-1} sup_{n-1} ghost_outer added to the last row of rhs: Op
+        is the degree-m operator of ``operator_bands`` (advection 1,
+        inv_square = m^2 > 0), ghost_outer its outer ghost value, W the
+        diagonal of the r dr weights w, and potential=None means no
+        potential.
 
-        - With a potential: (W/alpha - W Op - diag(potential)) u = rhs,
-          with the ghost term w_{n-1} sup_{n-1} ghost_outer added to the
-          last row of rhs.  This is IMEX1's Newton system as it stands
-          (rhs = -grad E_h, potential = W F'); its matrix is symmetric, and
-          ``dptsv`` (LDL^T, no pivoting) solves it on a diagonal d_free -
-          potential built in a new array, with d_free = w/alpha - w diag
-          kept per key.  The matrix is positive definite at every alpha > 0
-          where the potential stays at or below w inv_square/r^2, and for
-          any bounded potential at small enough alpha; ``dptsv`` requires
-          it to be.
-        - Without a potential: (I - alpha Op) u = rhs (IMEX2's
-          Crank-Nicolson solve, ``solve_helmholtz``).  The system is solved
-          as W (I - alpha Op) u = W rhs, whose matrix is symmetric and, for
-          alpha > 0, strictly diagonally dominant with a positive diagonal,
-          hence positive definite: its LDL^T is factored by ``dpttrf`` once
-          per key, and each call is one ``dpttrs`` on W rhs, a new array.
+        IMEX1 passes its Newton system as it stands (rhs = -grad E_h,
+        potential = W F'); IMEX2 and ``solve_helmholtz`` pass W-scaled
+        right sides and no potential.  The matrix is symmetric, since Op
+        is symmetric in W once inv_square > 0 brings its tail rows, and it
+        is solved by LDL^T (no pivoting): ``dpttrf`` on d_free - potential
+        and the off-diagonal -w_i sup_i, then ``dpttrs`` on a copy of rhs,
+        with d_free = w/alpha - w diag.  Without a potential the matrix is,
+        for alpha > 0, strictly diagonally dominant with a positive
+        diagonal, hence positive definite.  With one it is positive
+        definite at every alpha > 0 where the potential stays at or below
+        w inv_square/r^2, and for any bounded potential at small enough
+        alpha.
 
-        Both need inv_square > 0: the tail rows it brings make Op
-        symmetric in W.  One cache entry is kept, for the latest (alpha,
-        inv_square): a run's step size moves only on rejections and
-        regrowth.  It holds, once a call has asked for them, the
-        factorization and d_free; the weighted off-diagonal -w_i sup_i
-        does not depend on alpha and is kept per operator.  No argument is
-        written, and neither the bands nor the factors are written after
-        they are built, so the instance stays safe to share across
-        threads.  The module docstring names the LAPACK library.
-        Raises ``numpy.linalg.LinAlgError`` when the system is not
-        positive definite.
+        One cache entry is kept, for the latest (alpha, inv_square): a
+        run's step size moves only on rejections and regrowth.  It holds
+        d_free and, once a call without a potential has asked for it, that
+        matrix's factors; -w_i sup_i does not depend on alpha and is kept
+        per operator.  No argument is written, and neither the bands nor
+        the factors are written after they are built, so the instance
+        stays safe to share across threads.  The module docstring names
+        the LAPACK library.  Raises ``numpy.linalg.LinAlgError`` when the
+        matrix is not positive definite.
         """
         n = self.n
         if np.shape(rhs) != (n,) or (potential is not None
@@ -304,37 +294,22 @@ class RadialGrid:
             raise ContractViolation(
                 "shifted solves need the degree-m operator (inv_square > 0), "
                 f"got inv_square={inv_square}")
+        w_diag, e, ghost_coeff = self._weighted_bands(inv_square)
         key = (alpha, inv_square)
         cached = self._cache.get("shifted")
         if cached is None or cached[0] != key:
-            cached = (key, None, None)
+            cached = (key, self.weights / alpha - w_diag, None)
             self._cache["shifted"] = cached
-        _, solve, d_free = cached
-        w = self.weights
-        w_diag, e, ghost_coeff = self._weighted_bands(inv_square)
-        if potential is None:
-            if solve is None:
-                solve, info = _pttrf(w - alpha * w_diag, alpha * e)
-                if info > 0:
-                    raise np.linalg.LinAlgError(
-                        "shifted operator is not positive definite")
-                self._cache["shifted"] = (key, solve, d_free)
-            b = np.multiply(w, rhs)
-            if ghost_outer != 0.0:
-                b[-1] += (alpha * ghost_coeff) * ghost_outer
-            return solve(b)
-        if d_free is None:
-            d_free = w / alpha - w_diag
-            self._cache["shifted"] = (key, solve, d_free)
-        d = np.subtract(d_free, potential)
+        _, d_free, factors = cached
+        if potential is not None:
+            factors = _factor(np.subtract(d_free, potential), e.copy())
+        elif factors is None:
+            factors = _factor(d_free.copy(), e.copy())
+            self._cache["shifted"] = (key, d_free, factors)
         b = np.array(rhs, dtype=float)
         if ghost_outer != 0.0:
             b[-1] += ghost_coeff * ghost_outer
-        u, info = _ptsv(d, e.copy(), b)
-        if info > 0:
-            raise np.linalg.LinAlgError(
-                "shifted operator is not positive definite")
-        return u
+        return _pttrs(*factors, b)
 
     def derivative(self, values: np.ndarray) -> np.ndarray:
         """First derivative of nodal samples in x = ln r, v_r = v_x / r:
@@ -412,7 +387,11 @@ def build_grid(r_min: float, r_max: float, n: int) -> RadialGrid:
 def check_degree(m) -> None:
     """Reject a degree m that is not a positive integer: the tail closures
     of the degree-m operator and of the energy it descends need m >= 1."""
-    if not (m >= 1 and float(m).is_integer()):
+    try:
+        ok = m >= 1 and float(m).is_integer()
+    except OverflowError:
+        ok = False
+    if not ok:
         raise ContractViolation(f"degree m must be a positive integer, got {m}")
 
 
@@ -441,12 +420,15 @@ def apply_delta_m(field: RadialField, m: int) -> RadialField:
 
 def solve_helmholtz(rhs: RadialField, m: int, alpha: float) -> RadialField:
     """Solve (I - alpha * Delta_m) u = rhs with the tail closures of
-    ``RadialGrid.operator_bands``, u tending to 0 at infinity."""
+    ``RadialGrid.operator_bands``, u tending to 0 at infinity, as the
+    W-scaled system (W/alpha - W Delta_m) u = W rhs / alpha of
+    ``RadialGrid.solve_shifted``, W the r dr weights."""
     if alpha <= 0:
         raise ContractViolation(f"alpha must be positive, got {alpha}")
     check_degree(m)
-    u = rhs.grid.solve_shifted(rhs.values, alpha, float(m * m))
-    return RadialField(rhs.grid, u)
+    g = rhs.grid
+    u = g.solve_shifted(g.weights * rhs.values / alpha, alpha, float(m * m))
+    return RadialField(g, u)
 
 
 def origin_exponent(field: RadialField) -> float:

@@ -485,12 +485,19 @@ def execute(cfg: RunConfig) -> RunResult:
     return RunResult(rec.status, checks, classification, summary, rec, track)
 
 
+def _make_out_dir(out_dir: str) -> None:
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot make out_dir {out_dir}: {exc}")
+
+
 def run(cfg: RunConfig) -> int:
     """Execute one scenario, write trajectory.csv and summary.json.
 
     Exit status: 0 all checks passed, 2 solver aborted, 3 checks failed.
     """
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    _make_out_dir(cfg.out_dir)
     result = execute(cfg)
     rec = result.record
     diss = result.summary["dissipation_residual_history"]
@@ -559,7 +566,7 @@ def sweep(base_raw: Dict[str, str], axes: List[Tuple[str, List[str]]],
     Individual failures are recorded in their row; the sweep continues.
     Returns the rows and writes ``sweep.csv`` in out_dir.
     """
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out_dir(out_dir)
     keys = [k for k, _ in axes]
     points = list(product(*(vals for _, vals in axes))) if axes else []
     jobs = [(i, base_raw, dict(zip(keys, combo)), out_dir)

@@ -16,7 +16,7 @@ from hmflow.bubble import BubbleProfile, energy_of_Q, sample_Q, sample_h
 from hmflow.energy import (energy, exterior_energy, g_inverse,
                            pointwise_bound_check, x2_norm)
 from hmflow.evolve import StepperConfig, dissipation_audit, evolve
-from hmflow.grid import RadialField, build_grid
+from hmflow.grid import RadialField, build_grid, solve_helmholtz
 from hmflow.lift import commutation_residual, lift, unlift
 from hmflow.modulation import apply_H, apply_L, apply_Lstar, \
     potential_inequality_margin
@@ -220,7 +220,7 @@ def test_criterion_09_lift_oracle():
         off = g.nodes**m * np.exp(-g.nodes**2)
         steps = round(0.1 / dt)
         for _ in range(steps):
-            off = g.solve_shifted(off, dt, m * m)
+            off = solve_helmholtz(RadialField(g, off), m, dt).offset
         d = 2 * m + 2
         s2 = 1.0 + 4.0 * steps * dt
         exact = (1.0 / s2) ** (d / 2.0) * g.nodes**m * np.exp(-g.nodes**2 / s2)

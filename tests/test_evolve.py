@@ -617,9 +617,9 @@ def test_f_offset_keeps_the_bits_of_the_masked_formula(n):
 def _cn_step(grid, off, m, dt, ghost):
     """The IMEX2 step from scratch: half-step of F (masked formula on one
     tangent), Crank-Nicolson with its explicit half folded in, b = x - a
-    with W (I - (dt/2) Op) x = W 2a and the ghost term doubled, solved by
-    scipy's dpttrf and dpttrs, then the second half-step of F; returns
-    (out - off, out)."""
+    with (W/h - W Op) x = (2/h) W a, h = dt/2, and the ghost term doubled,
+    solved by scipy's dpttrf and dpttrs, then the second half-step of F;
+    returns (out - off, out)."""
     from scipy.linalg.lapack import dpttrf, dpttrs
 
     half = 0.5 * dt
@@ -627,9 +627,9 @@ def _cn_step(grid, off, m, dt, ghost):
     _, diag, sup = grid.operator_bands(1.0, float(m * m))
     w = grid.weights
     a = off + half * _f_offset_masked(coef, off)
-    rhs = w * (a + a)
-    rhs[-1] += (half * (w[-1] * sup[-1])) * (2.0 * ghost)
-    d, e, info = dpttrf(w - half * (w * diag), half * -(w[:-1] * sup[:-1]))
+    rhs = (2.0 / half) * (w * a)
+    rhs[-1] += (w[-1] * sup[-1]) * (2.0 * ghost)
+    d, e, info = dpttrf(w / half - w * diag, -(w[:-1] * sup[:-1]))
     assert info == 0
     x, info = dpttrs(d, e, rhs)
     assert info == 0
@@ -839,7 +839,7 @@ def test_folded_imex2_step_matches_the_unfolded_one(m, inner):
             half = 0.5 * dt
             a = off + half * _f_offset_masked(coef, off)
             rhs = a + half * g.apply_operator(a, 1.0, msq, ghost)
-            b = g.solve_shifted(rhs, half, msq, ghost)
+            b = g.solve_shifted(g.weights * rhs / half, half, msq, ghost)
             want = b + half * _f_offset_masked(coef, b)
             delta, got = evolve_module._step_offset(
                 g, off, sin_terms(off), m, coeffs, dt, "IMEX2", ghost,

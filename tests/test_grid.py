@@ -91,6 +91,11 @@ def test_grid_construction_validation():
     for r_max in (1.2e77, 1e200):
         with pytest.raises(ConfigurationError, match="r_max"):
             build_grid(1e-3, r_max, 64)
+    # numpy refuses to size an array of this many floats before it
+    # allocates; np.linspace used to raise ValueError
+    for n in (2**63, 10**30):
+        with pytest.raises(ConfigurationError, match="n = "):
+            build_grid(1e-3, 1e2, n)
 
 
 def test_field_contract(default_grid):
@@ -199,7 +204,8 @@ def test_delta_m_rejects_bad_degree(default_grid):
     # sqrt(m^2) = |m| in the operator's tails but m in the energy's: a
     # negative degree would step a flow that does not descend E_h
     f = RadialField(default_grid, np.zeros(default_grid.n))
-    for m in (0, -2, 2.5, np.nan):
+    # no float holds 10^400, and float(m) used to raise OverflowError
+    for m in (0, -2, 2.5, np.nan, 10**400):
         with pytest.raises(ContractViolation):
             apply_delta_m(f, m)
 
@@ -248,8 +254,8 @@ def test_shifted_band_cache_matches_fresh_grid():
         want = build_grid(*args).solve_shifted(rhs, alpha, inv_sq, ghost,
                                                potential=p)
         assert np.array_equal(got, want)
-    # consecutive calls share a key, so bands dptsv had overwritten in
-    # the cache would have shown above
+    # consecutive calls share a key, so a cached array that dpttrf or
+    # dpttrs had written would have shown above
     assert np.array_equal(rhs, np.exp(-g.nodes) * np.sin(g.nodes))
     # only the tail rows of inv_square > 0 make Op symmetric in the r dr
     # weights, so both contracts refuse inv_square = 0
@@ -259,42 +265,68 @@ def test_shifted_band_cache_matches_fresh_grid():
 
 
 def _backend(name):
-    """``(ptsv, pttrf)`` of a fresh backend; the OpenBLAS one only where
+    """``(pttrf, pttrs)`` of a fresh backend; the OpenBLAS one only where
     numpy bundles it."""
     backend = getattr(grid_module, f"_{name}_lapack")()
     if backend is None:
-        pytest.skip("numpy bundles no OpenBLAS with the scipy_dptsv_64_, "
-                    "scipy_dpttrf_64_ and scipy_dpttrs_64_ routines")
+        pytest.skip("numpy bundles no OpenBLAS with the scipy_dpttrf_64_ "
+                    "and scipy_dpttrs_64_ routines")
     return backend
 
 
 def _use_backend(name, monkeypatch):
-    """Route every solve through a fresh backend: dptsv and dpttrf/dpttrs
-    alike, from one library."""
-    backend = _backend(name)
-    monkeypatch.setattr(grid_module, "_ptsv", backend[0])
-    monkeypatch.setattr(grid_module, "_pttrf", backend[1])
+    """Route every solve through a fresh backend: dpttrf and dpttrs alike,
+    from one library."""
+    pttrf, pttrs = _backend(name)
+    monkeypatch.setattr(grid_module, "_pttrf", pttrf)
+    monkeypatch.setattr(grid_module, "_pttrs", pttrs)
+
+
+def _random_spd_draws(g, rng):
+    """Random symmetric tridiagonal systems (d, e, b) of the grid's order:
+    diagonally dominant ones, and the shifted degree-m systems
+    W/alpha - W Op - diag(p) of ``solve_shifted`` with random potentials p
+    in [0, 1.2 w m^2/r^2], some of which are not positive definite."""
+    n = g.n
+    for _ in range(3):
+        e = rng.normal(size=n - 1)
+        ends = np.abs(np.concatenate(([0.0], e))) + np.abs(np.append(e, 0.0))
+        yield ends + rng.uniform(0.1, 2.0, n), e, rng.normal(size=n)
+    w = g.weights
+    for m in (1, 2, 4):
+        _, diag, sup = g.operator_bands(1.0, float(m * m))
+        cap = 1.2 * m * m * w / g.nodes**2
+        for alpha in (1e-6, 1e-3, 2e-3):
+            for _ in range(5):
+                yield (w / alpha - w * diag - cap * rng.uniform(size=n),
+                       -(w[:-1] * sup[:-1]), rng.normal(size=n))
+
+
+@pytest.mark.parametrize("backend", ["openblas", "scipy"])
+@pytest.mark.parametrize("n", [16, 512, 2048, 8192])
+def test_pttrf_then_pttrs_gives_the_bits_of_dptsv(backend, n):
+    # dptsv is dpttrf then dpttrs: on every positive definite draw the
+    # backend's two routines give the bits of scipy's dptsv
+    from scipy.linalg.lapack import dptsv
+
+    pttrf, pttrs = _backend(backend)
+    rng = np.random.default_rng(n)
+    checked = 0
+    for d, e, b in _random_spd_draws(build_grid(1e-4, 1e3, n), rng):
+        *_, want, info = dptsv(d, e, b)
+        if info > 0:
+            continue  # not positive definite
+        checked += 1
+        factors = d.copy(), e.copy()
+        assert pttrf(*factors) == 0
+        assert same_bits(pttrs(*factors, b.copy()), want)
+    assert checked >= 40
 
 
 @pytest.mark.parametrize("n", [16, 512, 2048, 8192])
 def test_dptsv_backends_give_the_same_bits(n, monkeypatch):
-    # random symmetric diagonally dominant systems, straight to each
-    # backend's dptsv, then the solves of a grid
-    rng = np.random.default_rng(n)
-    systems = []
-    for _ in range(5):
-        e = rng.normal(size=n - 1)
-        ends = np.abs(np.concatenate(([0.0], e))) + np.abs(np.append(e, 0.0))
-        systems.append((ends + rng.uniform(0.1, 2.0, n), e,
-                        rng.normal(size=n)))
-    raw = {}
-    for name in ("openblas", "scipy"):
-        ptsv = _backend(name)[0]
-        raw[name] = [ptsv(d.copy(), e.copy(), b.copy())
-                     for d, e, b in systems]
-    for (a, info_a), (b, info_b) in zip(raw["openblas"], raw["scipy"]):
-        assert info_a == info_b == 0
-        assert np.array_equal(a, b)
+    # the solves of a grid, with and without a potential, are the same on
+    # both backends (each backend's routines give dptsv's bits, above)
     solutions = {}
     for name in ("openblas", "scipy"):
         _use_backend(name, monkeypatch)
@@ -314,28 +346,25 @@ def test_dptsv_backends_give_the_same_bits(n, monkeypatch):
 def test_singular_shifted_system_raises_on_each_backend(backend, monkeypatch):
     _use_backend(backend, monkeypatch)
     g = build_grid(1e-3, 1e2, 17)
-    # the dpttrf path (no potential): alpha = -1 gives W (I + Op), whose
-    # diagonal w (1 + diag) is negative on the inner nodes, where diag ~
-    # -(2/h^2 + m^2)/r^2; a positive definite matrix has a positive
-    # diagonal
+    # alpha = -1 gives -W - W Op, whose diagonal -w (1 + diag) is negative
+    # on the outer nodes, where |diag| ~ (2/h^2 + m^2)/r^2 < 1; a positive
+    # definite matrix has a positive diagonal.  A zero potential takes the
+    # path of a potential to the same matrix.
     _, diag, _ = g.operator_bands(1.0, 4.0)
-    assert (1.0 + diag[0]) < 0.0
-    with pytest.raises(np.linalg.LinAlgError, match="positive definite"):
-        g.solve_shifted(np.ones(17), -1.0, 4.0)
-
-
-def _dense_shifted(g, alpha, inv_square):
-    """I - alpha Op as a dense matrix."""
-    sub, diag, sup = g.operator_bands(1.0, inv_square)
-    return (np.diag(1.0 - alpha * diag)
-            + np.diag(-alpha * sup[:-1], 1) + np.diag(-alpha * sub[1:], -1))
+    assert (1.0 + diag[-1]) > 0.0
+    for pot in (None, np.zeros(17)):
+        with pytest.raises(np.linalg.LinAlgError, match="positive definite"):
+            g.solve_shifted(np.ones(17), -1.0, 4.0, potential=pot)
 
 
 def _dense_newton(g, alpha, inv_square, potential):
     """W/alpha - W Op - diag(potential) as a dense matrix, W the r dr
-    weights: the matrix that ``solve_shifted`` solves with a potential."""
+    weights, potential None for none: the matrix ``solve_shifted``
+    solves."""
     sub, diag, sup = g.operator_bands(1.0, inv_square)
     w = g.weights
+    if potential is None:
+        potential = np.zeros(g.n)
     return (np.diag(w / alpha - w * diag - potential)
             + np.diag(-w[:-1] * sup[:-1], 1) + np.diag(-w[1:] * sub[1:], -1))
 
@@ -347,67 +376,56 @@ def test_solve_shifted_with_a_potential_matches_the_dense_solve(m, ghost):
     rng = np.random.default_rng(m)
     rhs = rng.normal(size=g.n) * np.exp(-0.1 * g.nodes)
     msq = float(m * m)
-    sup_end = g.operator_bands(1.0, msq)[2][-1]
-    # W F' = 2 m^2 tw sin^2 u of a bubble (tw the log-trapezoid weights),
-    # and a random potential in [0, w m^2/r^2]
+    w = g.weights
+    sub, diag, sup = g.operator_bands(1.0, msq)
+    # no potential, W F' = 2 m^2 tw sin^2 u of a bubble (tw the
+    # log-trapezoid weights), and a random potential in [0, w m^2/r^2]
     off = -2.0 * np.arctan((g.nodes / 0.1) ** m)
-    for pot in (2.0 * msq * g._trapz_log * np.sin(off) ** 2,
-                msq * g.weights * rng.uniform(size=g.n) / g.nodes**2):
-        for alpha in (1e-3, 1e-2):
+    for pot in (None, 2.0 * msq * g._trapz_log * np.sin(off) ** 2,
+                msq * w * rng.uniform(size=g.n) / g.nodes**2):
+        for alpha in (1e-3, 1e-2, 5e-3, 1e-3):
             b = rhs.copy()
-            b[-1] += g.weights[-1] * sup_end * ghost
+            b[-1] += w[-1] * sup[-1] * ghost
             want = np.linalg.solve(_dense_newton(g, alpha, msq, pot), b)
             got = g.solve_shifted(rhs, alpha, msq, ghost, potential=pot)
             assert (np.linalg.norm(got - want)
                     <= 1e-10 * np.linalg.norm(want))
-
-
-@pytest.mark.parametrize("m", [1, 2, 4])
-@pytest.mark.parametrize("ghost", [0.0, -np.pi])
-def test_solve_shifted_without_a_potential_matches_the_dense_solve(m, ghost):
-    # the degree-m system without a potential goes through the cached
-    # dpttrf and one dpttrs on W rhs; it must still solve I - alpha Op
-    g = build_grid(1e-4, 1e3, 256)
-    rng = np.random.default_rng(10 + m)
-    rhs = rng.normal(size=g.n) * np.exp(-0.1 * g.nodes)
-    msq = float(m * m)
-    sup_end = g.operator_bands(1.0, msq)[2][-1]
-    for alpha in (1e-3, 1e-2, 5e-3, 1e-3):
-        b = rhs.copy()
-        b[-1] += alpha * sup_end * ghost
-        want = np.linalg.solve(_dense_shifted(g, alpha, msq), b)
-        got = g.solve_shifted(rhs, alpha, msq, ghost)
-        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+    # solve_helmholtz solves I - alpha Op as this system on W rhs / alpha
+    for alpha in (1e-3, 1e-2):
+        shifted = (np.diag(1.0 - alpha * diag) + np.diag(-alpha * sup[:-1], 1)
+                   + np.diag(-alpha * sub[1:], -1))
+        want = np.linalg.solve(shifted, rhs)
         helm = solve_helmholtz(RadialField(g, rhs), m, alpha).values
-        if ghost == 0.0:
-            assert np.array_equal(helm, got)
+        assert np.linalg.norm(helm - want) <= 1e-10 * np.linalg.norm(want)
+        assert np.array_equal(helm, g.solve_shifted(w * rhs / alpha, alpha,
+                                                    msq))
 
 
 @pytest.mark.parametrize("backend", ["openblas", "scipy"])
 def test_indefinite_shifted_system_raises_on_each_backend(backend,
                                                           monkeypatch):
     _use_backend(backend, monkeypatch)
-    # a potential (in W units) just above d_free = w/alpha - w diag on one
-    # node makes that diagonal entry of the Newton matrix negative, so the
-    # matrix is indefinite (but not singular, as the dense determinant
-    # shows)
+    # with a potential (in W units) just above d_free = w/alpha - w diag
+    # on one node, and without one at alpha = -1, a diagonal entry of the
+    # matrix is negative, so the matrix is indefinite (but not singular,
+    # as the dense determinant shows)
     g = build_grid(1e-3, 1e2, 64)
     _, diag, _ = g.operator_bands(1.0, 4.0)
-    alpha = 1e-2
     w = g.weights
-    pot = np.zeros(g.n)
-    pot[30] = 1.001 * (w[30] / alpha - w[30] * diag[30])
-    newton = _dense_newton(g, alpha, 4.0, pot)
-    assert newton[30, 30] < 0.0
-    assert np.linalg.slogdet(newton)[0] != 0.0
-    with pytest.raises(np.linalg.LinAlgError, match="positive definite"):
-        g.solve_shifted(np.ones(g.n), alpha, 4.0, potential=pot)
-    # the potential-free system of the same key still solves
-    assert np.isfinite(g.solve_shifted(np.ones(g.n), alpha, 4.0)).all()
+    spike = np.zeros(g.n)
+    spike[30] = 1.001 * (w[30] / 1e-2 - w[30] * diag[30])
+    for alpha, pot in ((1e-2, spike), (-1.0, None)):
+        matrix = _dense_newton(g, alpha, 4.0, pot)
+        assert np.diag(matrix).min() < 0.0
+        assert np.linalg.slogdet(matrix)[0] != 0.0
+        with pytest.raises(np.linalg.LinAlgError, match="positive definite"):
+            g.solve_shifted(np.ones(g.n), alpha, 4.0, potential=pot)
+        # the potential-free system of a positive alpha still solves
+        assert np.isfinite(g.solve_shifted(np.ones(g.n), 1e-2, 4.0)).all()
 
 
 def test_solve_shifted_rejects_rhs_of_wrong_length():
-    # dptsv and dpttrs get addresses into arrays sized from the grid
+    # dpttrf and dpttrs get addresses into arrays sized from the grid
     g = build_grid(1e-3, 1e2, 32)
     for rhs, pot in ((np.ones(31), None), (np.ones(33), None),
                      (np.ones(32), np.ones(31))):
@@ -439,17 +457,16 @@ def test_apply_operator_keeps_the_bits_of_the_concatenation(advection,
 
 
 def _fresh_dpttrs(g, rhs, alpha, inv_square, ghost):
-    """The degree-m shifted system scaled by the r dr weights,
-    W (I - alpha Op) u = W rhs, built anew and solved by scipy's dpttrf
-    and dpttrs."""
+    """The degree-m shifted system (W/alpha - W Op) u = rhs, W the r dr
+    weights, built anew and solved by scipy's dpttrf and dpttrs."""
     from scipy.linalg.lapack import dpttrf, dpttrs
 
     _, diag, sup = g.operator_bands(1.0, inv_square)
     w = g.weights
-    b = w * rhs
+    b = rhs.copy()
     if ghost != 0.0:
-        b[-1] += (alpha * (w[-1] * sup[-1])) * ghost
-    d, e, info = dpttrf(w - alpha * (w * diag), alpha * -(w[:-1] * sup[:-1]))
+        b[-1] += (w[-1] * sup[-1]) * ghost
+    d, e, info = dpttrf(w / alpha - w * diag, -(w[:-1] * sup[:-1]))
     assert info == 0
     u, info = dpttrs(d, e, b)
     assert info == 0
@@ -460,13 +477,13 @@ def _fresh_dpttrs(g, rhs, alpha, inv_square, ghost):
 @pytest.mark.parametrize("n", [16, 512, 2048, 8192])
 def test_cached_factorization_gives_the_bits_of_a_fresh_dpttrs(backend, n,
                                                               monkeypatch):
-    # each key against a fresh dpttrf/dpttrs of the W-scaled system
+    # each key against a fresh dpttrf/dpttrs of the same system
     _use_backend(backend, monkeypatch)
     factorizations = []
 
-    def counted(*bands, factor=grid_module._pttrf):
-        factorizations.append(bands)
-        return factor(*bands)
+    def counted(d, e, factor=grid_module._pttrf):
+        factorizations.append(d.shape)
+        return factor(d, e)
 
     monkeypatch.setattr(grid_module, "_pttrf", counted)
     g = build_grid(1e-4, 1e3, n)
@@ -480,8 +497,9 @@ def test_cached_factorization_gives_the_bits_of_a_fresh_dpttrs(backend, n,
             assert same_bits(g.solve_shifted(rhs, alpha, 4.0, ghost), want)
             g.solve_shifted(rhs, alpha, 4.0, ghost, potential=pot)
             assert same_bits(g.solve_shifted(rhs, alpha, 4.0, ghost), want)
-    # one factorization per key
-    assert len(factorizations) == 4
+    # one factorization per key without a potential, and one per call with
+    # a potential
+    assert len(factorizations) == 4 + 4 * 3
     assert np.array_equal(rhs, np.exp(-g.nodes) * np.sin(g.nodes))
 
 
@@ -490,24 +508,27 @@ def test_singular_potential_free_system_raises_on_each_backend(backend,
                                                                monkeypatch):
     _use_backend(backend, monkeypatch)
     # a unit diagonal with alpha = 1 zeroes the shifted diagonal exactly;
-    # a tridiagonal matrix with zero diagonal and odd order is singular
+    # a tridiagonal matrix with zero diagonal and odd order is singular.
+    # A zero potential takes the path of a potential to the same matrix.
     g = build_grid(1e-3, 1e2, 17)
     sub, _, sup = g.operator_bands(1.0, 4.0)
     monkeypatch.setattr(g, "operator_bands",
                         lambda advection, inv_square: (sub, np.ones(17), sup))
-    for _ in range(2):
-        with pytest.raises(np.linalg.LinAlgError):
-            g.solve_shifted(np.ones(17), 1.0, 4.0)
+    for pot in (None, np.zeros(17)):
+        for _ in range(2):
+            with pytest.raises(np.linalg.LinAlgError):
+                g.solve_shifted(np.ones(17), 1.0, 4.0, potential=pot)
 
 
 _IMPORT_PROBE = """
 import ctypes, json, sys
 sys.path.insert(0, sys.argv[1])
 if sys.argv[2] == "no-symbol":
-    # a numpy whose linalg library lacks scipy_dptsv_64_ (numpy 1.x wheels)
+    # a numpy whose linalg library lacks the symbols (numpy 1.x wheels)
     ctypes.CDLL = lambda path: object()
 elif sys.argv[2] == "dptsv-only":
-    # a library that exports scipy_dptsv_64_ but not dpttrf or dpttrs
+    # a library that exports LAPACK's scipy_dptsv_64_ but neither dpttrf
+    # nor dpttrs
     cdll = ctypes.CDLL
 
     class DptsvOnly:
@@ -517,7 +538,7 @@ elif sys.argv[2] == "dptsv-only":
     ctypes.CDLL = DptsvOnly
 import hmflow
 print(json.dumps([[f.__qualname__.split(".")[0]
-                   for f in (hmflow.grid._ptsv, hmflow.grid._pttrf)],
+                   for f in (hmflow.grid._pttrf, hmflow.grid._pttrs)],
                   sorted(k for k in sys.modules if k.split(".")[0] == "scipy")]))
 """
 
@@ -553,8 +574,8 @@ def test_import_loads_scipy_only_for_the_fallback_backend(mode):
 @pytest.mark.parametrize("n", [16, 512, 2048, 8192])
 def test_dpttrf_backends_give_the_same_bits(n):
     # random symmetric diagonally dominant systems, factored by each
-    # backend's dpttrf and solved by its dpttrs; the grid's potential-free
-    # solves on both backends are compared above
+    # backend's dpttrf and solved by its dpttrs for three right sides; the
+    # grid's solves on both backends are compared above
     rng = np.random.default_rng(n + 1)
     raw = {"openblas": [], "scipy": []}
     for _ in range(5):
@@ -563,9 +584,10 @@ def test_dpttrf_backends_give_the_same_bits(n):
         d = ends + rng.uniform(0.1, 2.0, n)
         rhs = [rng.normal(size=n) for _ in range(3)]
         for name, out in raw.items():
-            solve, info = _backend(name)[1](d.copy(), e.copy())
-            assert info == 0
-            out.extend(solve(b.copy()) for b in rhs)
+            pttrf, pttrs = _backend(name)
+            factors = d.copy(), e.copy()
+            assert pttrf(*factors) == 0
+            out.extend(pttrs(*factors, b.copy()) for b in rhs)
     for a, b in zip(raw["openblas"], raw["scipy"]):
         assert np.isfinite(a).all()
         assert same_bits(a, b)
@@ -591,16 +613,16 @@ class Without:
 ctypes.CDLL = Without
 import hmflow
 print(json.dumps([f.__qualname__.split(".")[0]
-                  for f in (hmflow.grid._ptsv, hmflow.grid._pttrf)]))
+                  for f in (hmflow.grid._pttrf, hmflow.grid._pttrs)]))
 """
 
 
-@pytest.mark.parametrize("missing", ["none", "scipy_dptsv_64_",
-                                     "scipy_dpttrf_64_", "scipy_dpttrs_64_"])
-def test_a_library_without_one_of_the_three_routines_falls_back_as_a_whole(
+@pytest.mark.parametrize("missing", ["none", "scipy_dpttrf_64_",
+                                     "scipy_dpttrs_64_"])
+def test_a_library_without_one_of_the_two_routines_falls_back_as_a_whole(
         missing):
     if grid_module._openblas_lapack() is None:
-        pytest.skip("numpy bundles no OpenBLAS with the three routines")
+        pytest.skip("numpy bundles no OpenBLAS with the two routines")
     src = str(Path(hmflow.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", _PARTIAL_LIBRARY_PROBE, src,
                           missing],

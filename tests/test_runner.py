@@ -26,6 +26,12 @@ FAST = dict(m="2", r_min="1e-3", r_max="1e2", n="512", dt="2e-3",
             ic_A="0.5", ic_sigma="1", label="fast")
 
 
+# a degree with 401 digits, and a node count whose arrays numpy refuses to
+# size before it allocates anything
+_HUGE_M = "1" + "0" * 400
+_HUGE_N = "1" + "0" * 30
+
+
 def _cfg(tmp_path, **over):
     # an override of None drops the key
     raw = {k: str(v) for k, v in dict(FAST, **over).items() if v is not None}
@@ -311,6 +317,17 @@ def test_sweep_records_failures(tmp_path):
     assert table[1]["error"] != ""
 
 
+def test_sweep_records_unsizable_degrees_and_grids_as_failed(tmp_path):
+    # these rows used to end the whole sweep in a traceback, with no
+    # sweep.csv written
+    axes = [("m", ["2", _HUGE_M]), ("n", ["512", _HUGE_N])]
+    sweep(dict(FAST), axes, str(tmp_path), threads=1)
+    rows = (tmp_path / "sweep.csv").read_text().splitlines()
+    table = [dict(zip(rows[0].split(","), r.split(","))) for r in rows[1:]]
+    assert [row["status"] for row in table] == ["Global"] + ["Failed"] * 3
+    assert all(row["error"] != "" for row in table[1:])
+
+
 def test_sweep_process_pool_matches_serial(tmp_path):
     base = dict(FAST, t_end="0.05")
     # the huge amplitude exceeds the E0 window, so half the rows are Failed
@@ -453,6 +470,12 @@ def test_zero_degree_run_does_not_read_scale_floor(tmp_path):
     pytest.param(dict(label="sub/run"), id="label_separator"),
     pytest.param(dict(ic_family="custom_samples", ic_file=_nan_samples),
                  id="custom_samples_nan"),
+    # no float holds this degree: check_degree's float(m) used to raise
+    # OverflowError
+    pytest.param(dict(m=_HUGE_M), id="m_beyond_float"),
+    # numpy cannot size an array of this many floats: np.linspace used to
+    # raise ValueError
+    pytest.param(dict(n=_HUGE_N), id="n_beyond_array_size"),
 ])
 def test_cli_invalid_config(tmp_path, capsys, over):
     over = {k: v(tmp_path) if callable(v) else v for k, v in over.items()}
@@ -483,6 +506,21 @@ def test_cli_run_exterior_energy_outside_grid(tmp_path, over, nan_col,
     assert all(math.isfinite(float(row[finite_col])) for row in rows)
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_cli_out_dir_that_cannot_be_made(tmp_path, capsys, command):
+    # os.makedirs on an existing file used to end in a FileExistsError
+    # traceback
+    cfg = _write_cfg(tmp_path)
+    grid = tmp_path / "grid.txt"
+    grid.write_text("ic_A = 0.2\n")
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    args = {"run": ["run", cfg], "sweep": ["sweep", cfg, "--grid", str(grid)]}
+    assert cli_main(["--out", str(taken), *args[command]]) == 1
+    assert "invalid config" in capsys.readouterr().err
+    assert taken.read_text() == ""
+
+
 def test_cli_sweep(tmp_path):
     cfg = _write_cfg(tmp_path, t_end="0.2")
     grid = tmp_path / "grid.txt"
@@ -498,10 +536,10 @@ def test_cli_sweep(tmp_path):
 _PROPERTY_BASE = dict(r_min="1e-3", r_max="1e2", dt="2e-3", ic_A="0.5",
                       ic_sigma="1", ic_s0="1", label="prop")
 _EDGE_VALUES = {
-    "m": ["0", "1"],
+    "m": ["0", "1", _HUGE_M],
     "r_min": ["0", "nan", "1e-12", "1e2", "1e-200", "1e-76"],
     "r_max": ["inf", "1e6", "1e200"],
-    "n": ["8", "15"],
+    "n": ["8", "15", _HUGE_N],
     # 1e-11 lies below sqrt(eps) * t_end for every drawn t_end
     "dt": ["0", "nan", "1e-11", "1", "1e-300"],
     # not a key: the step floor is derived from scale_floor
