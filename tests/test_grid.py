@@ -369,6 +369,17 @@ def _dense_newton(g, alpha, inv_square, potential):
             + np.diag(-w[:-1] * sup[:-1], 1) + np.diag(-w[1:] * sub[1:], -1))
 
 
+def _check_against_the_dense_solve(g, rhs, msq, ghost, pot):
+    w = g.weights
+    sup_end = g.operator_bands(1.0, msq)[2][-1]
+    for alpha in (1e-3, 1e-2, 5e-3, 1e-3):
+        b = rhs.copy()
+        b[-1] += w[-1] * sup_end * ghost
+        want = np.linalg.solve(_dense_newton(g, alpha, msq, pot), b)
+        got = g.solve_shifted(rhs, alpha, msq, ghost, potential=pot)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
 @pytest.mark.parametrize("m", [1, 2, 4])
 @pytest.mark.parametrize("ghost", [0.0, -np.pi])
 def test_solve_shifted_with_a_potential_matches_the_dense_solve(m, ghost):
@@ -376,20 +387,26 @@ def test_solve_shifted_with_a_potential_matches_the_dense_solve(m, ghost):
     rng = np.random.default_rng(m)
     rhs = rng.normal(size=g.n) * np.exp(-0.1 * g.nodes)
     msq = float(m * m)
+    # W F' = 2 m^2 tw sin^2 u of a bubble (tw the log-trapezoid weights),
+    # and a random potential in [0, w m^2/r^2]
+    off = -2.0 * np.arctan((g.nodes / 0.1) ** m)
+    for pot in (2.0 * msq * g._trapz_log * np.sin(off) ** 2,
+                msq * g.weights * rng.uniform(size=g.n) / g.nodes**2):
+        _check_against_the_dense_solve(g, rhs, msq, ghost, pot)
+
+
+@pytest.mark.parametrize("m", [1, 2, 4])
+@pytest.mark.parametrize("ghost", [0.0, -np.pi])
+def test_solve_shifted_without_a_potential_matches_the_dense_solve(m, ghost):
+    # without a potential the matrix is W/alpha - W Op, factored once by
+    # dpttrf and cached
+    g = build_grid(1e-4, 1e3, 256)
+    rng = np.random.default_rng(10 + m)
+    rhs = rng.normal(size=g.n) * np.exp(-0.1 * g.nodes)
+    msq = float(m * m)
+    _check_against_the_dense_solve(g, rhs, msq, ghost, None)
     w = g.weights
     sub, diag, sup = g.operator_bands(1.0, msq)
-    # no potential, W F' = 2 m^2 tw sin^2 u of a bubble (tw the
-    # log-trapezoid weights), and a random potential in [0, w m^2/r^2]
-    off = -2.0 * np.arctan((g.nodes / 0.1) ** m)
-    for pot in (None, 2.0 * msq * g._trapz_log * np.sin(off) ** 2,
-                msq * w * rng.uniform(size=g.n) / g.nodes**2):
-        for alpha in (1e-3, 1e-2, 5e-3, 1e-3):
-            b = rhs.copy()
-            b[-1] += w[-1] * sup[-1] * ghost
-            want = np.linalg.solve(_dense_newton(g, alpha, msq, pot), b)
-            got = g.solve_shifted(rhs, alpha, msq, ghost, potential=pot)
-            assert (np.linalg.norm(got - want)
-                    <= 1e-10 * np.linalg.norm(want))
     # solve_helmholtz solves I - alpha Op as this system on W rhs / alpha
     for alpha in (1e-3, 1e-2):
         shifted = (np.diag(1.0 - alpha * diag) + np.diag(-alpha * sup[:-1], 1)
