@@ -217,8 +217,8 @@ def _step_offset(grid: RadialGrid, off: np.ndarray, terms, m: int, coeffs,
 def step(field: RadialField, m: int, config: StepperConfig) -> RadialField:
     """One IMEX step, closed by the tail laws of the sector (the offset
     vanishes at the origin and tends to -inner_limit at infinity)."""
-    check_degree(m)
     g = field.grid
+    check_degree(m, g.r_min)
     off = field.offset
     _, new_off = _step_offset(g, off, sin_terms(off), m, _rate_coeffs(g, m),
                               config.dt, config.scheme,
@@ -322,8 +322,8 @@ def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
     The recorded energies and scale estimates equal energy() and
     scale_estimate() of the sampled fields exactly.
     """
-    check_degree(m)
     g = field.grid
+    check_degree(m, g.r_min)
     scale_floor = check_horizon(t_end, sample_every, stepper.dt, g.r_min,
                                 scale_floor)
 

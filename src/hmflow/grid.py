@@ -15,10 +15,10 @@ zero ghost values.
 Shifted systems are solved by LAPACK.  Every one is on the degree-m
 operator, which is symmetric in the r dr weights, so every one is scaled by
 them and solved by LDL^T (no pivoting): ``dpttrf`` factors it and
-``dpttrs`` solves on the factors, which are kept per shifted operator where
-the diagonal carries no potential.  One library serves both routines.  It
-is the OpenBLAS that numpy (>= 2) wheels bundle, found as the symbols
-``scipy_dpttrf_64_`` and ``scipy_dpttrs_64_`` through
+``dpttrs`` solves on the factors, which are kept for the latest shifted
+operator where the diagonal carries no potential.  One library serves
+both routines.  It is the OpenBLAS that numpy (>= 2) wheels bundle, found
+as the symbols ``scipy_dpttrf_64_`` and ``scipy_dpttrs_64_`` through
 ``numpy.linalg._umath_linalg``'s shared library, so ``import hmflow`` loads
 numpy and no scipy module.  Where that module or either symbol is missing
 (numpy 1.x wheels, numpy built on a system LAPACK) both come from
@@ -114,8 +114,10 @@ def _factor(d, e):
 class RadialGrid:
     """Immutable geometric node set with r dr quadrature weights.
 
-    Stencil coefficients and operator bands are built lazily and cached;
-    the instance is safe to share across threads after construction.
+    ``nodes``, ``weights`` and the private per-node arrays are read-only.
+    The one cached entry, ``_shifted``, holds the latest shifted system of
+    ``solve_shifted`` and is never handed out, so the instance is safe to
+    share across threads after construction.
     """
 
     def __init__(self, r_min: float, r_max: float, n: int):
@@ -155,7 +157,10 @@ class RadialGrid:
         self.weights = tw * self.nodes**2
         # 1/(2h r_i), the scale of every first-derivative row
         self._inv_2hr = 0.5 / (self.log_step * self.nodes)
-        self._cache: dict = {}
+        for array in (self.nodes, self.weights, tw, self._inv_2hr):
+            array.flags.writeable = False
+        # (key, d_free, e, ghost_coeff, factors or None) of solve_shifted
+        self._shifted = None
 
     def integrate(self, samples: np.ndarray, power: int = 1) -> float:
         """Quadrature of  integral f(r) r^power dr  from nodal samples."""
@@ -195,12 +200,8 @@ class RadialGrid:
         E_h of ``energy.node_energies``; ``energy.neg_gradient`` is the edge
         form of the same gradient.  Op is symmetric in w.  Row n-1's sup
         entry multiplies the outer ghost value; row 0's sub entry is unused.
+        Each call returns new arrays.
         """
-        key = ("bands", advection, inv_square)
-        try:
-            return self._cache[key]
-        except KeyError:
-            pass
         h = self.log_step
         a1 = advection - 1.0
         inv_r2 = 1.0 / self.nodes**2
@@ -214,7 +215,6 @@ class RadialGrid:
             diag[0] -= tail * inv_r2[0]
             diag[-1] -= tail * inv_r2[-1]
             sup[-1] = tail * inv_r2[-1]
-        self._cache[key] = (sub, diag, sup)
         return sub, diag, sup
 
     def apply_operator(self, values, advection, inv_square, ghost_outer=0.0):
@@ -235,22 +235,6 @@ class RadialGrid:
         out[:-1] += band
         out[-1] += sup[-1] * ghost_outer
         return out
-
-    def _weighted_bands(self, inv_square):
-        """Bands of W times the degree-m operator, W the r dr weights: its
-        diagonal w diag, its off-diagonal negated, -w_i sup_i (which equals
-        -w_{i+1} sub_{i+1}, the symmetry of ``operator_bands``), and the
-        coefficient w_{n-1} sup_{n-1} of the outer ghost value."""
-        key = ("weighted", inv_square)
-        try:
-            return self._cache[key]
-        except KeyError:
-            pass
-        _, diag, sup = self.operator_bands(1.0, inv_square)
-        w = self.weights
-        bands = (w * diag, -(w[:-1] * sup[:-1]), w[-1].item() * sup[-1].item())
-        self._cache[key] = bands
-        return bands
 
     def solve_shifted(self, rhs, alpha, inv_square, ghost_outer=0.0,
                       potential=None):
@@ -274,15 +258,17 @@ class RadialGrid:
         w inv_square/r^2, and for any bounded potential at small enough
         alpha.
 
-        One cache entry is kept, for the latest (alpha, inv_square): a
+        One cache entry, ``_shifted``, is kept for the latest (alpha,
+        inv_square), built from ``operator_bands`` when the key changes: a
         run's step size moves only on rejections and regrowth.  It holds
-        d_free and, once a call without a potential has asked for it, that
-        matrix's factors; -w_i sup_i does not depend on alpha and is kept
-        per operator.  No argument is written, and neither the bands nor
-        the factors are written after they are built, so the instance
-        stays safe to share across threads.  The module docstring names
-        the LAPACK library.  Raises ``numpy.linalg.LinAlgError`` when the
-        matrix is not positive definite.
+        the key, d_free, -w_i sup_i, the ghost coefficient w_{n-1} sup_{n-1}
+        and, once a call without a potential has asked for them, the LDL^T
+        factors of that matrix (writable, as the ctypes route needs).  No
+        argument is written, nor anything in the entry once it is built,
+        so the instance stays safe to share across threads.  The module
+        docstring names the LAPACK library.  Raises
+        ``numpy.linalg.LinAlgError`` when the matrix is not positive
+        definite.
         """
         n = self.n
         if np.shape(rhs) != (n,) or (potential is not None
@@ -294,18 +280,20 @@ class RadialGrid:
             raise ContractViolation(
                 "shifted solves need the degree-m operator (inv_square > 0), "
                 f"got inv_square={inv_square}")
-        w_diag, e, ghost_coeff = self._weighted_bands(inv_square)
         key = (alpha, inv_square)
-        cached = self._cache.get("shifted")
-        if cached is None or cached[0] != key:
-            cached = (key, self.weights / alpha - w_diag, None)
-            self._cache["shifted"] = cached
-        _, d_free, factors = cached
+        entry = self._shifted
+        if entry is None or entry[0] != key:
+            _, diag, sup = self.operator_bands(1.0, inv_square)
+            w = self.weights
+            entry = (key, w / alpha - w * diag, -(w[:-1] * sup[:-1]),
+                     w[-1].item() * sup[-1].item(), None)
+            self._shifted = entry
+        _, d_free, e, ghost_coeff, factors = entry
         if potential is not None:
             factors = _factor(np.subtract(d_free, potential), e.copy())
         elif factors is None:
             factors = _factor(d_free.copy(), e.copy())
-            self._cache["shifted"] = (key, d_free, factors)
+            self._shifted = entry[:4] + (factors,)
         b = np.array(rhs, dtype=float)
         if ghost_outer != 0.0:
             b[-1] += ghost_coeff * ghost_outer
@@ -384,15 +372,23 @@ def build_grid(r_min: float, r_max: float, n: int) -> RadialGrid:
     return RadialGrid(r_min, r_max, n)
 
 
-def check_degree(m) -> None:
+def check_degree(m, r_min=None) -> None:
     """Reject a degree m that is not a positive integer: the tail closures
-    of the degree-m operator and of the energy it descends need m >= 1."""
+    of the degree-m operator and of the energy it descends need m >= 1.
+    Given the grid's r_min, also reject an m whose m^2 or (m/r_min)^2, the
+    largest inverse-square term of the operator, is not a finite float."""
     try:
         ok = m >= 1 and float(m).is_integer()
     except OverflowError:
         ok = False
     if not ok:
         raise ContractViolation(f"degree m must be a positive integer, got {m}")
+    if r_min is not None:
+        q = max(float(m), float(m) / r_min)
+        if not q * q < np.inf:
+            raise ContractViolation(
+                f"degree m = {float(m):g} is too large for r_min = "
+                f"{r_min:g}: m^2 or (m/r_min)^2 overflows")
 
 
 def differentiate(field: RadialField) -> RadialField:
@@ -409,8 +405,8 @@ def apply_delta_m(field: RadialField, m: int) -> RadialField:
     restored afterwards, so the returned samples are the true operator
     values.
     """
-    check_degree(m)
     g = field.grid
+    check_degree(m, g.r_min)
     out = g.apply_operator(field.offset, 1.0, float(m * m),
                            ghost_outer=field.outer_ghost_offset())
     if field.inner_limit != 0.0:
@@ -425,8 +421,8 @@ def solve_helmholtz(rhs: RadialField, m: int, alpha: float) -> RadialField:
     ``RadialGrid.solve_shifted``, W the r dr weights."""
     if alpha <= 0:
         raise ContractViolation(f"alpha must be positive, got {alpha}")
-    check_degree(m)
     g = rhs.grid
+    check_degree(m, g.r_min)
     u = g.solve_shifted(g.weights * rhs.values / alpha, alpha, float(m * m))
     return RadialField(g, u)
 

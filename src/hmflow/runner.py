@@ -184,7 +184,7 @@ def _validate(cfg: RunConfig) -> None:
     RadialGrid(cfg.r_min, cfg.r_max, cfg.n)
     _stepper(cfg)
     try:
-        check_degree(cfg.m)
+        check_degree(cfg.m, cfg.r_min)
         _scale_floor(cfg)
     except ContractViolation as exc:
         raise ConfigurationError(str(exc)) from None

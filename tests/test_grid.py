@@ -208,6 +208,14 @@ def test_delta_m_rejects_bad_degree(default_grid):
     for m in (0, -2, 2.5, np.nan, 10**400):
         with pytest.raises(ContractViolation):
             apply_delta_m(f, m)
+    # m^2 (10^200) or (m/r_min)^2 (10^100 at r_min = 1e-60) overflows; the
+    # bands used to overflow with a warning
+    deep = RadialField(build_grid(1e-60, 1e2, 64), np.zeros(64))
+    for fld, m in ((f, 10**200), (deep, 10**100)):
+        with pytest.raises(ContractViolation, match="too large"):
+            apply_delta_m(fld, m)
+        with pytest.raises(ContractViolation, match="too large"):
+            solve_helmholtz(fld, m, 0.1)
 
 
 def test_helmholtz_roundtrip(default_grid):
@@ -263,6 +271,35 @@ def test_shifted_band_cache_matches_fresh_grid():
         with pytest.raises(ContractViolation, match="degree-m operator"):
             g.solve_shifted(rhs, dt, 0.0, potential=p)
 
+
+
+def test_grid_hands_out_no_bands_a_caller_can_corrupt():
+    # operator_bands returns new arrays: scaling them in place changes
+    # nothing the grid computes afterwards, before and after a solve
+    # has cached its system
+    args = (1e-3, 1e2, 256)
+    g, fresh = build_grid(*args), build_grid(*args)
+    off = -2.0 * np.arctan((g.nodes / 0.1) ** 2)
+    rhs = np.exp(-g.nodes) * np.sin(g.nodes)
+    pot = 2.0 * g.weights / (1.0 + g.nodes**2)
+    for _ in range(2):
+        _, diag, _ = g.operator_bands(1.0, 4.0)
+        diag *= 3.0
+        got = apply_delta_m(RadialField(g, off, np.pi), 2).values
+        want = apply_delta_m(RadialField(fresh, off, np.pi), 2).values
+        assert same_bits(got, want)
+        for p in (None, pot):
+            assert same_bits(
+                g.solve_shifted(rhs, 1e-2, 4.0, -np.pi, potential=p),
+                fresh.solve_shifted(rhs, 1e-2, 4.0, -np.pi, potential=p))
+
+
+def test_grid_arrays_are_read_only():
+    g = build_grid(1e-3, 1e2, 64)
+    for array in (g.nodes, g.weights):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+    assert g.nodes[0] == 1e-3
 
 def _backend(name):
     """``(pttrf, pttrs)`` of a fresh backend; the OpenBLAS one only where

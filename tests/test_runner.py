@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +30,10 @@ FAST = dict(m="2", r_min="1e-3", r_max="1e2", n="512", dt="2e-3",
 # a degree with 401 digits, and a node count whose arrays numpy refuses to
 # size before it allocates anything
 _HUGE_M = "1" + "0" * 400
+# degrees a float holds whose m^2, or (m/r_min)^2 at r_min = 1e-60,
+# overflows
+_M_SQUARE_OVERFLOW = "1" + "0" * 300
+_M_OVER_R_MIN_OVERFLOW = "1" + "0" * 100
 _HUGE_N = "1" + "0" * 30
 
 
@@ -473,6 +478,13 @@ def test_zero_degree_run_does_not_read_scale_floor(tmp_path):
     # no float holds this degree: check_degree's float(m) used to raise
     # OverflowError
     pytest.param(dict(m=_HUGE_M), id="m_beyond_float"),
+    # m^2 overflows: check used to reject it only through the energy
+    # window, after an invalid-value warning
+    pytest.param(dict(m=_M_SQUARE_OVERFLOW), id="m_square_overflow"),
+    # (m/r_min)^2 overflows: it used to pass check, and the run warned of
+    # an overflow and exited 0
+    pytest.param(dict(m=_M_OVER_R_MIN_OVERFLOW, r_min="1e-60"),
+                 id="m_over_r_min_square_overflow"),
     # numpy cannot size an array of this many floats: np.linspace used to
     # raise ValueError
     pytest.param(dict(n=_HUGE_N), id="n_beyond_array_size"),
@@ -480,9 +492,21 @@ def test_zero_degree_run_does_not_read_scale_floor(tmp_path):
 def test_cli_invalid_config(tmp_path, capsys, over):
     over = {k: v(tmp_path) if callable(v) else v for k, v in over.items()}
     path = _write_cfg(tmp_path, **over)
-    assert cli_main(["check", path]) == 1
-    assert cli_main(["--out", str(tmp_path), "run", path]) == 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli_main(["check", path]) == 1
+        assert cli_main(["--out", str(tmp_path), "run", path]) == 1
+    assert not caught
     assert capsys.readouterr().err.count("invalid config") == 2
+
+
+def test_cli_large_degree_that_fits_runs(tmp_path):
+    # m^2 = 1e40 and (m/r_min)^2 = 1e46 are finite: the degree checks and
+    # runs
+    path = _write_cfg(tmp_path, m="1" + "0" * 20, n="64", t_end="0.05",
+                      sample_every="0.01")
+    assert cli_main(["check", path]) == 0
+    assert cli_main(["--out", str(tmp_path), "run", path]) == 0
 
 
 # exterior_energy needs R inside the grid; the CSV cell of an R outside
@@ -536,7 +560,7 @@ def test_cli_sweep(tmp_path):
 _PROPERTY_BASE = dict(r_min="1e-3", r_max="1e2", dt="2e-3", ic_A="0.5",
                       ic_sigma="1", ic_s0="1", label="prop")
 _EDGE_VALUES = {
-    "m": ["0", "1", _HUGE_M],
+    "m": ["0", "1", _HUGE_M, _M_SQUARE_OVERFLOW],
     "r_min": ["0", "nan", "1e-12", "1e2", "1e-200", "1e-76"],
     "r_max": ["inf", "1e6", "1e200"],
     "n": ["8", "15", _HUGE_N],
@@ -577,6 +601,11 @@ _EDGE_VALUES = {
 @example(family="e0_bump", m=2, n=64, scheme="IMEX1", t_end=1.0,
          sample_every=0.05, target=None,
          edge={"r_min": "1e-10", "dt": "1e-15"})
+# (m/r_min)^2 overflows: this degree used to pass check, and the run warned
+# of an overflow
+@example(family="e0_bump", m=1, n=64, scheme="IMEX1", t_end=0.01,
+         sample_every=0.01, target=None,
+         edge={"m": _M_OVER_R_MIN_OVERFLOW, "r_min": "1e-60"})
 def test_checked_configs_execute(family, m, n, scheme, t_end, sample_every,
                                  target, edge):
     raw = dict(_PROPERTY_BASE, ic_family=family, m=str(m), n=str(n),
