@@ -1,10 +1,10 @@
 """Energies, norms, sector classification and concentration monitors.
 
 Every energy is the discrete E_h of ``node_energies``, whose exact gradient
-in the r dr weights is the discrete Delta_m + F that the flow steps; norms
-integrate against r dr.  E_h's value, its gradient (``neg_gradient``) and
-its Hessian diagonal (``hessian_potential``) live here.  The degree m
-enters every functional and is passed explicitly (fields do not carry it).
+in the r dr weights is the discrete Delta_m + F that the flow steps up to
+``tail_gradient_gap``; norms integrate against r dr.  E_h's value, its
+gradient (``neg_gradient``) and its Hessian diagonal (``hessian_potential``)
+live here.  The degree m enters every functional and is passed explicitly.
 """
 
 from __future__ import annotations
@@ -63,14 +63,15 @@ def node_energies(grid: RadialGrid, offset: np.ndarray, m: int,
     """Dirichlet and potential halves of E_h at the nodes, for the offset
     v = u - inner.  With h the log step and tw the trapezoid weights in
     x = ln r,
-        E_h = sum_i (v_{i+1} - v_i)^2 / (2h) + (m/2) v_0^2
+        E_h = sum_i (v_{i+1} - v_i)^2 / (2h) + 2m sin^2(v_0/2)
               + (m/2) (v_{n-1} + inner)^2 + sum_i tw_i m^2 sin^2(v_i) / 2.
-    Each edge gives half its energy to each end; the tails (r^m law inside
-    r_0, r^-m law outside r_{n-1}) are split evenly between the halves, as
-    in the continuum.  Every energy the package reports sums these node
-    energies, so all agree to the last digit; ``gate_energy`` forms their
-    sum without the node arrays.  sin^2 is that of ``sin_terms``, one
-    tangent, as in the gate.  Operations are in place.
+    Each edge gives half its energy to each end; the tails (inside r_0 that
+    of the bubble through v_0, so E_h of a bubble does not rise as it
+    shrinks toward r_0; outside r_{n-1} the r^-m law's) are split evenly
+    between the halves, as in the continuum.  Every energy the package
+    reports sums these node energies, so all agree to the last digit;
+    ``gate_energy`` forms their sum without the node arrays.  sin^2 is that
+    of ``sin_terms``, one tangent, as in the gate.  Operations are in place.
     """
     edge = np.diff(offset)
     edge *= edge
@@ -82,7 +83,7 @@ def node_energies(grid: RadialGrid, offset: np.ndarray, m: int,
     pot_e = sin_terms(offset)[0]
     pot_e *= grid._trapz_log
     pot_e *= 0.5 * m * m
-    tail0 = 0.25 * m * offset[0].item() ** 2
+    tail0 = m * np.sin(0.5 * offset[0]) ** 2
     tail1 = 0.25 * m * (offset[-1].item() + inner) ** 2
     for e in (dir_e, pot_e):
         e[0] += tail0
@@ -97,12 +98,11 @@ def gate_energy(grid: RadialGrid, offset: np.ndarray, edges: np.ndarray,
     (v_{j+1} - v_j)^2 / (2h).  The stepper passes the sin_sq of
     ``sin_terms``, whose one tangent per trial also gives the next step's
     F and F'.  Equal to the node sum up to rounding, not bit for bit."""
-    v0 = offset[0].item()
     edge_sq = float(np.dot(edges, edges))
     sin_sum = float(np.dot(grid._trapz_log, sin_sq))
-    tail_sq = v0 * v0 + (offset[-1].item() + inner) ** 2
     return ((0.5 / grid.log_step) * edge_sq + 0.5 * m * m * sin_sum
-            + 0.5 * m * tail_sq)
+            + 2.0 * m * np.sin(0.5 * offset[0]) ** 2
+            + 0.5 * m * (offset[-1] + inner) ** 2)
 
 
 def gradient_weights(grid: RadialGrid,
@@ -119,24 +119,33 @@ def neg_gradient(grid: RadialGrid, offset: np.ndarray, edges: np.ndarray,
     """-grad E_h of the offset v, in a new array, from edges = np.diff(v),
     sin_cos of ``sin_terms``, msq_tw of ``gradient_weights`` and ghost =
     -inner: row i is (e_i - e_{i-1})/h - m^2 tw_i sin v_i cos v_i less the
-    tail gradients m v_0 and m (v_{n-1} - ghost).  It equals the operator
-    form W (Delta_m + F) (``RadialGrid.operator_bands``) up to rounding."""
+    tail gradients m sin v_0 and m (v_{n-1} - ghost): W (Delta_m + F) of
+    ``RadialGrid.operator_bands`` plus ``tail_gradient_gap``, to rounding."""
     out = np.empty(offset.shape[0])
     np.subtract(edges[1:], edges[:-1], out=out[1:-1])
     out[0] = edges[0]
     out[-1] = 0.0 - edges[-1]
     out *= 1.0 / grid.log_step
     out -= msq_tw * sin_cos
-    out[0] -= m * offset[0].item()
+    out[0] -= m * np.sin(offset[0])
     out[-1] -= m * (offset[-1].item() - ghost)
     return out
 
 
-def hessian_potential(sin_sq: np.ndarray, fp_tw: np.ndarray) -> np.ndarray:
-    """W F'(u) = 2 m^2 tw sin^2 u (fp_tw of ``gradient_weights``): with Op
-    of ``RadialGrid.operator_bands``, the Jacobian of ``neg_gradient`` is
-    -grad^2 E_h = W Op + diag(W F')."""
-    return fp_tw * sin_sq
+def tail_gradient_gap(m: int, v0: float) -> float:
+    """m (v_0 - sin v_0), -grad E_h less W (Delta_m + F) at node 0, whose
+    row of ``operator_bands`` differentiates the tail (m/2) v_0^2."""
+    return m * (v0 - np.sin(v0))
+
+
+def hessian_potential(sin_sq: np.ndarray, fp_tw: np.ndarray, m: int,
+                      v0: float) -> np.ndarray:
+    """W F'(u) = 2 m^2 tw sin^2 u (fp_tw of ``gradient_weights``) plus the
+    inner tail's m (1 - cos v_0) at node 0: with Op of ``operator_bands``,
+    -grad^2 E_h, the Jacobian of ``neg_gradient``, is W Op + diag(this)."""
+    out = fp_tw * sin_sq
+    out[0] += m * (1.0 - np.cos(v0))
+    return out
 
 
 def integrate_density(dir_e: np.ndarray, pot_e: np.ndarray) -> EnergyBreakdown:

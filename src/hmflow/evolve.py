@@ -5,47 +5,48 @@ IMEX1 is linearly implicit in the nonlinearity F as well: F'(u) =
 (m^2/r^2)(1 - cos 2u), which reaches 2 m^2 / r^2 in a bubble core of
 radius s, sits on the diagonal of the same solve, so the stiffness of a
 collapsing core does not slow the computed collapse by a splitting error
-of order dt/s^2.  Since Delta_m + F = -W^-1 grad E_h (W the r dr weights),
-that step is one proximal Newton step on the discrete energy:
+of order dt/s^2.  With W the r dr weights, Delta_m + F = -W^-1 grad E_h
+up to ``energy.tail_gradient_gap`` at node 0, and the step takes E_h's
+own gradient, so it is one proximal Newton step on the discrete energy:
 (W/dt + grad^2 E_h) delta = -grad E_h, u_new = u + delta, which
 ``RadialGrid.solve_shifted`` takes as it stands, from the gate's edges
 and trig terms by ``energy.neg_gradient`` and ``hessian_potential``.  Its
 matrix is symmetric positive definite for small dt (dt times it tends to
 W), so one LDL^T solve takes it.  A trial whose matrix is not positive
-definite fails like a trial that raises E_h: only a positive definite
-matrix makes delta a descent direction.  IMEX2 keeps F explicit in two
-half-steps around a Crank-Nicolson step whose explicit half is folded
-into its solve: (I + h Op) a = 2a - (I - h Op) a with h = dt/2, so the
-step solves (W/h - W Op)(a + b) = (2/h) W a on the cached LDL^T of that
-matrix and applies no operator.  Each step returns its increment delta
-with the new state, and the ledger books ||delta||_W^2 / dt.  The
-stepper works on the offset u - inner_limit, for which the equation takes
-the identical form and the offset vanishes like r^m at the origin: the
-singular m^2 * inner_limit / r^2 contributions of Delta_m and F cancel
+definite (the solve raises ``numpy.linalg.LinAlgError``) fails like a
+trial that raises E_h: only such a matrix makes delta a descent
+direction.  IMEX2 keeps F explicit in two half-steps around a
+Crank-Nicolson step whose explicit half is folded into its solve:
+(I + h Op) a = 2a - (I - h Op) a with h = dt/2, so the step solves
+(W/h - W Op)(a + b) = (2/h) W a on the cached LDL^T of that matrix and
+applies no operator.  Each step returns its increment delta with the new
+state, and the ledger books ||delta||_W^2 / dt.  The stepper works on the
+offset u - inner_limit, for which the equation takes the identical form
+and the offset vanishes like r^m at the origin: the singular
+m^2 * inner_limit / r^2 contributions of Delta_m and F cancel
 analytically and are never formed.
 
-Step-size control is tied to the flow's defining monotonicity: Delta_m + F
-is the exact gradient of the discrete energy E_h (``energy.node_energies``),
-which the gate, the ledger and every report read, and any increase of E_h
-beyond rounding fails the step, which is shrunk and retried.  The gate forms
-E_h from two dot products; node energies are built only for the samples.
+Step-size control is tied to the flow's defining monotonicity: the step
+descends the discrete energy E_h (``energy.node_energies``), which the
+gate, the ledger and every report read, and any increase of E_h beyond
+rounding fails the step, which is shrunk and retried.  The gate forms E_h
+from two dot products; node energies are built only for the samples.
 Each trial takes one tangent of its new state (``energy.sin_terms``): it
 gives the gate's sin^2, and, once the state is accepted, the next step's
 F' = (2 m^2/r^2) sin^2 u and, with the gate's edges, its gradient of E_h,
-so no sine is taken on the step path.
-For degree-m data a step is also retried when the bubble's half-turn radius
-falls too far in one step, and a sample is taken each time that radius
-falls by a fixed fraction of a decade, so the step size and the sampling
-follow a collapse.
-A degree-m run ends as blow-up at its first sampled state (the initial
-one, or the first accepted step) whose half-turn radius lies below the
-resolvable scale; nothing else reads that scale.  The floor step size is the
-state's own (``step_floor`` of its scale estimate): the flow is critical, so
-the step that resolves a state shrinks like the square of its scale.  A
-failure at the floor step size aborts the run (a retry would repeat the same
-solve).  Zero-degree data below 2 E(Q) keep sup |u| < pi
-(``pointwise_bound_check``), so they cannot bubble and are never screened
-for concentration.
+so the step path takes no sine of an array (only the inner tail's of v_0).
+For degree-m data a step is also retried when the bubble's half-turn
+radius falls too far in one step, and a sample is taken each time that
+radius falls by a fixed fraction of a decade, so the step size and the
+sampling follow a collapse.  A degree-m run ends as blow-up at its first
+sampled state (the initial one, or the first accepted step) whose
+half-turn radius lies below the resolvable scale (``scale_floor``);
+nothing else reads it.  The floor step size is the state's own
+(``step_floor`` of its scale estimate): the flow is critical, so the step
+that resolves a state shrinks like the square of its scale.  A failure at
+the floor step size aborts the run (a retry would repeat the same solve).
+Zero-degree data below 2 E(Q) keep sup |u| < pi (``pointwise_bound_check``),
+so they cannot bubble and are never screened for concentration.
 """
 
 from __future__ import annotations
@@ -194,7 +195,7 @@ def _step_offset(grid: RadialGrid, off: np.ndarray, terms, m: int, coeffs,
         # stands, with a zero ghost for delta
         delta = grid.solve_shifted(
             neg_gradient(grid, off, edges, sin_cos, m, ghost_outer, msq_tw),
-            dt, msq, potential=hessian_potential(sin_sq, fp_tw))
+            dt, msq, potential=hessian_potential(sin_sq, fp_tw, m, off[0]))
         return delta, off + delta
     # IMEX2: explicit half-step of F, Crank-Nicolson diffusion, half-step
     # of F, each formed in place; Crank-Nicolson's explicit half is folded
@@ -263,38 +264,36 @@ def step_floor(scale: float) -> float:
     return min(1e-9, scale * scale / 10.0)
 
 
-def check_horizon(t_end: float, sample_every: float, dt: float,
-                  r_min: float, scale_floor: Optional[float] = None) -> float:
-    """The scale_floor of a run, None standing for 10 * r_min.  Raises
-    ContractViolation unless t_end, sample_every and scale_floor are
-    positive and finite and dt > DT_MIN_FRACTION * t_end, which bounds the
-    run to fewer than 6.7e7 steps at dt and keeps each step above the float
+def scale_floor(r_min: float) -> float:
+    """10 r_min, the smallest bubble core a grid from r_min resolves."""
+    return 10.0 * r_min
+
+
+def check_horizon(t_end: float, sample_every: float, dt: float) -> None:
+    """Raise ContractViolation unless t_end and sample_every are positive
+    and finite and dt > DT_MIN_FRACTION * t_end, which bounds the run to
+    fewer than 6.7e7 steps at dt and keeps each step above the float
     spacing at t_end."""
-    for name, value in (("t_end", t_end), ("sample_every", sample_every),
-                        ("scale_floor", scale_floor)):
-        if value is not None and not 0 < value < np.inf:
+    for name, value in (("t_end", t_end), ("sample_every", sample_every)):
+        if not 0 < value < np.inf:
             raise ContractViolation(
                 f"{name} must be positive and finite, got {value}")
     if not dt > DT_MIN_FRACTION * t_end:
         raise ContractViolation(
             f"dt must exceed sqrt(eps) * t_end = {DT_MIN_FRACTION * t_end:g}"
             f", got {dt}")
-    return 10.0 * r_min if scale_floor is None else scale_floor
 
 
 def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
-           sample_every: float = 0.05,
-           scale_floor: Optional[float] = None) -> TrajectoryRecord:
+           sample_every: float = 0.05) -> TrajectoryRecord:
     """Adaptive evolution with dissipation ledger and blow-up monitors.
 
-    scale_floor is the concentration scale below which the grid can no
-    longer resolve the bubble core (default 10 * r_min).  A degree-m run
-    ends as Blowup at its first sampled state whose half-turn radius lies
-    below it: the initial state, which then takes no trial step, or the
-    first accepted step below it.  Zero-degree runs never read it.  An
-    m = 1 collapse on the grid bottoms out near 21 r_min, above the
-    default, so m = 1 runs should set the floor explicitly (the m1_blowup
-    preset uses 100 r_min).
+    A degree-m run of any m ends as Blowup at its first sampled state
+    whose half-turn radius lies below ``scale_floor(r_min)``: the initial
+    state, which then takes no trial step, or the first accepted step
+    below it.  IMEX1 descends E_h; IMEX2 descends it up to
+    ``energy.tail_gradient_gap``, which its explicit F must not take: with
+    it in both half-steps the m1_blowup preset aborts at t 0.006, not 0.41.
 
     The floor step size is ``step_floor`` of the state's scale estimate,
     capped at half of stepper.dt: a failing step on a wide state ends the
@@ -309,23 +308,15 @@ def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
     half-turn radius falls by more than MAX_LOG_SCALE_FALL in ln is retried
     at a smaller step.
 
-    Each trial step works on plain arrays and does only what its gate
-    needs: E_h from the edges (one np.diff) and two dot products
-    (``gate_energy``), and one tangent of the new state (``sin_terms``);
-    the next step's F' and its gradient of E_h reuse the edges, sin^2 and
-    sin cos.  An accepted step books ||delta||_W^2 / dt from the step's
-    own increment, squared in place, and then forms the L4 squares in the
-    same buffer.  A trial whose IMEX1 matrix is not positive definite (the
-    solve raises ``numpy.linalg.LinAlgError``) fails like one that raises
-    E_h.  Node energies and fields are built only for the samples (and
-    for the floor step size of a zero-degree state after a failed step).
-    The recorded energies and scale estimates equal energy() and
+    An accepted step books ||delta||_W^2 / dt from its own increment,
+    squared in place, then forms the L4 squares in the same buffer.  The
+    recorded energies and scale estimates equal energy() and
     scale_estimate() of the sampled fields exactly.
     """
     g = field.grid
     check_degree(m, g.r_min)
-    scale_floor = check_horizon(t_end, sample_every, stepper.dt, g.r_min,
-                                scale_floor)
+    check_horizon(t_end, sample_every, stepper.dt)
+    s_floor = scale_floor(g.r_min)
 
     rec = TrajectoryRecord(m, g)
     inner = field.inner_limit
@@ -378,7 +369,7 @@ def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
         rec.fields.append(RadialField(g, off, inner))
 
     take_sample(0.0)
-    if degree_m and s_cur < scale_floor:
+    if degree_m and s_cur < s_floor:
         rec.status = STATUS_BLOWUP
         return rec
     # smallest half-turn radius sampled so far (NaN: no scale-driven samples)
@@ -443,7 +434,7 @@ def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
 
             if degree_m:
                 s_cur = s_new
-                if s_cur < scale_floor:
+                if s_cur < s_floor:
                     rec.status = STATUS_BLOWUP
                     break
             else:

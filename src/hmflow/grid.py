@@ -9,8 +9,8 @@ formulas in x, and so is the first derivative, with one-sided 3-point rows
 at the ends.  Both end rows of the degree-m operator come from the exact
 energies of the tails beyond the grid (the r^m law inside r_min, the r^-m
 law outside r_max), which makes it the gradient of the discrete energy the
-package reports; operators without an inverse-square term are closed by
-zero ghost values.
+package reports up to ``energy.tail_gradient_gap``; operators without an
+inverse-square term are closed by zero ghost values.
 
 Shifted systems are solved by LAPACK.  Every one is on the degree-m
 operator, which is symmetric in the r dr weights, so every one is scaled by
@@ -197,10 +197,11 @@ class RadialGrid:
         r_0^-2 [2 (v_1 - v_0)/h^2 - (2m/h + m^2) v_0], row n-1 is
         r^-2 [2 (v_{n-2} - v_{n-1})/h^2 - (2m/h + m^2) v_{n-1} + (2m/h) ghost].
         So w_i (Op v + F(v))_i = -dE_h/dv_i, with w the r dr weights, for
-        E_h of ``energy.node_energies``; ``energy.neg_gradient`` is the edge
-        form of the same gradient.  Op is symmetric in w.  Row n-1's sup
-        entry multiplies the outer ghost value; row 0's sub entry is unused.
-        Each call returns new arrays.
+        E_h of ``energy.node_energies`` up to ``energy.tail_gradient_gap``
+        at node 0; ``energy.neg_gradient`` is the edge form of E_h's own
+        gradient.  Op is symmetric in w.  Row n-1's sup entry multiplies
+        the outer ghost value; row 0's sub entry is unused.  Each call
+        returns new arrays.
         """
         h = self.log_step
         a1 = advection - 1.0

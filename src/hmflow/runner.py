@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import warnings
 from dataclasses import dataclass
 from itertools import product
 from typing import Dict, List, Optional, Tuple
@@ -24,8 +25,8 @@ from .energy import (OTHER_LABEL, classify as classify_sector,
                      energy as energy_breakdown, exterior_energy, x2_norm)
 from .errors import ConfigurationError, ContractViolation, HmflowError
 from .evolve import (StepperConfig, TrajectoryRecord, check_horizon, evolve,
-                     dissipation_audit, step_floor, STATUS_ABORTED,
-                     STATUS_BLOWUP, STATUS_GLOBAL)
+                     dissipation_audit, scale_floor, step_floor,
+                     STATUS_ABORTED, STATUS_BLOWUP, STATUS_GLOBAL)
 from .grid import RadialField, RadialGrid, build_grid, check_degree
 
 CSV_COLUMNS = ["t", "E_total", "E_dirichlet", "E_potential", "X2_norm",
@@ -45,7 +46,7 @@ _IC_NEEDS = {"e0_bump": (("ic_sigma",), ("ic_A", "ic_target_energy")),
 IC_FAMILIES = tuple(_IC_NEEDS)
 
 _FLOAT_KEYS = ("r_min", "r_max", "dt", "t_end", "sample_every",
-               "scale_floor", "ic_A", "ic_sigma", "ic_s0", "ic_target_energy")
+               "ic_A", "ic_sigma", "ic_s0", "ic_target_energy")
 _INT_KEYS = ("m", "n")
 _STR_KEYS = ("scheme", "scenario", "ic_family", "ic_file", "label")
 _KNOWN_KEYS = set(_FLOAT_KEYS) | set(_INT_KEYS) | set(_STR_KEYS)
@@ -68,8 +69,7 @@ _SCENARIO_DEFAULTS: Dict[str, Dict[str, object]] = {
                                       ic_target_energy=2.5 * (2 * 4)),
     "m1_blowup": dict(m=1, r_min=1e-6, r_max=1e2, n=3072,
                       dt=2e-3, scheme="IMEX1", t_end=25.0,
-                      sample_every=0.05, scale_floor=1e-4,
-                      ic_family="e1_excited", ic_s0=1.0,
+                      sample_every=0.05, ic_family="e1_excited", ic_s0=1.0,
                       ic_sigma=4.0, ic_A=-1.5),
 }
 
@@ -85,7 +85,6 @@ class RunConfig:
     t_end: float = 1.0
     sample_every: float = 0.05
     scenario: str = "free"
-    scale_floor: Optional[float] = None
     ic_family: str = "q_exact"
     ic_A: Optional[float] = None
     ic_sigma: Optional[float] = None
@@ -172,20 +171,13 @@ def _stepper(cfg: RunConfig) -> StepperConfig:
     return StepperConfig(dt=cfg.dt, scheme=cfg.scheme)
 
 
-def _scale_floor(cfg: RunConfig) -> float:
-    """scale_floor of a run, as ``evolve`` checks and resolves it."""
-    return check_horizon(cfg.t_end, cfg.sample_every, cfg.dt, cfg.r_min,
-                         cfg.scale_floor)
-
-
 def _validate(cfg: RunConfig) -> None:
-    # the grid, the stepper, the degree and the horizon with its scale
-    # floor check themselves
+    # the grid, the stepper, the degree and the horizon check themselves
     RadialGrid(cfg.r_min, cfg.r_max, cfg.n)
     _stepper(cfg)
     try:
         check_degree(cfg.m, cfg.r_min)
-        _scale_floor(cfg)
+        check_horizon(cfg.t_end, cfg.sample_every, cfg.dt)
     except ContractViolation as exc:
         raise ConfigurationError(str(exc)) from None
     if "/" in cfg.label or os.sep in cfg.label:
@@ -242,13 +234,18 @@ def build_initial_condition(cfg: RunConfig, grid: RadialGrid) -> RadialField:
         fld = sample_Q(BubbleProfile(m, cfg.ic_s0), grid)
     elif cfg.ic_family == "custom_samples":
         try:
-            data = np.loadtxt(cfg.ic_file)
+            # an empty file is reported by its row count, not by a warning
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(cfg.ic_file, ndmin=2)
         except (OSError, ValueError) as exc:
             raise ConfigurationError(
                 f"cannot read custom_samples file {cfg.ic_file!r}: {exc}")
-        if data.ndim != 2 or data.shape[1] != 2:
+        rows, cols = data.shape
+        if rows < 2 or cols != 2:
             raise ConfigurationError(
-                f"custom_samples file {cfg.ic_file!r} must have two columns (r, u)")
+                f"custom_samples file {cfg.ic_file!r} must have two columns "
+                f"(r, u) and at least two rows, got {rows} x {cols}")
         if not np.isfinite(data).all():
             raise ConfigurationError(
                 f"custom_samples file {cfg.ic_file!r} holds non-finite values")
@@ -444,7 +441,7 @@ def execute(cfg: RunConfig) -> RunResult:
     """Run the configured scenario and gather diagnostics (no file I/O)."""
     u0, stepper = _setup(cfg)
     rec = evolve(u0, cfg.m, cfg.t_end, stepper,
-                 sample_every=cfg.sample_every, scale_floor=cfg.scale_floor)
+                 sample_every=cfg.sample_every)
     track = None
     if u0.inner_limit == np.pi:
         track = modulation.track_modulation(rec, s_init=cfg.ic_s0 or 1.0)
@@ -472,8 +469,8 @@ def execute(cfg: RunConfig) -> RunResult:
             "grid": {"r_min": cfg.r_min, "r_max": cfg.r_max, "n": cfg.n},
             "stepper": {"dt": cfg.dt, "scheme": cfg.scheme,
                         # the step floor at the Blowup threshold
-                        "dt_floor": step_floor(_scale_floor(cfg)),
-                        "scale_floor": cfg.scale_floor},
+                        "dt_floor": step_floor(scale_floor(cfg.r_min)),
+                        "scale_floor": scale_floor(cfg.r_min)},
             "initial_condition": {
                 "family": cfg.ic_family,
                 "A": cfg.ic_A, "sigma": cfg.ic_sigma, "s0": cfg.ic_s0,

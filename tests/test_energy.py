@@ -9,8 +9,8 @@ from hmflow.bubble import BubbleProfile, sample_Q
 from hmflow.energy import (classify, energy, exterior_energy, g_functional,
                            g_inverse, gradient_weights, hessian_potential,
                            neg_gradient, pointwise_bound_check, rlp_norm,
-                           sin_terms, smoothstep, topological_bound_gap,
-                           x2_norm, xp_norm)
+                           sin_terms, smoothstep, tail_gradient_gap,
+                           topological_bound_gap, x2_norm, xp_norm)
 from hmflow.errors import ContractViolation, SectorError
 from hmflow.evolve import nonlinearity
 from hmflow.grid import RadialField, apply_delta_m, build_grid
@@ -29,6 +29,20 @@ def test_energy_of_bubble_sample(default_grid):
     assert energy(f, 2).total == pytest.approx(4.0, rel=1e-4)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_bubble_energy_does_not_rise_toward_r_min(m):
+    # E_h's inner tail is the bubble's own core energy, so a bubble that
+    # shrinks toward r_min meets no energy barrier the gate cannot climb;
+    # the quadratic tail (m/2) v_0^2 raised E_h(Q_s) at s = 2 r_min by
+    # 3.0e-2, 4.8e-3, 4.7e-4 and 3.8e-5 for m = 1-4, and an m = 1 collapse
+    # stalled above 10 r_min
+    g = build_grid(1e-6, 1e2, 3072)
+    wide = energy(sample_Q(BubbleProfile(m, 1e-2), g), m).total
+    for k in (300, 100, 30, 10, 5, 2):
+        e = energy(sample_Q(BubbleProfile(m, k * g.r_min), g), m).total
+        assert e <= wide + 1e-8 * 2 * m, k
+
+
 def _neg_gradient(g, off, m, inner):
     """-grad E_h of the offset by ``neg_gradient``'s edge form, from
     fresh edges and trig terms."""
@@ -40,15 +54,16 @@ def _neg_gradient(g, off, m, inner):
                                                      "degree_m"])
 @pytest.mark.parametrize("m", [1, 2, 4])
 def test_operator_is_the_gradient_of_the_energy(m, inner):
-    # w_i (Delta_m u + F(u))_i = -dE_h/du_i with w the r dr weights: the
-    # scheme's operator, and the edge form IMEX1 solves with, are the
-    # exact gradient of the energy it reports, so central differences of
-    # E_h match both to their own error
+    # w_i (Delta_m u + F(u))_i = -dE_h/du_i with w the r dr weights, plus
+    # the inner tail's gap at node 0: the scheme's operator, and the edge
+    # form IMEX1 solves with, are the exact gradient of the energy it
+    # reports, so central differences of E_h match both to their own error
     g = build_grid(1e-3, 1e2, 64)
     rng = np.random.default_rng(7 * m + int(inner))
     off = 0.5 * rng.standard_normal(g.n)
     u = RadialField(g, off, inner_limit=inner)
     flow = apply_delta_m(u, m).values + nonlinearity(u, m).values
+    flow[0] += tail_gradient_gap(m, off[0]) / g.weights[0]
     eps = 1e-6
     grad = np.empty(g.n)
     for i in range(g.n):
@@ -68,9 +83,10 @@ def test_operator_is_the_gradient_of_the_energy(m, inner):
                                                      "degree_m"])
 @pytest.mark.parametrize("m", [1, 2, 4])
 def test_hessian_is_the_jacobian_of_the_gradient(m, inner):
-    # -grad^2 E_h = W Op + diag(W F') (IMEX1 solves with W/dt minus it)
-    # is the central-difference Jacobian of neg_gradient; a change to a
-    # tail of the gradient or to the potential's Hessian breaks it
+    # -grad^2 E_h = W Op + diag(W F'), with the inner tail's m (1 - cos v_0)
+    # at node 0 (IMEX1 solves with W/dt minus it), is the central-difference
+    # Jacobian of neg_gradient; a change to a tail of the gradient or to
+    # the potential's Hessian breaks it
     g = build_grid(1e-3, 1e2, 64)
     rng = np.random.default_rng(11 * m + int(inner))
     off = 0.5 * rng.standard_normal(g.n)
@@ -79,7 +95,7 @@ def test_hessian_is_the_jacobian_of_the_gradient(m, inner):
     want = (np.diag(w * diag) + np.diag(w[1:] * sub[1:], -1)
             + np.diag(w[:-1] * sup[:-1], 1))
     want += np.diag(hessian_potential(sin_terms(off)[0],
-                                      gradient_weights(g, m)[1]))
+                                      gradient_weights(g, m)[1], m, off[0]))
     eps = 1e-6
     jac = np.empty((g.n, g.n))
     for j in range(g.n):
@@ -95,8 +111,9 @@ def test_hessian_is_the_jacobian_of_the_gradient(m, inner):
 @pytest.mark.parametrize("m", [1, 2, 4])
 def test_edge_gradient_matches_the_operator_form(m, inner):
     # the two spellings of -grad E_h, neg_gradient's edges and sin cos and
-    # W (Delta_m + F) of the operator bands and F, agree to rounding on
-    # seeded bumps and bubbles at three resolutions
+    # W (Delta_m + F) of the operator bands and F with the inner tail's gap
+    # at node 0, agree to rounding on seeded bumps and bubbles at three
+    # resolutions
     for n in (64, 256, 2048):
         g = build_grid(1e-4, 1e3, n)
         rng = np.random.default_rng(n + 10 * m + int(inner))
@@ -104,6 +121,7 @@ def test_edge_gradient_matches_the_operator_form(m, inner):
             u = RadialField(g, off, inner)
             want = g.weights * (apply_delta_m(u, m).values
                                 + nonlinearity(u, m).values)
+            want[0] += tail_gradient_gap(m, off[0])
             got = _neg_gradient(g, off, m, inner)
             assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 

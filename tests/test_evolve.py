@@ -12,8 +12,8 @@ from hmflow.energy import (energy, gate_energy, pointwise_bound_check,
 from hmflow.errors import ConfigurationError, ContractViolation
 from hmflow.evolve import (STATUS_ABORTED, STATUS_BLOWUP, STATUS_GLOBAL,
                            StepperConfig, check_horizon, dissipation_audit,
-                           evolve, nonlinearity, scale_estimate, step,
-                           step_floor)
+                           evolve, nonlinearity, scale_estimate, scale_floor,
+                           step, step_floor)
 from hmflow.grid import RadialField, apply_delta_m, build_grid
 
 
@@ -147,31 +147,25 @@ def test_dissipation_audit_needs_samples(default_grid):
 
 
 # a NaN horizon used to end the run after one sample, a non-positive
-# sample_every used to hang the sampling clock, a NaN scale floor silently
-# turned off the Blowup verdict, and a dt at or below sqrt(eps) * t_end
-# (1.5e-9 at t_end = 0.1) needs more steps than the clock t can count
-@pytest.mark.parametrize("t_end,sample_every,scale_floor,dt", [
-    pytest.param(0.0, 0.05, None, 1e-3, id="t_end_zero"),
-    pytest.param(-1.0, 0.05, None, 1e-3, id="t_end_negative"),
-    pytest.param(np.nan, 0.05, None, 1e-3, id="t_end_nan"),
-    pytest.param(np.inf, 0.05, None, 1e-3, id="t_end_inf"),
-    pytest.param(0.1, 0.0, None, 1e-3, id="sample_every_zero"),
-    pytest.param(0.1, -0.05, None, 1e-3, id="sample_every_negative"),
-    pytest.param(0.1, np.nan, None, 1e-3, id="sample_every_nan"),
-    pytest.param(0.1, np.inf, None, 1e-3, id="sample_every_inf"),
-    pytest.param(0.1, 0.05, 0.0, 1e-3, id="scale_floor_zero"),
-    pytest.param(0.1, 0.05, -1e-3, 1e-3, id="scale_floor_negative"),
-    pytest.param(0.1, 0.05, np.nan, 1e-3, id="scale_floor_nan"),
-    pytest.param(0.1, 0.05, np.inf, 1e-3, id="scale_floor_inf"),
-    pytest.param(0.1, 0.05, None, 1e-10, id="dt_far_below_clock_edge"),
-    pytest.param(0.1, 0.05, None, 1e-9, id="dt_below_clock_edge"),
-    # a step at the float spacing at t_end leaves t unchanged; a tiny scale
-    # floor does not let it pass
-    pytest.param(1.0, 0.05, 1e-20, np.spacing(1.0),
-                 id="dt_at_spacing_of_t_end"),
+# sample_every used to hang the sampling clock, and a dt at or below
+# sqrt(eps) * t_end (1.5e-9 at t_end = 0.1) needs more steps than the
+# clock t can count
+@pytest.mark.parametrize("t_end,sample_every,dt", [
+    pytest.param(0.0, 0.05, 1e-3, id="t_end_zero"),
+    pytest.param(-1.0, 0.05, 1e-3, id="t_end_negative"),
+    pytest.param(np.nan, 0.05, 1e-3, id="t_end_nan"),
+    pytest.param(np.inf, 0.05, 1e-3, id="t_end_inf"),
+    pytest.param(0.1, 0.0, 1e-3, id="sample_every_zero"),
+    pytest.param(0.1, -0.05, 1e-3, id="sample_every_negative"),
+    pytest.param(0.1, np.nan, 1e-3, id="sample_every_nan"),
+    pytest.param(0.1, np.inf, 1e-3, id="sample_every_inf"),
+    pytest.param(0.1, 0.05, 1e-10, id="dt_far_below_clock_edge"),
+    pytest.param(0.1, 0.05, 1e-9, id="dt_below_clock_edge"),
+    # a step at the float spacing at t_end leaves t unchanged
+    pytest.param(1.0, 0.05, np.spacing(1.0), id="dt_at_spacing_of_t_end"),
 ])
 def test_evolve_rejects_bad_horizon(default_grid, monkeypatch, t_end,
-                                    sample_every, scale_floor, dt):
+                                    sample_every, dt):
     u0 = RadialField(default_grid, gaussian_bump(default_grid))
 
     def no_step(*args, **kwargs):
@@ -180,20 +174,18 @@ def test_evolve_rejects_bad_horizon(default_grid, monkeypatch, t_end,
     monkeypatch.setattr("hmflow.evolve._step_offset", no_step)
     with pytest.raises(ContractViolation):
         evolve(u0, 2, t_end=t_end, stepper=StepperConfig(dt=dt),
-               sample_every=sample_every, scale_floor=scale_floor)
+               sample_every=sample_every)
 
 
-@pytest.mark.parametrize("scale_floor,dt_floor", [
+@pytest.mark.parametrize("floor,dt_floor", [
     (1e-3, 1e-9), (1e-4, 1e-9), (1e-6, 1e-13), (1e-8, 1e-17)])
-def test_step_floor_follows_scale_floor(scale_floor, dt_floor):
-    # min(1e-9, scale_floor^2 / 10), exactly, the step floor at the Blowup
+def test_step_floor_follows_scale_floor(floor, dt_floor):
+    # min(1e-9, floor^2 / 10), exactly, the step floor at the Blowup
     # threshold that the provenance records; a floor of 1e-4 lands on the
-    # cap, so every preset records 1e-9
-    assert step_floor(scale_floor) == dt_floor
-    assert check_horizon(1.0, 0.1, 1e-3, 1.0, scale_floor) == scale_floor
-    # the default scale floor is 10 r_min
-    assert check_horizon(1.0, 0.1, 1e-3, scale_floor / 10,
-                         None) == 10.0 * (scale_floor / 10)
+    # cap, so every preset on [1e-4, 1e3] records 1e-9
+    assert step_floor(floor) == dt_floor
+    # the scale floor is 10 r_min
+    assert scale_floor(floor / 10) == 10.0 * (floor / 10)
 
 
 def test_step_floor_of_a_state_without_scale():
@@ -205,12 +197,11 @@ def test_step_floor_of_a_state_without_scale():
 @pytest.mark.parametrize("t_end", [1e-3, 0.05, 1.0, 20.0])
 def test_check_horizon_needs_dt_above_sqrt_eps_t_end(t_end):
     # fewer than 1/sqrt(eps) ~ 6.7e7 steps at dt, so the rounding of t stays
-    # below half a step; a tiny scale floor is valid, since it only decides
-    # Blowup
+    # below half a step
     edge = np.sqrt(np.finfo(float).eps) * t_end
     with pytest.raises(ContractViolation, match="dt must exceed"):
-        check_horizon(t_end, 0.1, edge, 1e-3, 1e-170)
-    assert check_horizon(t_end, 0.1, 1.01 * edge, 1e-3, 1e-170) == 1e-170
+        check_horizon(t_end, 0.1, edge)
+    assert check_horizon(t_end, 0.1, 1.01 * edge) is None
 
 
 def test_sample_every_below_ulp_of_t_samples_each_step(monkeypatch):
@@ -391,14 +382,15 @@ def test_concentration_floor_terminates_as_blowup(default_grid, monkeypatch,
             raise AssertionError("a trial step below the scale floor")
 
         monkeypatch.setattr("hmflow.evolve._step_offset", no_step)
-        u0, scale_floor = sample_Q(BubbleProfile(2, s=0.01), g), 0.1
+        u0 = sample_Q(BubbleProfile(2, s=2e-4), g)
         t_end = 10.0
     else:
-        u0, scale_floor = RadialField(g, gaussian_bump(g, sigma=0.05)), 1.0
-        assert scale_estimate(u0, 2) < 0.1 * scale_floor
+        u0 = RadialField(g, gaussian_bump(g, sigma=5e-4))
         t_end = 0.05
+    floor = scale_floor(g.r_min)
+    assert scale_estimate(u0, 2) < floor
     rec = evolve(u0, 2, t_end=t_end, stepper=StepperConfig(dt=1e-3),
-                 sample_every=0.01, scale_floor=scale_floor)
+                 sample_every=0.01)
     for fld, s in zip(rec.fields, rec.scale_estimates):
         assert s == scale_estimate(fld, 2)
     if sector == "degree_m":
@@ -406,7 +398,7 @@ def test_concentration_floor_terminates_as_blowup(default_grid, monkeypatch,
         assert rec.times == [0.0]
         # the final state is always sampled, so its concentration is on
         # record
-        assert rec.scale_estimates[-1] < scale_floor
+        assert rec.scale_estimates[-1] < floor
         return
     assert rec.status == STATUS_GLOBAL
     assert rec.times[-1] == pytest.approx(t_end)
@@ -428,28 +420,27 @@ def _bubble(s):
 # sector and either failure (degree-m data below the scale floor used to
 # end as Blowup here; they now end at sample 0, with no trial step).  The
 # floor is that of the state's own scale s, min(1e-9, s^2 / 10), whatever
-# the scale floor: a state of scale 1 on a grid that resolves 1e-6 still
+# the scale floor: a state of scale 1 on a grid that resolves 1e-7 still
 # stops at 1e-9 (it used to halve on to 1e-13, and an IMEX2 step whose
 # energy rise is first order in dt then crawled at dt ~ 6e-14), and one of
 # scale 9.85e-6 stops at 9.7e-12, after 27 halvings.  A deep grid is on
 # [1e-8, 1e2].
-@pytest.mark.parametrize("bad,data,scale_floor,attempts,deep", [
-    pytest.param(lambda off: 1.1 * off, _bump(1.0), 1e-3, 20 + 1, False,
+@pytest.mark.parametrize("bad,data,attempts,deep", [
+    pytest.param(lambda off: 1.1 * off, _bump(1.0), 20 + 1, False,
                  id="energy_rise_unconcentrated"),
-    pytest.param(lambda off: 1.1 * off, _bump(0.05), 1.0, 20 + 1, False,
+    pytest.param(lambda off: 1.1 * off, _bump(5e-4), 20 + 1, False,
                  id="energy_rise_zero_degree_below_floor"),
-    pytest.param(lambda off: 1.1 * off, _bubble(0.05), 1e-3, 20 + 1, False,
+    pytest.param(lambda off: 1.1 * off, _bubble(0.05), 20 + 1, False,
                  id="energy_rise_degree_m_above_floor"),
-    pytest.param(lambda off: np.full_like(off, np.nan), _bump(1.0), 1e-3,
+    pytest.param(lambda off: np.full_like(off, np.nan), _bump(1.0),
                  20 + 1, False, id="non_finite"),
-    pytest.param(lambda off: 1.1 * off, _bump(1.0), 1e-6, 20 + 1, True,
+    pytest.param(lambda off: 1.1 * off, _bump(1.0), 20 + 1, True,
                  id="energy_rise_wide_state_deep_floor"),
-    pytest.param(lambda off: 1.1 * off, _bump(1e-5), 1e-7, 27 + 1, True,
+    pytest.param(lambda off: 1.1 * off, _bump(1e-5), 27 + 1, True,
                  id="energy_rise_small_state_deep_floor"),
 ])
 def test_failures_at_the_floor_step_end_the_run(default_grid, monkeypatch, bad,
-                                                data, scale_floor, attempts,
-                                                deep):
+                                                data, attempts, deep):
     calls = []
 
     def failing_step(grid, off, *args):
@@ -461,7 +452,7 @@ def test_failures_at_the_floor_step_end_the_run(default_grid, monkeypatch, bad,
     g = build_grid(1e-8, 1e2, 1024) if deep else default_grid
     u0 = data(g)
     rec = evolve(u0, 2, t_end=1.0, stepper=StepperConfig(dt=1e-3),
-                 sample_every=0.1, scale_floor=scale_floor)
+                 sample_every=0.1)
     assert rec.status == STATUS_ABORTED
     assert rec.times == [0.0]
     assert len(calls) == attempts
@@ -532,8 +523,7 @@ def test_free_m1_bubble_far_from_r_max_steps_freely(monkeypatch):
     monkeypatch.setattr(evolve_module, "_step_offset", counted_step)
     g = build_grid(1e-6, 1e2, 3072)
     rec = evolve(sample_Q(BubbleProfile(1), g), 1, t_end=0.05,
-                 stepper=StepperConfig(dt=2e-3), sample_every=0.005,
-                 scale_floor=1e-4)
+                 stepper=StepperConfig(dt=2e-3), sample_every=0.005)
     assert rec.status == STATUS_GLOBAL
     assert rec.times[-1] == pytest.approx(0.05)
     totals = [eb.total for eb in rec.energies]
@@ -643,10 +633,11 @@ def _cn_step(grid, off, m, dt, ghost):
 
 def _newton_step(grid, off, sin_sq, sin_cos, m, dt, ghost):
     """The IMEX1 step as one proximal Newton step on E_h, from scratch:
-    (W/dt - W Op + diag(W F')) delta = -grad E_h, with grad E_h from the
-    edges and sin cos and the tail energies and W F' = 2 m^2 tw sin^2 u
-    (tw the log-trapezoid weights), solved by scipy's dptsv; returns
-    (delta, off + delta)."""
+    (W/dt - W Op - diag(P)) delta = -grad E_h, with grad E_h from the
+    edges and sin cos and the tail energies, 2m sin^2(v_0/2) inside and
+    (m/2) (v_{n-1} - ghost)^2 outside, and P = 2 m^2 tw sin^2 u (tw the
+    log-trapezoid weights) plus the inner tail's m (1 - cos v_0) at node 0,
+    solved by scipy's dptsv; returns (delta, off + delta)."""
     from scipy.linalg.lapack import dptsv
 
     h, w, tw = grid.log_step, grid.weights, grid._trapz_log
@@ -654,9 +645,11 @@ def _newton_step(grid, off, sin_sq, sin_cos, m, dt, ghost):
     e = off[1:] - off[:-1]
     rhs = ((np.concatenate((e, [0.0])) - np.concatenate(([0.0], e)))
            * (1.0 / h) - (m * m * tw) * sin_cos)
-    rhs[0] -= m * off[0]
+    rhs[0] -= m * np.sin(off[0])
     rhs[-1] -= m * (off[-1] - ghost)
-    d = (w / dt - w * diag) - (2.0 * (m * m * tw)) * sin_sq
+    pot = (2.0 * (m * m * tw)) * sin_sq
+    pot[0] += m * (1.0 - np.cos(off[0]))
+    d = (w / dt - w * diag) - pot
     *_, delta, info = dptsv(d, -(w[:-1] * sup[:-1]), rhs)
     assert info == 0
     return delta, off + delta
@@ -704,12 +697,14 @@ def test_f_offset_against_mpmath():
         assert abs(f - want) <= 1e-9 * abs(want)
 
 
-# a trial with one non-finite node: its E_h is NaN or +inf (tan of +-inf
-# is NaN, and every term of E_h is a square), so the gate alone rejects it
-# and the step is retried at half the dt, with no separate finite check
+# a trial with one non-finite or huge node: its E_h is NaN or +inf (tan of
+# +-inf is NaN, and every term of E_h is a square), so the gate alone
+# rejects it and the step is retried at half the dt, with no separate
+# finite check; a Python float power in the outer tail used to raise
+# OverflowError at a huge last node
 @pytest.mark.parametrize("node", [0, 1000, -1], ids=["first", "mid", "last"])
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
-                         ids=["nan", "pos_inf", "neg_inf"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200],
+                         ids=["nan", "pos_inf", "neg_inf", "huge"])
 def test_a_trial_with_a_non_finite_node_is_rejected(default_grid, monkeypatch,
                                                     node, bad):
     g = default_grid
@@ -775,7 +770,7 @@ def test_a_solve_that_raises_at_the_floor_step_aborts(monkeypatch, data):
     solve, alphas = _failing_solve(g, lambda k: True)
     monkeypatch.setattr(g, "solve_shifted", solve)
     rec = evolve(data(g), 2, t_end=1.0, stepper=StepperConfig(dt=1e-3),
-                 sample_every=0.1, scale_floor=1e-3)
+                 sample_every=0.1)
     assert rec.status == STATUS_ABORTED
     assert rec.times == [0.0]
     assert len(alphas) == 20 + 1

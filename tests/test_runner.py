@@ -78,7 +78,7 @@ def test_config_keys_are_the_run_config_fields():
     ("r_max", "1e-5", "r_"),
     ("n", "8", "n"),
     ("dt", "0", "dt"),
-    ("dt_floor", "2e-3", "dt_floor"),  # not a key: derived from scale_floor
+    ("dt_floor", "2e-3", "dt_floor"),  # not a key: derived from r_min
     ("dt_floor", "nan", "dt_floor"),
     ("r_max", "inf", "r_max"),
     ("t_end", "nan", "t_end"),
@@ -87,6 +87,7 @@ def test_config_keys_are_the_run_config_fields():
     ("scheme", "RK4", "scheme"),
     ("scenario", "nope", "scenario"),
     ("ic_family", "nope", "ic_family"),
+    # not a key: the scale floor is 10 r_min
     ("scale_floor", "0", "scale_floor"),
     ("ic_sigma", "0", "ic_sigma"),
     ("ic_family", "e1_excited", "ic_s0"),
@@ -176,6 +177,15 @@ def test_custom_samples_roundtrip(tmp_path):
     assert q0.inner_limit == np.pi
     assert q0.offset[mid] == pytest.approx(-2.0 * np.arctan(g.nodes[mid] ** 2),
                                            rel=1e-3)
+
+
+def test_custom_samples_with_one_row_names_the_rows(tmp_path):
+    # one (r, u) row used to be told it "must have two columns"
+    path = tmp_path / "one_row.txt"
+    path.write_text("1.0 0.5\n")
+    cfg = _cfg(tmp_path, ic_family="custom_samples", ic_file=str(path))
+    with pytest.raises(ConfigurationError, match="at least two rows, got 1 x 2"):
+        build_initial_condition(cfg, build_grid(1e-3, 1e2, 512))
 
 
 def test_custom_samples_missing_file(tmp_path):
@@ -399,6 +409,20 @@ def test_cli_check_accepts_near_bubble_data(tmp_path):
     assert cli_main(["check", str(path)]) == 0
 
 
+def _empty_samples(tmp_path):
+    """An empty custom_samples file."""
+    path = tmp_path / "empty_ic.txt"
+    path.write_text("")
+    return str(path)
+
+
+def _one_row_samples(tmp_path):
+    """A custom_samples file with a single (r, u) row."""
+    path = tmp_path / "one_row_ic.txt"
+    path.write_text("1.0 0.5\n")
+    return str(path)
+
+
 def _nan_samples(tmp_path):
     """A custom_samples file with one NaN in its u column."""
     r = np.geomspace(1e-3, 1e2, 50)
@@ -425,20 +449,6 @@ def test_cli_small_bubble_runs_below_the_old_step_floor(tmp_path):
     assert summary["classification"] == "ConvergedToQ"
     assert summary["provenance"]["stepper"]["dt_floor"] == step_floor(
         10 * 1e-8)
-
-
-def test_zero_degree_run_does_not_read_scale_floor(tmp_path):
-    # the scale floor decides only a degree-m Blowup, so a zero-degree run
-    # writes the same bytes at any; 1e-170 used to be rejected, because its
-    # step floor underflowed to 0
-    csvs = []
-    for i, over in enumerate([dict(scale_floor="1e-170"), {},
-                              dict(scale_floor="10")]):
-        path = _write_cfg(tmp_path, name=f"{i}.cfg", **over)
-        out = tmp_path / str(i)
-        assert cli_main(["--out", str(out), "run", path]) == 0
-        csvs.append((out / "fast_trajectory.csv").read_bytes())
-    assert csvs[0] == csvs[1] == csvs[2]
 
 
 # each of these used to pass `check` and then fail or misbehave in `run`;
@@ -471,10 +481,17 @@ def test_zero_degree_run_does_not_read_scale_floor(tmp_path):
     pytest.param(dict(ic_A="50"), id="e0_energy_window"),
     pytest.param(dict(ic_family="e1_excited", ic_s0="1", ic_sigma="3",
                       ic_target_energy="30"), id="e1_energy_window"),
+    # the scale floor is no longer a key: its lines are rejected as unknown
     pytest.param(dict(scale_floor="nan"), id="scale_floor_nan"),
     pytest.param(dict(label="sub/run"), id="label_separator"),
     pytest.param(dict(ic_family="custom_samples", ic_file=_nan_samples),
                  id="custom_samples_nan"),
+    # numpy's no-data warning used to reach the terminal, then the file was
+    # told it "must have two columns"
+    pytest.param(dict(ic_family="custom_samples", ic_file=_empty_samples),
+                 id="custom_samples_empty"),
+    pytest.param(dict(ic_family="custom_samples", ic_file=_one_row_samples),
+                 id="custom_samples_one_row"),
     # no float holds this degree: check_degree's float(m) used to raise
     # OverflowError
     pytest.param(dict(m=_HUGE_M), id="m_beyond_float"),
@@ -514,7 +531,7 @@ def test_cli_large_degree_that_fits_runs(tmp_path):
 @pytest.mark.parametrize("over,nan_col,finite_col", [
     pytest.param(dict(r_max="5"), "exterior_energy_R10",
                  "exterior_energy_R1", id="R10_beyond_r_max"),
-    pytest.param(dict(r_min="2", r_max="1e3", ic_sigma="10", scale_floor="3"),
+    pytest.param(dict(r_min="2", r_max="1e3", ic_sigma="10"),
                  "exterior_energy_R1", "exterior_energy_R10",
                  id="R1_below_r_min"),
 ])
@@ -566,7 +583,7 @@ _EDGE_VALUES = {
     "n": ["8", "15", _HUGE_N],
     # 1e-11 lies below sqrt(eps) * t_end for every drawn t_end
     "dt": ["0", "nan", "1e-11", "1", "1e-300"],
-    # not a key: the step floor is derived from scale_floor
+    # not keys: the step floor is derived from the scale floor, 10 r_min
     "dt_floor": ["2e-3", "nan", "-1", "1e-300"],
     "t_end": ["0", "nan", "inf", "1e-9"],
     "sample_every": ["0", "nan", "1e-4", "1e3", "1e-20"],
@@ -638,7 +655,7 @@ def test_m1_blowup_collapse_time_converges_in_dt():
         cfg = build_run_config({"scenario": "m1_blowup", "dt": str(dt)})
         u0, stepper = _setup(cfg)
         rec = evolve(u0, cfg.m, cfg.t_end, stepper,
-                     sample_every=cfg.sample_every, scale_floor=cfg.scale_floor)
+                     sample_every=cfg.sample_every)
         s = np.asarray(rec.scale_estimates)
         assert np.any(s <= s_min)
         return rec.times[int(np.argmax(s <= s_min))]
