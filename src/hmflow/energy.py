@@ -265,13 +265,19 @@ def pointwise_bound_check(field: RadialField, m: int, delta1: float):
     return delta2, ok
 
 
-def _half_turn_radius(g: RadialGrid, off: np.ndarray) -> float:
+def _half_turn_radius(g: RadialGrid, off: np.ndarray, m: int) -> float:
     """Radius where the angle pi + off first drops through pi/2,
-    log-interpolated; NaN where the grid shows no such crossing."""
+    log-interpolated; NaN where the grid shows no such crossing.  Where
+    node 0 is already past it, the half-turn radius r_0 tan(-v_0/2)^(-1/m)
+    of the bubble through v_0, the bubble whose energy E_h's inner tail
+    counts (finite and positive for v_0 <= -pi too)."""
     # argmax is 0 both when no node lies below and when node 0 does
     i = int((off < -0.5 * math.pi).argmax())
     if i == 0:
-        return np.nan
+        v0 = off[0].item()
+        if not v0 < -0.5 * math.pi:
+            return np.nan
+        return g.r_min * math.tan(min(-0.5 * v0, 0.5 * math.pi)) ** (-1.0 / m)
     v0, v1 = off[i - 1].item(), off[i].item()
     w = (v0 + 0.5 * math.pi) / (v0 - v1)
     return math.exp((1 - w) * math.log(g.nodes[i - 1].item())
@@ -291,7 +297,7 @@ def topological_bound_gap(field: RadialField, m: int) -> float:
     e_tot = energy(field, m).total
     gap = e_tot
     if field.inner_limit == np.pi:
-        s = _half_turn_radius(g, field.offset)
+        s = _half_turn_radius(g, field.offset, m)
         if not np.isfinite(s):
             s = float(np.sqrt(g.r_min * g.r_max))
         gap = e_tot - energy(sample_Q(BubbleProfile(m, s), g), m).total

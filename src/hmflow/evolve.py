@@ -245,12 +245,13 @@ def scale_estimate(field: RadialField, m: int) -> float:
     """Concentration-scale estimate.
 
     For degree-m sector data: the radius where the angle first drops through
-    pi/2 (log-interpolated), i.e. the bubble's half-turn radius.  For
+    pi/2 (log-interpolated, or that of the bubble through node 0 when the
+    drop lies inside r_min), i.e. the bubble's half-turn radius.  For
     trivial-topology data: the radius enclosing half the energy.
     """
     g = field.grid
     if field.inner_limit == np.pi:
-        return _half_turn_radius(g, field.offset)
+        return _half_turn_radius(g, field.offset, m)
     dir_e, pot_e = node_energies(g, field.offset, m, field.inner_limit)
     return _half_energy_radius(g, dir_e + pot_e)
 
@@ -407,7 +408,7 @@ def evolve(field: RadialField, m: int, t_end: float, stepper: StepperConfig,
                                     inner)
                 ok = e_new <= e_cur + e_tol
                 if ok and degree_m:
-                    s_new = _half_turn_radius(g, new_off)
+                    s_new = _half_turn_radius(g, new_off, m)
                     if dt > current_floor():
                         ok = not (s_new < min_fall * s_cur)
 

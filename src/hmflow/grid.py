@@ -4,13 +4,13 @@ finite-difference operators built on it.
 The grid is log-uniform: r_i = r_min * (r_max/r_min)^(i/(n-1)).  Quadrature
 against the measure r dr (or r^p dr) is trapezoid rule in the log variable,
 which is second order in the log spacing.  Every stencil is written in
-x = ln r, where the nodes are uniform: the operators are centered 3-point
-formulas in x, and so is the first derivative, with one-sided 3-point rows
-at the ends.  Both end rows of the degree-m operator come from the exact
-energies of the tails beyond the grid (the r^m law inside r_min, the r^-m
-law outside r_max), which makes it the gradient of the discrete energy the
-package reports up to ``energy.tail_gradient_gap``; operators without an
-inverse-square term are closed by zero ghost values.
+x = ln r, where the nodes are uniform.  The grid's one operator, the
+singular operator of degree m, is a centered 3-point formula in x, and so
+is the first derivative, with one-sided 3-point rows at the ends.  Both end
+rows of the operator come from the exact energies of the tails beyond the
+grid (the r^m law inside r_min, the r^-m law outside r_max), which makes it
+the gradient of the discrete energy the package reports up to
+``energy.tail_gradient_gap``.
 
 Shifted systems are solved by LAPACK.  Every one is on the degree-m
 operator, which is symmetric in the r dr weights, so every one is scaled by
@@ -180,84 +180,59 @@ class RadialGrid:
 
     # ---- stencils in x = ln r ------------------------------------------
 
-    def operator_bands(self, advection: float, inv_square: float):
-        """Bands (sub, diag, sup) of  d^2/dr^2 + (advection/r) d/dr - inv_square/r^2.
+    def operator_bands(self, inv_square: float):
+        """Bands (sub, diag, sup) of the singular operator of degree m,
+        d^2/dr^2 + (1/r) d/dr - inv_square/r^2 with inv_square = m^2 > 0.
 
-        In x = ln r the operator is r^-2 (d_x^2 + (advection - 1) d_x -
-        inv_square), and interior row i is its centered 3-point form:
-        r_i^-2 [(v_{i+1} - 2 v_i + v_{i-1})/h^2
-                + (advection - 1)(v_{i+1} - v_{i-1})/(2h) - inv_square v_i].
-        advection = d-1, inv_square = 0 gives the radial Laplacian in d
-        dimensions, closed by zero ghost values at both ends.
-
-        inv_square = m^2 > 0 (with advection 1) gives the singular operator
-        of degree m.  Its end rows are the gradients of the tail energies
-        (m/2) v_0^2 (r^m law inside r_0) and (m/2) (v_{n-1} - ghost)^2 (r^-m
-        law outside r_{n-1}, ghost the offset at infinity): row 0 is
-        r_0^-2 [2 (v_1 - v_0)/h^2 - (2m/h + m^2) v_0], row n-1 is
-        r^-2 [2 (v_{n-2} - v_{n-1})/h^2 - (2m/h + m^2) v_{n-1} + (2m/h) ghost].
-        So w_i (Op v + F(v))_i = -dE_h/dv_i, with w the r dr weights, for
-        E_h of ``energy.node_energies`` up to ``energy.tail_gradient_gap``
-        at node 0; ``energy.neg_gradient`` is the edge form of E_h's own
-        gradient.  Op is symmetric in w.  Row n-1's sup entry multiplies
-        the outer ghost value; row 0's sub entry is unused.  Each call
-        returns new arrays.
+        In x = ln r the operator is r^-2 (d_x^2 - inv_square), and interior
+        row i is its centered 3-point form r_i^-2 [(v_{i+1} - 2 v_i +
+        v_{i-1})/h^2 - inv_square v_i].  Its end rows are the gradients of
+        the tail energies (m/2) v_0^2 (r^m law inside r_0) and (m/2)
+        (v_{n-1} - ghost)^2 (r^-m law outside r_{n-1}, ghost the offset at
+        infinity): row 0 is r_0^-2 [2 (v_1 - v_0)/h^2 - (2m/h + m^2) v_0],
+        row n-1 is r^-2 [2 (v_{n-2} - v_{n-1})/h^2 - (2m/h + m^2) v_{n-1}
+        + (2m/h) ghost].  So w_i (Op v + F(v))_i = -dE_h/dv_i, with w the
+        r dr weights, for E_h of ``energy.node_energies`` up to
+        ``energy.tail_gradient_gap`` at node 0; ``energy.neg_gradient`` is
+        the edge form of E_h's own gradient.  Op is symmetric in w.  Row
+        n-1's sup entry multiplies the outer ghost value; row 0's sub entry
+        is unused.  Each call returns new arrays.
         """
+        if not inv_square > 0:  # the tail rows need m >= 1
+            raise ContractViolation("the stencil is the degree-m operator "
+                                    f"(inv_square > 0), got {inv_square}")
         h = self.log_step
-        a1 = advection - 1.0
         inv_r2 = 1.0 / self.nodes**2
-        sub = (1.0 / h**2 - 0.5 * a1 / h) * inv_r2
+        sub = (1.0 / h**2) * inv_r2
         diag = (-2.0 / h**2 - inv_square) * inv_r2
-        sup = (1.0 / h**2 + 0.5 * a1 / h) * inv_r2
-        if inv_square > 0:
-            tail = 2.0 * np.sqrt(inv_square) / h
-            sup[0] *= 2.0
-            sub[-1] *= 2.0
-            diag[0] -= tail * inv_r2[0]
-            diag[-1] -= tail * inv_r2[-1]
-            sup[-1] = tail * inv_r2[-1]
+        sup = sub.copy()
+        tail = 2.0 * np.sqrt(inv_square) / h
+        sup[0] *= 2.0
+        sub[-1] *= 2.0
+        diag[0] -= tail * inv_r2[0]
+        diag[-1] -= tail * inv_r2[-1]
+        sup[-1] = tail * inv_r2[-1]
         return sub, diag, sup
-
-    def apply_operator(self, values, advection, inv_square, ghost_outer=0.0):
-        """Apply the 3-point operator of ``operator_bands``, with
-        ghost_outer the outer ghost value.
-
-        Row i is (sub_i v_{i-1} + diag_i v_i) + sup_i v_{i+1}, summed in
-        that order, with v_{-1} = 0 and v_n = ghost_outer; the three band
-        products are added into one output array.
-        """
-        sub, diag, sup = self.operator_bands(advection, inv_square)
-        out = np.multiply(diag, values)
-        band = np.multiply(sub[1:], values[:-1])
-        out[1:] += band
-        # the v_{-1} = 0 term can turn a -0.0 row into +0.0
-        out[0] += sub[0] * 0.0
-        np.multiply(sup[:-1], values[1:], out=band)
-        out[:-1] += band
-        out[-1] += sup[-1] * ghost_outer
-        return out
 
     def solve_shifted(self, rhs, alpha, inv_square, ghost_outer=0.0,
                       potential=None):
         """Solve (W/alpha - W Op - diag(potential)) u = rhs, with the ghost
         term w_{n-1} sup_{n-1} ghost_outer added to the last row of rhs: Op
-        is the degree-m operator of ``operator_bands`` (advection 1,
-        inv_square = m^2 > 0), ghost_outer its outer ghost value, W the
-        diagonal of the r dr weights w, and potential=None means no
-        potential.
+        is the degree-m operator of ``operator_bands`` (inv_square = m^2),
+        ghost_outer its outer ghost value, W the diagonal of the r dr
+        weights w, and potential=None means no potential.
 
         IMEX1 passes its Newton system as it stands (rhs = -grad E_h,
         potential = W F'); IMEX2 and ``solve_helmholtz`` pass W-scaled
         right sides and no potential.  The matrix is symmetric, since Op
-        is symmetric in W once inv_square > 0 brings its tail rows, and it
-        is solved by LDL^T (no pivoting): ``dpttrf`` on d_free - potential
-        and the off-diagonal -w_i sup_i, then ``dpttrs`` on a copy of rhs,
-        with d_free = w/alpha - w diag.  Without a potential the matrix is,
-        for alpha > 0, strictly diagonally dominant with a positive
-        diagonal, hence positive definite.  With one it is positive
-        definite at every alpha > 0 where the potential stays at or below
-        w inv_square/r^2, and for any bounded potential at small enough
-        alpha.
+        is symmetric in W, and it is solved by LDL^T (no pivoting):
+        ``dpttrf`` on d_free - potential and the off-diagonal -w_i sup_i,
+        then ``dpttrs`` on a copy of rhs, with d_free = w/alpha - w diag.
+        Without a potential the matrix is, for alpha > 0, strictly
+        diagonally dominant with a positive diagonal, hence positive
+        definite.  With one it is positive definite at every alpha > 0
+        where the potential stays at or below w inv_square/r^2, and for
+        any bounded potential at small enough alpha.
 
         One cache entry, ``_shifted``, is kept for the latest (alpha,
         inv_square), built from ``operator_bands`` when the key changes: a
@@ -277,14 +252,10 @@ class RadialGrid:
             # LAPACK is handed addresses into arrays sized from the grid
             raise ContractViolation(
                 "rhs and potential need one value per node")
-        if not inv_square > 0:
-            raise ContractViolation(
-                "shifted solves need the degree-m operator (inv_square > 0), "
-                f"got inv_square={inv_square}")
         key = (alpha, inv_square)
         entry = self._shifted
         if entry is None or entry[0] != key:
-            _, diag, sup = self.operator_bands(1.0, inv_square)
+            _, diag, sup = self.operator_bands(inv_square)
             w = self.weights
             entry = (key, w / alpha - w * diag, -(w[:-1] * sup[:-1]),
                      w[-1].item() * sup[-1].item(), None)
@@ -408,8 +379,18 @@ def apply_delta_m(field: RadialField, m: int) -> RadialField:
     """
     g = field.grid
     check_degree(m, g.r_min)
-    out = g.apply_operator(field.offset, 1.0, float(m * m),
-                           ghost_outer=field.outer_ghost_offset())
+    sub, diag, sup = g.operator_bands(float(m * m))
+    # row i is (sub_i v_{i-1} + diag_i v_i) + sup_i v_{i+1}, summed in that
+    # order, with v_{-1} = 0 and v_n the outer ghost value
+    v = field.offset
+    out = np.multiply(diag, v)
+    band = np.multiply(sub[1:], v[:-1])
+    out[1:] += band
+    # the v_{-1} = 0 term can turn a -0.0 row into +0.0
+    out[0] += sub[0] * 0.0
+    np.multiply(sup[:-1], v[1:], out=band)
+    out[:-1] += band
+    out[-1] += sup[-1] * field.outer_ghost_offset()
     if field.inner_limit != 0.0:
         out = out - m * m * field.inner_limit / g.nodes**2
     return RadialField(g, out)

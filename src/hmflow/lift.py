@@ -40,9 +40,16 @@ def unlift(v: LiftedField, m: int) -> RadialField:
 
 
 def apply_radial_laplacian(v: LiftedField) -> np.ndarray:
-    """v_rr + ((d-1)/r) v_r with Dirichlet-zero ghost closures."""
-    d = v.dimension
-    return v.grid.apply_operator(v.values, float(d - 1), 0.0)
+    """v_rr + ((d-1)/r) v_r, r^-2 (d_x^2 + (d-2) d_x) in x = ln r, by its
+    centered 3-point rows with zero ghost values: the lift's own stencil,
+    apart from the degree-m operator of the grid that it checks."""
+    h, a1, vals = v.grid.log_step, v.dimension - 2.0, v.values
+    inv_r2 = 1.0 / v.grid.nodes**2
+    sub = (1.0 / h**2 - 0.5 * a1 / h) * inv_r2
+    diag = (-2.0 / h**2) * inv_r2
+    sup = (1.0 / h**2 + 0.5 * a1 / h) * inv_r2
+    return (sub * np.concatenate(([0.0], vals[:-1])) + diag * vals
+            + sup * np.concatenate((vals[1:], [0.0])))
 
 
 def commutation_residual(u: RadialField, m: int) -> float:

@@ -6,14 +6,15 @@ from hypothesis import strategies as st
 from conftest import (gaussian_bump, same_bits, seeded_states,
                       trig_probe_points)
 from hmflow.bubble import BubbleProfile, sample_Q
-from hmflow.energy import (classify, energy, exterior_energy, g_functional,
+from hmflow.energy import (_half_turn_radius, classify, energy,
+                           exterior_energy, g_functional,
                            g_inverse, gradient_weights, hessian_potential,
                            neg_gradient, pointwise_bound_check, rlp_norm,
                            sin_terms, smoothstep, tail_gradient_gap,
                            topological_bound_gap, x2_norm, xp_norm)
 from hmflow.errors import ContractViolation, SectorError
 from hmflow.evolve import nonlinearity
-from hmflow.grid import RadialField, apply_delta_m, build_grid
+from hmflow.grid import RadialField, apply_delta_m, build_grid, differentiate
 
 
 def test_energy_breakdown_sums(default_grid):
@@ -90,7 +91,7 @@ def test_hessian_is_the_jacobian_of_the_gradient(m, inner):
     g = build_grid(1e-3, 1e2, 64)
     rng = np.random.default_rng(11 * m + int(inner))
     off = 0.5 * rng.standard_normal(g.n)
-    sub, diag, sup = g.operator_bands(1.0, float(m * m))
+    sub, diag, sup = g.operator_bands(float(m * m))
     w = g.weights
     want = (np.diag(w * diag) + np.diag(w[1:] * sub[1:], -1)
             + np.diag(w[:-1] * sup[:-1], 1))
@@ -154,6 +155,17 @@ def test_norm_validation(default_grid):
         rlp_norm(f, 0.5)
     assert xp_norm(f, 2, 2.0) > 0
     assert rlp_norm(f, 4.0) > 0
+
+
+def test_sup_norms(default_grid):
+    # p = inf is the sup over the nodes, and the X^inf norm is the sum of
+    # the sups of u_r and u/r
+    g = default_grid
+    f = RadialField(g, gaussian_bump(g))
+    u_r = differentiate(f).values
+    assert g.lp_norm(-f.values, np.inf) == np.max(f.values)
+    assert xp_norm(f, 2, np.inf) == (np.max(np.abs(u_r))
+                                     + np.max(np.abs(f.values / g.nodes)))
 
 
 def test_classify_sectors(default_grid):
@@ -227,6 +239,36 @@ def test_topological_bound_gap_on_exact_bubbles(m, r_min, r_max, n):
     for ln_s in np.linspace(np.log(r_min) + 2.0, np.log(r_max) - 2.0, 9):
         bub = sample_Q(BubbleProfile(m, s=float(np.exp(ln_s))), g)
         assert abs(topological_bound_gap(bub, m)) <= 1e-9 * 2 * m
+
+
+def test_topological_bound_gap_without_a_crossing(default_grid):
+    # a bubble wider than the grid has no half-turn crossing on it, so the
+    # bound is the bubble at the grid's geometric midpoint
+    g = default_grid
+    f = sample_Q(BubbleProfile(2, s=1e6), g)
+    assert np.isnan(_half_turn_radius(g, f.offset, 2))
+    mid = sample_Q(BubbleProfile(2, s=float(np.sqrt(g.r_min * g.r_max))), g)
+    assert topological_bound_gap(f, 2) == (energy(f, 2).total
+                                           - energy(mid, 2).total)
+
+
+@pytest.mark.parametrize("m", [1, 2, 4])
+@pytest.mark.parametrize("r_min,r_max,n", [(1e-3, 1e2, 64),
+                                           (1e-4, 1e3, 2048)])
+def test_half_turn_radius_inside_r_min(m, r_min, r_max, n):
+    # a bubble whose crossing lies inside r_min has node 0 already past
+    # -pi/2; the radius is that of the bubble through v_0, which used to
+    # read NaN and kept such a run from its Blowup verdict
+    g = build_grid(r_min, r_max, n)
+    for ratio in (0.9, 0.5, 0.1, 0.01):
+        s = ratio * r_min
+        got = _half_turn_radius(g, sample_Q(BubbleProfile(m, s=s), g).offset,
+                                m)
+        assert abs(got / s - 1.0) <= 1e-9
+    # past -pi the radius stays finite and positive
+    for v0 in (-np.pi, -3.5, -2.0 * np.pi):
+        got = _half_turn_radius(g, np.full(n, v0), m)
+        assert 0.0 < got < r_min
 
 
 def test_smoothstep_shape():

@@ -360,6 +360,26 @@ def test_scale_estimate_bubble(default_grid):
         assert scale_estimate(q, 2) == pytest.approx(s, rel=1e-3)
 
 
+def test_half_energy_radius_of_energy_at_the_first_node(default_grid):
+    # half the energy already at node 0: the radius is r_min
+    node_e = np.zeros(default_grid.n)
+    node_e[0] = 1.0
+    node_e[5] = 0.5
+    assert evolve_module._half_energy_radius(default_grid, node_e) == 1e-4
+
+
+def test_a_bubble_wider_than_the_grid_runs_without_a_scale(default_grid):
+    # no node of a bubble at s = 1e6 on [1e-4, 1e3] lies past the half
+    # turn, so every scale estimate is NaN and no Blowup rule applies
+    u0 = sample_Q(BubbleProfile(2, s=1e6), default_grid)
+    rec = evolve(u0, 2, t_end=0.1, stepper=StepperConfig(dt=1e-2),
+                 sample_every=0.05)
+    assert rec.status == STATUS_GLOBAL
+    assert rec.times[-1] == pytest.approx(0.1)
+    assert len(rec.times) == 3
+    assert np.isnan(rec.scale_estimates).all()
+
+
 def test_scale_estimate_bump_tracks_width(default_grid):
     g = default_grid
     for sigma in (0.5, 2.0):
@@ -480,8 +500,8 @@ def test_a_dt_below_the_step_of_the_state_keeps_retries(monkeypatch,
             return delta, np.full_like(new_off, np.nan)
         return delta, new_off
 
-    def radius_once_halved(grid, off):
-        s = real_radius(grid, off)
+    def radius_once_halved(grid, off, m):
+        s = real_radius(grid, off, m)
         return 0.5 * s if failure == "scale_fall" and len(trials) == 1 else s
 
     monkeypatch.setattr("hmflow.evolve._step_offset", step_once_bad)
@@ -617,7 +637,7 @@ def _cn_step(grid, off, m, dt, ghost):
 
     half = 0.5 * dt
     coef = m * m / grid.nodes**2
-    _, diag, sup = grid.operator_bands(1.0, float(m * m))
+    _, diag, sup = grid.operator_bands(float(m * m))
     w = grid.weights
     a = off + half * _f_offset_masked(coef, off)
     rhs = (2.0 / half) * (w * a)
@@ -641,7 +661,7 @@ def _newton_step(grid, off, sin_sq, sin_cos, m, dt, ghost):
     from scipy.linalg.lapack import dptsv
 
     h, w, tw = grid.log_step, grid.weights, grid._trapz_log
-    _, diag, sup = grid.operator_bands(1.0, float(m * m))
+    _, diag, sup = grid.operator_bands(float(m * m))
     e = off[1:] - off[:-1]
     rhs = ((np.concatenate((e, [0.0])) - np.concatenate(([0.0], e)))
            * (1.0 / h) - (m * m * tw) * sin_cos)
@@ -832,11 +852,14 @@ def test_folded_imex2_step_matches_the_unfolded_one(m, inner):
     coef = m * m / g.nodes**2
     msq = float(m * m)
     ghost = 0.0 - inner
+    sub, diag, sup = g.operator_bands(msq)
     for off in seeded_states(g, m, inner, rng, 6):
         for dt in (1e-4, 1e-3, 1e-2):
             half = 0.5 * dt
             a = off + half * _f_offset_masked(coef, off)
-            rhs = a + half * g.apply_operator(a, 1.0, msq, ghost)
+            op_a = (sub * np.concatenate(([0.0], a[:-1])) + diag * a
+                    + sup * np.concatenate((a[1:], [ghost])))
+            rhs = a + half * op_a
             b = g.solve_shifted(g.weights * rhs / half, half, msq, ghost)
             want = b + half * _f_offset_masked(coef, b)
             delta, got = evolve_module._step_offset(

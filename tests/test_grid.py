@@ -74,8 +74,7 @@ def test_grid_construction_validation():
     # r_min = 1e-200 used to pass check and end the run Aborted
     for n in (16, 64, 2048):
         g = build_grid(1.3e-77, 1e2, n)
-        for bands in (g.operator_bands(1.0, 16.0), g.operator_bands(2.0, 0.0)):
-            assert all(np.isfinite(b).all() for b in bands)
+        assert all(np.isfinite(b).all() for b in g.operator_bands(16.0))
         assert np.isfinite(g.weights / g.nodes**4).all()
     for r_min in (1.2e-77, 1e-200):
         with pytest.raises(ConfigurationError, match="r_min"):
@@ -84,8 +83,7 @@ def test_grid_construction_validation():
     # r_max = 1e200 used to pass check and end the run Aborted
     for n in (16, 64, 2048):
         g = build_grid(1e-3, 1.1e77, n)
-        for bands in (g.operator_bands(1.0, 16.0), g.operator_bands(2.0, 0.0)):
-            assert all(np.isfinite(b).all() for b in bands)
+        assert all(np.isfinite(b).all() for b in g.operator_bands(16.0))
         assert np.isfinite(g.weights).all()
         assert np.isfinite(g.weights / g.nodes**4).all()
     for r_max in (1.2e77, 1e200):
@@ -159,7 +157,7 @@ def test_delta_m_interior_symmetric_in_weights(m, r_min, r_max, n):
     # w_i (Delta_m)_{i,i+1} = w_{i+1} (Delta_m)_{i+1,i} between interior
     # rows: the operator is symmetric in the r dr inner product there
     g = build_grid(r_min, r_max, n)
-    sub, _, sup = g.operator_bands(1.0, float(m * m))
+    sub, _, sup = g.operator_bands(float(m * m))
     w = g.weights
     upper = w[1:n - 2] * sup[1:n - 2]
     lower = w[2:n - 1] * sub[2:n - 1]
@@ -173,7 +171,7 @@ def test_delta_m_end_rows_symmetric_in_weights(m, r_min, r_max, n):
     # the pairs (0, 1) and (n-2, n-1); a plain ghost-node row, whose r dr
     # weight is half an interior one, is off by a factor of 2 there
     g = build_grid(r_min, r_max, n)
-    sub, _, sup = g.operator_bands(1.0, float(m * m))
+    sub, _, sup = g.operator_bands(float(m * m))
     w = g.weights
     upper = w[[0, n - 2]] * sup[[0, n - 2]]
     lower = w[[1, n - 1]] * sub[[1, n - 1]]
@@ -266,7 +264,9 @@ def test_shifted_band_cache_matches_fresh_grid():
     # dpttrs had written would have shown above
     assert np.array_equal(rhs, np.exp(-g.nodes) * np.sin(g.nodes))
     # only the tail rows of inv_square > 0 make Op symmetric in the r dr
-    # weights, so both contracts refuse inv_square = 0
+    # weights, so the bands and both contracts refuse inv_square = 0
+    with pytest.raises(ContractViolation, match="degree-m operator"):
+        g.operator_bands(0.0)
     for p in (None, pot):
         with pytest.raises(ContractViolation, match="degree-m operator"):
             g.solve_shifted(rhs, dt, 0.0, potential=p)
@@ -283,7 +283,7 @@ def test_grid_hands_out_no_bands_a_caller_can_corrupt():
     rhs = np.exp(-g.nodes) * np.sin(g.nodes)
     pot = 2.0 * g.weights / (1.0 + g.nodes**2)
     for _ in range(2):
-        _, diag, _ = g.operator_bands(1.0, 4.0)
+        _, diag, _ = g.operator_bands(4.0)
         diag *= 3.0
         got = apply_delta_m(RadialField(g, off, np.pi), 2).values
         want = apply_delta_m(RadialField(fresh, off, np.pi), 2).values
@@ -331,7 +331,7 @@ def _random_spd_draws(g, rng):
         yield ends + rng.uniform(0.1, 2.0, n), e, rng.normal(size=n)
     w = g.weights
     for m in (1, 2, 4):
-        _, diag, sup = g.operator_bands(1.0, float(m * m))
+        _, diag, sup = g.operator_bands(float(m * m))
         cap = 1.2 * m * m * w / g.nodes**2
         for alpha in (1e-6, 1e-3, 2e-3):
             for _ in range(5):
@@ -387,7 +387,7 @@ def test_singular_shifted_system_raises_on_each_backend(backend, monkeypatch):
     # on the outer nodes, where |diag| ~ (2/h^2 + m^2)/r^2 < 1; a positive
     # definite matrix has a positive diagonal.  A zero potential takes the
     # path of a potential to the same matrix.
-    _, diag, _ = g.operator_bands(1.0, 4.0)
+    _, diag, _ = g.operator_bands(4.0)
     assert (1.0 + diag[-1]) > 0.0
     for pot in (None, np.zeros(17)):
         with pytest.raises(np.linalg.LinAlgError, match="positive definite"):
@@ -398,7 +398,7 @@ def _dense_newton(g, alpha, inv_square, potential):
     """W/alpha - W Op - diag(potential) as a dense matrix, W the r dr
     weights, potential None for none: the matrix ``solve_shifted``
     solves."""
-    sub, diag, sup = g.operator_bands(1.0, inv_square)
+    sub, diag, sup = g.operator_bands(inv_square)
     w = g.weights
     if potential is None:
         potential = np.zeros(g.n)
@@ -408,7 +408,7 @@ def _dense_newton(g, alpha, inv_square, potential):
 
 def _check_against_the_dense_solve(g, rhs, msq, ghost, pot):
     w = g.weights
-    sup_end = g.operator_bands(1.0, msq)[2][-1]
+    sup_end = g.operator_bands(msq)[2][-1]
     for alpha in (1e-3, 1e-2, 5e-3, 1e-3):
         b = rhs.copy()
         b[-1] += w[-1] * sup_end * ghost
@@ -443,7 +443,7 @@ def test_solve_shifted_without_a_potential_matches_the_dense_solve(m, ghost):
     msq = float(m * m)
     _check_against_the_dense_solve(g, rhs, msq, ghost, None)
     w = g.weights
-    sub, diag, sup = g.operator_bands(1.0, msq)
+    sub, diag, sup = g.operator_bands(msq)
     # solve_helmholtz solves I - alpha Op as this system on W rhs / alpha
     for alpha in (1e-3, 1e-2):
         shifted = (np.diag(1.0 - alpha * diag) + np.diag(-alpha * sup[:-1], 1)
@@ -464,7 +464,7 @@ def test_indefinite_shifted_system_raises_on_each_backend(backend,
     # matrix is negative, so the matrix is indefinite (but not singular,
     # as the dense determinant shows)
     g = build_grid(1e-3, 1e2, 64)
-    _, diag, _ = g.operator_bands(1.0, 4.0)
+    _, diag, _ = g.operator_bands(4.0)
     w = g.weights
     spike = np.zeros(g.n)
     spike[30] = 1.001 * (w[30] / 1e-2 - w[30] * diag[30])
@@ -487,14 +487,18 @@ def test_solve_shifted_rejects_rhs_of_wrong_length():
             g.solve_shifted(rhs, 1e-2, 4.0, potential=pot)
 
 
-@pytest.mark.parametrize("advection, inv_square",
-                         [(1.0, 1.0), (1.0, 4.0), (1.0, 16.0), (3.0, 0.0),
-                          (5.0, 0.0)])
+# ids: the outer ghost value, then the coefficients 1 of (1/r) d/dr and
+# m^2 of -1/r^2
+@pytest.mark.parametrize("m", [1, 2, 4],
+                         ids=["1.0-1.0", "1.0-4.0", "1.0-16.0"])
 @pytest.mark.parametrize("ghost", [0.0, -np.pi])
-def test_apply_operator_keeps_the_bits_of_the_concatenation(advection,
-                                                            inv_square, ghost):
+def test_apply_operator_keeps_the_bits_of_the_concatenation(m, ghost):
+    # apply_delta_m's band products, summed into one array, against the
+    # concatenated shifts; the ghost value is the offset at infinity, so a
+    # degree-m field (inner limit pi) has -pi
     g = build_grid(1e-4, 1e3, 512)
-    sub, diag, sup = g.operator_bands(advection, inv_square)
+    sub, diag, sup = g.operator_bands(float(m * m))
+    inner = 0.0 - ghost
     rng = np.random.default_rng(7)
     values = rng.normal(size=g.n) * np.exp(-g.nodes)
     values[::9] = 0.0
@@ -506,8 +510,11 @@ def test_apply_operator_keeps_the_bits_of_the_concatenation(advection,
         vm = np.concatenate(([0.0], v[:-1]))
         vp = np.concatenate((v[1:], [ghost]))
         want = sub * vm + diag * v + sup * vp
-        assert same_bits(g.apply_operator(v, advection, inv_square, ghost),
-                         want)
+        if inner != 0.0:
+            want = want - m * m * inner / g.nodes**2
+        # the offset: .values adds the result's inner limit 0 to -0.0
+        got = apply_delta_m(RadialField(g, v, inner), m).offset
+        assert same_bits(got, want)
 
 
 def _fresh_dpttrs(g, rhs, alpha, inv_square, ghost):
@@ -515,7 +522,7 @@ def _fresh_dpttrs(g, rhs, alpha, inv_square, ghost):
     weights, built anew and solved by scipy's dpttrf and dpttrs."""
     from scipy.linalg.lapack import dpttrf, dpttrs
 
-    _, diag, sup = g.operator_bands(1.0, inv_square)
+    _, diag, sup = g.operator_bands(inv_square)
     w = g.weights
     b = rhs.copy()
     if ghost != 0.0:
@@ -565,9 +572,9 @@ def test_singular_potential_free_system_raises_on_each_backend(backend,
     # a tridiagonal matrix with zero diagonal and odd order is singular.
     # A zero potential takes the path of a potential to the same matrix.
     g = build_grid(1e-3, 1e2, 17)
-    sub, _, sup = g.operator_bands(1.0, 4.0)
+    sub, _, sup = g.operator_bands(4.0)
     monkeypatch.setattr(g, "operator_bands",
-                        lambda advection, inv_square: (sub, np.ones(17), sup))
+                        lambda inv_square: (sub, np.ones(17), sup))
     for pot in (None, np.zeros(17)):
         for _ in range(2):
             with pytest.raises(np.linalg.LinAlgError):

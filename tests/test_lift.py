@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from conftest import same_bits
 from hmflow.errors import SectorError
 from hmflow.grid import RadialField, build_grid, solve_helmholtz
-from hmflow.lift import (apply_radial_laplacian, commutation_residual, lift,
-                         norm_identity_check, sphere_area_constant, unlift)
+from hmflow.lift import (LiftedField, apply_radial_laplacian,
+                         commutation_residual, lift, norm_identity_check,
+                         sphere_area_constant, unlift)
 
 
 def _smooth_field(grid, m, sigma=1.0):
@@ -75,6 +77,40 @@ def test_lifted_laplacian_matches_exact(default_grid):
     got = apply_radial_laplacian(v)
     win = (g.nodes > 10 * g.r_min) & (g.nodes < g.r_max / 10)
     assert np.max(np.abs(got[win] - exact[win])) < 1e-3
+
+
+@pytest.mark.parametrize("d", [4, 6])
+def test_radial_laplacian_keeps_the_bits_of_the_concatenation(d):
+    # row i of r^-2 (d_x^2 + (d-2) d_x), with zero ghost values, against
+    # the concatenated shifts on bands assembled here
+    g = build_grid(1e-4, 1e3, 512)
+    h = g.log_step
+    inv_r2 = 1.0 / g.nodes**2
+    sub = (1.0 / h**2 - 0.5 * (d - 2.0) / h) * inv_r2
+    diag = (-2.0 / h**2) * inv_r2
+    sup = (1.0 / h**2 + 0.5 * (d - 2.0) / h) * inv_r2
+    rng = np.random.default_rng(7)
+    values = rng.normal(size=g.n) * np.exp(-g.nodes)
+    values[::9] = 0.0
+    values[4::11] = -0.0
+    values[0] = -0.0
+    zeros = np.zeros(g.n)
+    zeros[1::2] = -0.0
+    for v in (values, -values, zeros, -zeros):
+        vm = np.concatenate(([0.0], v[:-1]))
+        vp = np.concatenate((v[1:], [0.0]))
+        want = sub * vm + diag * v + sup * vp
+        assert same_bits(apply_radial_laplacian(LiftedField(g, v, d)), want)
+
+
+def test_radial_laplacian_is_finite_on_the_widest_grids():
+    # the grid admits r_min down to 1.3e-77 and r_max up to 1.1e77, where
+    # r^2 and r^-2 are still finite
+    for r_min, r_max in ((1.3e-77, 1e2), (1e-3, 1.1e77)):
+        for n in (16, 64, 2048):
+            g = build_grid(r_min, r_max, n)
+            got = apply_radial_laplacian(LiftedField(g, np.ones(n), 3))
+            assert np.isfinite(got).all()
 
 
 def _forced_linear_error(dt, n=2048, m=2, t_end=0.1):

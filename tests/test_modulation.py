@@ -15,7 +15,8 @@ from hmflow.errors import (ContractViolation, FitUnreliableError,
                            NoBubbleError)
 from hmflow.evolve import StepperConfig, evolve
 from hmflow.grid import RadialField, build_grid
-from hmflow.modulation import (_orth_mismatch, apply_H, apply_L, apply_Lstar,
+from hmflow.modulation import (_orth_mismatch, _rate_model_rms, apply_H,
+                               apply_L, apply_Lstar,
                                approx_solution_residual, brentq,
                                bubble_decompose, fit_blowup_rate, fit_scale,
                                orthogonality_ok, potential_inequality_margin,
@@ -205,6 +206,15 @@ def test_rate_fit_recovers_exponent(L):
     assert fit.T_est == pytest.approx(2.0, abs=1e-3)
     assert fit.rms < 1e-2
     assert set(fit.rms_by_exponent) == {1, 2, 3}
+
+
+def test_rate_model_needs_every_sample_before_the_blowup_time():
+    # log(T - t) is undefined at or past a sample, so such a T has no fit
+    t, s = _synthetic_track(1)
+    log_s = np.log(s)
+    assert np.isfinite(_rate_model_rms(t, log_s, 2.0, 1))
+    for T in (t[-1], t[-2]):
+        assert _rate_model_rms(t, log_s, T, 1) == np.inf
 
 
 def test_rate_fit_rejects_thin_or_flat_tracks():

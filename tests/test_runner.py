@@ -283,6 +283,19 @@ def test_solver_abort_exit_code(tmp_path, capsys, monkeypatch):
     assert summary["classification"] == "Undetermined"
 
 
+def test_a_bubble_inside_r_min_ends_as_blowup(tmp_path):
+    # its half-turn radius, 1e-9, lies inside r_min; it used to read NaN,
+    # and the run passed check and ended Global and Undetermined
+    raw = {"scenario": "free", "ic_family": "q_exact", "m": "2",
+           "ic_s0": "1e-9", "r_min": "1e-3", "r_max": "1e2", "n": "64"}
+    cfg = build_run_config(raw, out_dir=str(tmp_path))
+    _setup(cfg)
+    res = execute(cfg)
+    assert res.status == "Blowup"
+    assert res.record.times == [0.0]
+    assert res.record.scale_estimates[0] == pytest.approx(1e-9, rel=1e-3)
+
+
 def test_execute_classifies_decay(tmp_path):
     cfg = _cfg(tmp_path, ic_A="0.3", t_end="8", sample_every="0.5")
     res = execute(cfg)
