@@ -14,6 +14,7 @@ from hmflow import grid as grid_module
 from hmflow.errors import ConfigurationError, ContractViolation
 from hmflow.grid import (RadialField, apply_delta_m, build_grid, differentiate,
                          origin_exponent, solve_helmholtz)
+from hmflow.lift import LiftedField, apply_radial_laplacian
 
 
 def test_quadrature_gaussian(default_grid):
@@ -487,17 +488,29 @@ def test_solve_shifted_rejects_rhs_of_wrong_length():
             g.solve_shifted(rhs, 1e-2, 4.0, potential=pot)
 
 
-# ids: the outer ghost value, then the coefficients 1 of (1/r) d/dr and
-# m^2 of -1/r^2
-@pytest.mark.parametrize("m", [1, 2, 4],
-                         ids=["1.0-1.0", "1.0-4.0", "1.0-16.0"])
+# the coefficients of (1/r) d/dr and of -1/r^2: advection 1 with m^2 is the
+# degree-m operator, advection d-1 with no inverse-square term the lift's
+# d-dimensional Laplacian
+@pytest.mark.parametrize("advection, inv_square",
+                         [(1.0, 1.0), (1.0, 4.0), (1.0, 16.0), (3.0, 0.0),
+                          (5.0, 0.0)])
 @pytest.mark.parametrize("ghost", [0.0, -np.pi])
-def test_apply_operator_keeps_the_bits_of_the_concatenation(m, ghost):
-    # apply_delta_m's band products, summed into one array, against the
+def test_apply_operator_keeps_the_bits_of_the_concatenation(advection,
+                                                            inv_square, ghost):
+    # each operator's band products, summed into one array, against the
     # concatenated shifts; the ghost value is the offset at infinity, so a
     # degree-m field (inner limit pi) has -pi
     g = build_grid(1e-4, 1e3, 512)
-    sub, diag, sup = g.operator_bands(float(m * m))
+    if inv_square > 0.0:
+        m = round(np.sqrt(inv_square))
+        sub, diag, sup = g.operator_bands(inv_square)
+    else:
+        # the lift's own stencil, r^-2 (d_x^2 + (d-2) d_x), assembled here
+        h, a1 = g.log_step, advection - 1.0
+        inv_r2 = 1.0 / g.nodes**2
+        sub = (1.0 / h**2 - 0.5 * a1 / h) * inv_r2
+        diag = (-2.0 / h**2) * inv_r2
+        sup = (1.0 / h**2 + 0.5 * a1 / h) * inv_r2
     inner = 0.0 - ghost
     rng = np.random.default_rng(7)
     values = rng.normal(size=g.n) * np.exp(-g.nodes)
@@ -510,10 +523,17 @@ def test_apply_operator_keeps_the_bits_of_the_concatenation(m, ghost):
         vm = np.concatenate(([0.0], v[:-1]))
         vp = np.concatenate((v[1:], [ghost]))
         want = sub * vm + diag * v + sup * vp
-        if inner != 0.0:
-            want = want - m * m * inner / g.nodes**2
-        # the offset: .values adds the result's inner limit 0 to -0.0
-        got = apply_delta_m(RadialField(g, v, inner), m).offset
+        if inv_square > 0.0:
+            if inner != 0.0:
+                want = want - inv_square * inner / g.nodes**2
+            # the offset: .values adds the result's inner limit 0 to -0.0
+            got = apply_delta_m(RadialField(g, v, inner), m).offset
+        else:
+            # the lift reads a zero ghost value; a nonzero one enters only
+            # through the boundary column of the last row
+            got = apply_radial_laplacian(LiftedField(g, v, int(advection) + 1))
+            if ghost != 0.0:
+                got[-1] += sup[-1] * ghost
         assert same_bits(got, want)
 
 

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from conftest import same_bits
 from hmflow.errors import SectorError
 from hmflow.grid import RadialField, build_grid, solve_helmholtz
 from hmflow.lift import (LiftedField, apply_radial_laplacian,
@@ -77,30 +76,6 @@ def test_lifted_laplacian_matches_exact(default_grid):
     got = apply_radial_laplacian(v)
     win = (g.nodes > 10 * g.r_min) & (g.nodes < g.r_max / 10)
     assert np.max(np.abs(got[win] - exact[win])) < 1e-3
-
-
-@pytest.mark.parametrize("d", [4, 6])
-def test_radial_laplacian_keeps_the_bits_of_the_concatenation(d):
-    # row i of r^-2 (d_x^2 + (d-2) d_x), with zero ghost values, against
-    # the concatenated shifts on bands assembled here
-    g = build_grid(1e-4, 1e3, 512)
-    h = g.log_step
-    inv_r2 = 1.0 / g.nodes**2
-    sub = (1.0 / h**2 - 0.5 * (d - 2.0) / h) * inv_r2
-    diag = (-2.0 / h**2) * inv_r2
-    sup = (1.0 / h**2 + 0.5 * (d - 2.0) / h) * inv_r2
-    rng = np.random.default_rng(7)
-    values = rng.normal(size=g.n) * np.exp(-g.nodes)
-    values[::9] = 0.0
-    values[4::11] = -0.0
-    values[0] = -0.0
-    zeros = np.zeros(g.n)
-    zeros[1::2] = -0.0
-    for v in (values, -values, zeros, -zeros):
-        vm = np.concatenate(([0.0], v[:-1]))
-        vp = np.concatenate((v[1:], [0.0]))
-        want = sub * vm + diag * v + sup * vp
-        assert same_bits(apply_radial_laplacian(LiftedField(g, v, d)), want)
 
 
 def test_radial_laplacian_is_finite_on_the_widest_grids():
