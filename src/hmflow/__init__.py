@@ -18,7 +18,7 @@ from .bubble import (BubbleProfile, bogomolny_residual, energy_of_Q, eval_Q,
 from .energy import (EnergyBreakdown, SectorClass, classify,
                      exterior_energy, g_functional, g_inverse,
                      pointwise_bound_check, rlp_norm, smoothstep,
-                     topological_bound_gap, x2_norm, xp_norm)
+                     topological_bound_gap, xp_norm)
 from .evolve import (StepperConfig, TrajectoryRecord, dissipation_audit,
                      nonlinearity, scale_estimate, step,
                      STATUS_ABORTED, STATUS_BLOWUP, STATUS_GLOBAL)

@@ -29,7 +29,6 @@ class EnergyBreakdown:
     total: float
     dirichlet: float
     potential: float
-    window: Optional[Tuple[float, float, float]] = None  # (r1, r2, windowed E)
 
 
 @dataclass
@@ -154,46 +153,13 @@ def integrate_density(dir_e: np.ndarray, pot_e: np.ndarray) -> EnergyBreakdown:
     return EnergyBreakdown(dirichlet + potential, dirichlet, potential)
 
 
-def energy(field: RadialField, m: int,
-           r1: Optional[float] = None, r2: Optional[float] = None) -> EnergyBreakdown:
+def energy(field: RadialField, m: int) -> EnergyBreakdown:
     """The discrete energy E_h of ``node_energies``, which approximates
-    (u_r^2 + m^2 sin^2 u / r^2)/2 integrated over r dr.
-
-    With r1/r2 given, additionally reports the energy of the nodes in
-    [r1, r2); windows built from half-open node masks add up exactly.
-    """
-    g = field.grid
-    dir_e, pot_e = node_energies(g, field.offset, m, field.inner_limit)
-    out = integrate_density(dir_e, pot_e)
-    if r1 is not None or r2 is not None:
-        lo = 0.0 if r1 is None else r1
-        hi = np.inf if r2 is None else r2
-        if not lo < hi:
-            raise ContractViolation(f"need r1 < r2, got {lo}, {hi}")
-        mask = (g.nodes >= lo) & (g.nodes < hi)
-        ew = float(np.sum(dir_e[mask] + pot_e[mask]))
-        out.window = (lo, hi, ew)
-    return out
-
-
-def x2_norm(field: RadialField, m: int) -> float:
-    """Energy-space norm: sqrt of  integral (u_r^2 + m^2 u^2/r^2) r dr."""
-    g = field.grid
-    u_r = differentiate(field).values
-    sq = g.integrate(u_r**2 + (m * field.values / g.nodes) ** 2)
-    return float(np.sqrt(max(sq, 0.0)))
-
-
-def xp_norm(field: RadialField, m: int, p: float) -> float:
-    """||u_r||_p^p + m^p ||u/r||_p^p to the 1/p (sum of sups at p = inf)."""
-    if p < 1:
-        raise ContractViolation(f"need p >= 1, got {p}")
-    g = field.grid
-    u_r = differentiate(field).values
-    if np.isinf(p):
-        return g.lp_norm(u_r, p) + g.lp_norm(field.values / g.nodes, p)
-    return float((g.lp_norm(u_r, p) ** p
-                  + m**p * g.lp_norm(field.values / g.nodes, p) ** p) ** (1.0 / p))
+    (u_r^2 + m^2 sin^2 u / r^2)/2 integrated over r dr.  Its one localized
+    form is ``exterior_energy``."""
+    dir_e, pot_e = node_energies(field.grid, field.offset, m,
+                                 field.inner_limit)
+    return integrate_density(dir_e, pot_e)
 
 
 def rlp_norm(field: RadialField, p: float) -> float:
@@ -201,6 +167,17 @@ def rlp_norm(field: RadialField, p: float) -> float:
     if p < 1:
         raise ContractViolation(f"need p >= 1, got {p}")
     return field.grid.lp_norm(field.values / field.grid.nodes, p)
+
+
+def xp_norm(field: RadialField, m: int, p: float) -> float:
+    """The X^p norm (||u_r||_p^p + m^p ||u/r||_p^p)^(1/p) in L^p(r dr), and
+    at p = inf its limit max(||u_r||_inf, m ||u/r||_inf).  X^2 is the
+    energy space: ||u||_X2^2 = 2 E(u) to leading order in small u."""
+    u_over_r = rlp_norm(field, p)
+    u_r = field.grid.lp_norm(differentiate(field).values, p)
+    if np.isinf(p):
+        return max(u_r, m * u_over_r)
+    return float((u_r ** p + m**p * u_over_r ** p) ** (1.0 / p))
 
 
 def classify(field: RadialField, m: int) -> SectorClass:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractViolation
+from .errors import ConfigurationError, ContractViolation, SectorError
 
 
 def _address(array):
@@ -400,11 +400,14 @@ def solve_helmholtz(rhs: RadialField, m: int, alpha: float) -> RadialField:
     """Solve (I - alpha * Delta_m) u = rhs with the tail closures of
     ``RadialGrid.operator_bands``, u tending to 0 at infinity, as the
     W-scaled system (W/alpha - W Delta_m) u = W rhs / alpha of
-    ``RadialGrid.solve_shifted``, W the r dr weights."""
+    ``RadialGrid.solve_shifted``, W the r dr weights.  The r^m inner
+    closure holds u to 0 at the origin, so rhs must be zero-degree data."""
     if alpha <= 0:
         raise ContractViolation(f"alpha must be positive, got {alpha}")
     g = rhs.grid
     check_degree(m, g.r_min)
+    if rhs.inner_limit != 0.0:
+        raise SectorError("Helmholtz solves take inner_limit = 0 data only")
     u = g.solve_shifted(g.weights * rhs.values / alpha, alpha, float(m * m))
     return RadialField(g, u)
 

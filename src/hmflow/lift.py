@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .energy import rlp_norm
 from .errors import SectorError
 from .grid import RadialField, RadialGrid
 
@@ -83,10 +84,8 @@ def norm_identity_check(u: RadialField, m: int):
     """
     if m < 2:
         raise SectorError("norm identity needs m >= 2 (p = 2m/(m-1))")
-    g = u.grid
     p = 2.0 * m / (m - 1.0)
     d = 2 * m + 2
-    lhs = g.lp_norm(u.values / g.nodes, p)
     v = lift(u, m)
-    rhs = g.integrate(np.abs(v.values) ** p, power=d - 1) ** (1.0 / p)
-    return float(lhs), float(rhs), sphere_area_constant(d)
+    rhs = u.grid.integrate(np.abs(v.values) ** p, power=d - 1) ** (1.0 / p)
+    return rlp_norm(u, p), float(rhs), sphere_area_constant(d)

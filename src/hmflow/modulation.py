@@ -22,7 +22,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .bubble import BubbleProfile, eval_h, eval_hhat, eval_Q, eval_Q_offset
-from .energy import classify, E1_LABEL, energy, smoothstep
+from .energy import classify, E1_LABEL, energy, smoothstep, xp_norm
 from .errors import ContractViolation, FitUnreliableError, NoBubbleError
 from .grid import RadialField, RadialGrid
 
@@ -227,10 +227,10 @@ def potential_inequality_margin(profile: BubbleProfile, grid: RadialGrid) -> flo
 
 def approx_solution_residual(profile: BubbleProfile, w: RadialField
                              ) -> Tuple[RadialField, float]:
-    """Residual of the superposition Q^s + w under the flow, and its X^1 norm.
+    """Residual of the superposition Q^s + w under the flow, and its
+    ``xp_norm`` at p = 1.
 
-    The residual is (m^2 / 2r^2)(sin(2Q^s)(1 - cos 2w) + sin(2w)(1 - cos 2Q^s));
-    the X^1 norm is ||d/dr (.)||_{L^1(rdr)} + m ||. / r||_{L^1(rdr)}.
+    The residual is (m^2 / 2r^2)(sin(2Q^s)(1 - cos 2w) + sin(2w)(1 - cos 2Q^s)).
     """
     g = w.grid
     m = profile.m
@@ -239,9 +239,7 @@ def approx_solution_residual(profile: BubbleProfile, w: RadialField
         np.sin(2 * q) * (1.0 - np.cos(2 * w.values))
         + np.sin(2 * w.values) * (1.0 - np.cos(2 * q)))
     resid = RadialField(g, vals)
-    dr = g.derivative(vals)
-    x1 = g.integrate(np.abs(dr)) + m * g.integrate(np.abs(vals / g.nodes))
-    return resid, float(x1)
+    return resid, xp_norm(resid, m, 1)
 
 
 # ---- trajectory-level tracking -------------------------------------------

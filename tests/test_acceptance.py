@@ -14,7 +14,7 @@ import pytest
 
 from hmflow.bubble import BubbleProfile, energy_of_Q, sample_Q, sample_h
 from hmflow.energy import (energy, exterior_energy, g_inverse,
-                           pointwise_bound_check, x2_norm)
+                           pointwise_bound_check, xp_norm)
 from hmflow.evolve import StepperConfig, dissipation_audit, evolve
 from hmflow.grid import RadialField, build_grid, solve_helmholtz
 from hmflow.lift import commutation_residual, lift, unlift
@@ -86,7 +86,7 @@ def test_criterion_02_stationarity():
         rec = evolve(q, 2, t_end=1.0, stepper=StepperConfig(dt=1e-3),
                      sample_every=0.1)
         drifts.append(max(
-            x2_norm(RadialField(g, f.values - q.values), 2)
+            xp_norm(RadialField(g, f.values - q.values), 2, 2)
             for f in rec.fields))
         if n == 2048:
             _global_runs.append(rec)

@@ -5,6 +5,7 @@ from hmflow.bubble import (BubbleProfile, bogomolny_residual,
                            derivative_identity_residuals, energy_of_Q,
                            eval_Q, eval_Q_deriv, eval_h, eval_hhat,
                            sample_Q)
+from hmflow.errors import ContractViolation
 from hmflow.grid import build_grid, differentiate
 
 
@@ -14,6 +15,12 @@ def test_profile_angle_values():
     assert eval_Q(p, 1e-12) == pytest.approx(np.pi, abs=1e-10)
     assert eval_Q(p, 1.0) == pytest.approx(np.pi / 2)
     assert eval_Q(p, 1e12) == pytest.approx(0.0, abs=1e-10)
+
+
+def test_profile_rejects_non_positive_scales():
+    for s in (0.0, -1.0, np.nan):
+        with pytest.raises(ContractViolation, match="scale must be positive"):
+            BubbleProfile(2, s)
 
 
 def test_h_is_sin_Q_and_hhat_is_cos_Q():

@@ -11,7 +11,7 @@ from hmflow.energy import (_half_turn_radius, classify, energy,
                            g_inverse, gradient_weights, hessian_potential,
                            neg_gradient, pointwise_bound_check, rlp_norm,
                            sin_terms, smoothstep, tail_gradient_gap,
-                           topological_bound_gap, x2_norm, xp_norm)
+                           topological_bound_gap, xp_norm)
 from hmflow.errors import ContractViolation, SectorError
 from hmflow.evolve import nonlinearity
 from hmflow.grid import RadialField, apply_delta_m, build_grid, differentiate
@@ -127,24 +127,11 @@ def test_edge_gradient_matches_the_operator_form(m, inner):
             assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
 
-def test_energy_window_additivity(default_grid):
-    f = RadialField(default_grid, gaussian_bump(default_grid))
-    total = energy(f, 2).total
-    lo = energy(f, 2, r1=0.0, r2=1.0).window[2]
-    hi = energy(f, 2, r1=1.0, r2=np.inf).window[2]
-    assert lo + hi == pytest.approx(total, rel=1e-12)
-
-
-def test_energy_window_validation(default_grid):
-    f = RadialField(default_grid, gaussian_bump(default_grid))
-    with pytest.raises(ContractViolation):
-        energy(f, 2, r1=2.0, r2=1.0)
-
-
 def test_x2_norm_small_angle_limit(default_grid):
     # for small fields sin u ~ u, so 2 E ~ ||u||_{X^2}^2
     f = RadialField(default_grid, 1e-4 * gaussian_bump(default_grid))
-    assert x2_norm(f, 2) ** 2 == pytest.approx(2 * energy(f, 2).total, rel=1e-6)
+    assert xp_norm(f, 2, 2) ** 2 == pytest.approx(2 * energy(f, 2).total,
+                                                  rel=1e-6)
 
 
 def test_norm_validation(default_grid):
@@ -158,14 +145,28 @@ def test_norm_validation(default_grid):
 
 
 def test_sup_norms(default_grid):
-    # p = inf is the sup over the nodes, and the X^inf norm is the sum of
-    # the sups of u_r and u/r
+    # p = inf is the sup over the nodes, and the X^inf norm is the limit
+    # max(sup |u_r|, m sup |u/r|) of the X^p family
     g = default_grid
     f = RadialField(g, gaussian_bump(g))
     u_r = differentiate(f).values
     assert g.lp_norm(-f.values, np.inf) == np.max(f.values)
-    assert xp_norm(f, 2, np.inf) == (np.max(np.abs(u_r))
-                                     + np.max(np.abs(f.values / g.nodes)))
+    assert xp_norm(f, 2, np.inf) == max(np.max(np.abs(u_r)),
+                                        2 * np.max(np.abs(f.values / g.nodes)))
+
+
+def test_xp_norm_tends_to_its_sup_limit(default_grid):
+    # the X^p norms tend to max(sup|u_r|, m sup|u/r|) as p grows; on the
+    # bump, whose m sup|u/r| (0.858) exceeds sup|u_r| (0.587), p = 200
+    # reads 0.846
+    g = default_grid
+    f = RadialField(g, gaussian_bump(g))
+    limit = xp_norm(f, 2, np.inf)
+    assert limit == pytest.approx(0.858, abs=1e-3)
+    gaps = [limit - xp_norm(f, 2, p) for p in (10, 25, 50, 100, 200)]
+    assert xp_norm(f, 2, 200) == pytest.approx(0.846, abs=1e-3)
+    assert all(abs(b) < abs(a) for a, b in zip(gaps, gaps[1:]))
+    assert abs(gaps[-1]) < 0.02 * limit
 
 
 def test_classify_sectors(default_grid):
@@ -212,6 +213,9 @@ def test_pointwise_bound(default_grid):
     assert ok
     with pytest.raises(ContractViolation):
         pointwise_bound_check(f, 2, delta1=-1.0)
+    # a delta1 above the field's own margin 4m - E
+    with pytest.raises(SectorError, match="exceeds 4m - delta1"):
+        pointwise_bound_check(f, 2, delta1=classify(f, 2).delta1 + 0.1)
     bub = sample_Q(BubbleProfile(2), g)
     with pytest.raises(SectorError):
         pointwise_bound_check(bub, 2, delta1=1.6)

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 import hmflow
 from conftest import same_bits
 from hmflow import grid as grid_module
-from hmflow.errors import ConfigurationError, ContractViolation
+from hmflow.bubble import BubbleProfile, sample_Q
+from hmflow.errors import ConfigurationError, ContractViolation, SectorError
 from hmflow.grid import (RadialField, apply_delta_m, build_grid, differentiate,
                          origin_exponent, solve_helmholtz)
 from hmflow.lift import LiftedField, apply_radial_laplacian
@@ -233,6 +234,14 @@ def test_helmholtz_validation(default_grid):
     for m in (0, -2, 2.5, np.nan):
         with pytest.raises(ContractViolation):
             solve_helmholtz(rhs, m, 0.1)
+
+
+def test_helmholtz_refuses_degree_m_data():
+    # the r^m inner closure holds u to 0 at the origin, so a bubble came
+    # back as a zero-degree field wrong by pi near r_min
+    q = sample_Q(BubbleProfile(2), build_grid(1e-4, 1e3, 512))
+    with pytest.raises(SectorError, match="inner_limit = 0"):
+        solve_helmholtz(q, 2, 1e-3)
 
 
 def test_origin_exponent(default_grid):

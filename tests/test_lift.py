@@ -48,6 +48,9 @@ def test_norm_identity(default_grid):
     lhs, rhs, const = norm_identity_check(u, 2)
     assert lhs == pytest.approx(rhs, rel=1e-12)
     assert const == pytest.approx(sphere_area_constant(6))
+    # p = 2m/(m - 1) has no value at m = 1
+    with pytest.raises(SectorError, match="m >= 2"):
+        norm_identity_check(_smooth_field(default_grid, 1), 1)
 
 
 def _gaussian_heat_exact(grid, m, sigma, t):

@@ -93,7 +93,9 @@ def _scale_mismatch():
     (lambda x: math.tanh(3.0 * x - 0.7), -4.0, 5.0),
     (lambda x: x * math.exp(-x * x) - 0.1, 0.05, 1.0),
     (lambda x: math.sin(5.0 * x) + 0.3, 0.5, 1.0),
-], ids=["scale_mismatch", "cubic", "cos", "tanh", "gauss", "sin"])
+    (lambda x: x - 1.0, 0.0, 1.0),
+], ids=["scale_mismatch", "cubic", "cos", "tanh", "gauss", "sin",
+        "root_at_b"])
 def test_brentq_port_matches_scipy(f, a, b):
     from scipy import optimize
     for xtol, rtol in ((1e-14, 1e-15), (2e-12, 4 * np.finfo(float).eps),
@@ -101,6 +103,20 @@ def test_brentq_port_matches_scipy(f, a, b):
         assert brentq(f, a, b, xtol, rtol) == optimize.brentq(f, a, b,
                                                               xtol=xtol,
                                                               rtol=rtol)
+
+
+@pytest.mark.parametrize("f,a,b,maxiter,exc,message", [
+    (lambda x: math.nan, 0.0, 1.0, 100, ValueError, "value at x=0.0 is NaN"),
+    (lambda x: x * x + 1.0, -1.0, 1.0, 100, ValueError, "different signs"),
+    (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0, 2, RuntimeError,
+     "Failed to converge after 2 iterations"),
+], ids=["nan", "same_sign", "maxiter"])
+def test_brentq_port_raises_as_scipy_does(f, a, b, maxiter, exc, message):
+    from scipy import optimize
+    with pytest.raises(exc, match=message):
+        brentq(f, a, b, 1e-12, 1e-12, maxiter=maxiter)
+    with pytest.raises(exc):
+        optimize.brentq(f, a, b, xtol=1e-12, rtol=1e-12, maxiter=maxiter)
 
 
 def test_import_leaves_unused_scipy_subpackages_unloaded():

@@ -12,12 +12,14 @@ from hypothesis import strategies as st
 
 from hmflow.cli import main as cli_main
 from hmflow.energy import energy
-from hmflow.errors import ConfigurationError
+from hmflow.errors import ConfigurationError, FitUnreliableError
 from hmflow.evolve import evolve, step_floor
 from hmflow.grid import build_grid
+from hmflow.modulation import fit_blowup_rate
 from hmflow.runner import (CSV_COLUMNS, IC_FAMILIES, SCENARIOS, _FLOAT_KEYS,
                            _INT_KEYS, _KNOWN_KEYS, _STR_KEYS, RunConfig,
-                           _setup, build_initial_condition, build_run_config,
+                           _collapse_start, _setup, build_initial_condition,
+                           build_run_config, concentration_scale_track,
                            execute, parse_config_text, parse_grid_file, run,
                            sweep)
 
@@ -56,6 +58,9 @@ def test_parse_config_rejects_duplicates_and_noise():
         parse_config_text("m = 2\nm = 3\n")
     with pytest.raises(ConfigurationError):
         parse_config_text("definitely not a key value line\n")
+    for line in ("m =\n", "= 2\n"):
+        with pytest.raises(ConfigurationError, match="empty key or value"):
+            parse_config_text(line)
 
 
 def test_unknown_key_rejected(tmp_path):
@@ -188,6 +193,28 @@ def test_custom_samples_with_one_row_names_the_rows(tmp_path):
         build_initial_condition(cfg, build_grid(1e-3, 1e2, 512))
 
 
+def _decreasing_samples(tmp_path):
+    """A custom_samples file whose radii fall."""
+    path = tmp_path / "decreasing_ic.txt"
+    path.write_text("1.0 0.1\n0.5 0.2\n2.0 0.05\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("over,message", [
+    (dict(ic_family="e1_excited", ic_s0="1", ic_sigma="3", ic_A="1",
+          ic_target_energy="1"), "target energy 1 below the A=0 energy 3.99"),
+    (dict(ic_target_energy="1e30"),
+     r"target energy 1e\+30 unreachable by amplitude growth"),
+    (dict(ic_family="custom_samples", ic_file=_decreasing_samples),
+     "radii must be positive and strictly increasing"),
+], ids=["target_below_base", "target_unreachable", "radii_decreasing"])
+def test_initial_condition_rejections(tmp_path, over, message):
+    over = {k: v(tmp_path) if callable(v) else v for k, v in over.items()}
+    cfg = _cfg(tmp_path, **over)
+    with pytest.raises(ConfigurationError, match=message):
+        build_initial_condition(cfg, build_grid(1e-3, 1e2, 512))
+
+
 def test_custom_samples_missing_file(tmp_path):
     cfg = _cfg(tmp_path, ic_family="custom_samples",
                ic_file=str(tmp_path / "absent.txt"))
@@ -303,6 +330,31 @@ def test_execute_classifies_decay(tmp_path):
     assert res.classification == "Decayed"
 
 
+def test_execute_classifies_the_vacuum_as_decayed(tmp_path):
+    # E_initial = E_final = 0; a strict 5% test classified it Undetermined
+    res = execute(_cfg(tmp_path, ic_A="0", t_end="0.1"))
+    assert res.summary["final_metrics"]["E_initial"] == 0.0
+    assert res.summary["final_metrics"]["E_final"] == 0.0
+    assert (res.status, res.classification) == ("Global", "Decayed")
+
+
+def test_m1_checks_fail_when_the_rate_fit_raises(tmp_path):
+    # by t 0.5 the collapse spans 11 samples over 0.24 decades, too few
+    # for the rate fit, so every m = 1 check reads false
+    cfg = build_run_config({"scenario": "m1_blowup", "t_end": "0.5"},
+                           out_dir=str(tmp_path))
+    res = execute(cfg)
+    t, s = concentration_scale_track(res.record)
+    k = _collapse_start(s)
+    with pytest.raises(FitUnreliableError, match="got 11 samples"):
+        fit_blowup_rate(t[k:], s[k:])
+    assert (res.status, res.classification) == ("Global", "Undetermined")
+    assert res.checks == {"status_blowup": False,
+                          "scale_fell_1p5_decades": False,
+                          "ratio_to_sqrt_decreasing": False,
+                          "rate_exponent_is_1": False}
+
+
 # ---- sweep ---------------------------------------------------------------
 
 def test_parse_grid_file():
@@ -310,6 +362,8 @@ def test_parse_grid_file():
     assert axes == [("m", ["1", "2"]), ("ic_A", ["0.2", "0.4"])]
     with pytest.raises(ConfigurationError):
         parse_grid_file("m = 1\nm = 2\n")
+    with pytest.raises(ConfigurationError, match="no values for 'm'"):
+        parse_grid_file("m = ,\n")
     with pytest.raises(ConfigurationError):
         parse_grid_file("bogus = 1\n")
 
@@ -411,6 +465,12 @@ def test_cli_check_and_run(tmp_path):
     assert cli_main(["check", path]) == 0
     assert cli_main(["--out", str(tmp_path), "run", path]) == 0
     assert (tmp_path / "fast_trajectory.csv").exists()
+
+
+def test_cli_unreadable_config_exits_1(tmp_path, capsys):
+    for path in (tmp_path / "absent.cfg", tmp_path):
+        assert cli_main(["check", str(path)]) == 1
+        assert "invalid config: cannot read" in capsys.readouterr().err
 
 
 def test_cli_check_accepts_near_bubble_data(tmp_path):
